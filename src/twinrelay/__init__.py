@@ -4,15 +4,14 @@ __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
     CoarseLattice,
-    Dither,
     LatticeDiagnostics,
-    LatticePoint,
     NestedLatticePair,
     diagnostics,
-    dither_sample,
+    dither,
     encode_message,
     make_pair,
     mod_coarse,
+    modulo_diff,
     modulo_sum,
     quantize_fine,
 )

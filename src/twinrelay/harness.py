@@ -1,4 +1,4 @@
-"""Channel models and a deterministic Monte Carlo trial runner.
+"""The amplify-and-forward relay map and a deterministic Monte Carlo trial runner.
 
 Trials are pure functions of a per-trial generator derived from
 (master seed, trial index), so aggregate counts are identical for any
@@ -25,47 +25,8 @@ Z95 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
-# Channels
+# Amplify-and-forward relay map
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AwgnChannel:
-    """Real AWGN with per-dimension noise variance sigma2."""
-
-    sigma2: float
-    rng: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, sigma2: float, master: int, *path: int) -> "AwgnChannel":
-        return cls(sigma2=sigma2, rng=generator(master, *path))
-
-    def transmit(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.sigma2 == 0.0:
-            return x.copy()
-        return x + self.rng.normal(0.0, math.sqrt(self.sigma2), size=x.shape)
-
-
-@dataclass
-class BscChannel:
-    """Binary symmetric channel with crossover probability p_cross."""
-
-    p_cross: float
-    rng: np.random.Generator
-
-    @classmethod
-    def from_seed(cls, p_cross: float, master: int, *path: int) -> "BscChannel":
-        return cls(p_cross=p_cross, rng=generator(master, *path))
-
-    def transmit(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.int64)
-        flips = self.rng.random(bits.shape) < self.p_cross
-        return bits ^ flips.astype(np.int64)
-
-
-def awgn_transmit(x: np.ndarray, channel: AwgnChannel) -> np.ndarray:
-    return channel.transmit(x)
-
 
 def anc_relay(y_relay: np.ndarray, power: float, sigma2: float) -> np.ndarray:
     """Amplify-and-forward gain sqrt(P/(2P+sigma2)) applied to the relay input.
@@ -248,6 +209,11 @@ def run_trials(
     """
     if trials is None and target_ci is None:
         raise ValidationError("need trials or target_ci")
+    if trials is not None and target_ci is not None:
+        raise ValidationError("give either trials or target_ci, not both")
+    if target_ci is not None and not spec.error_keys:
+        raise ValidationError(
+            f"target_ci needs an error key; experiment {spec.name!r} has none")
     if trials is not None and trials <= 0:
         raise ValidationError("trials must be positive")
     if workers < 1:

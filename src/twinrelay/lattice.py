@@ -8,10 +8,12 @@ gamma = sqrt(12*P)/q makes that second moment equal the transmit power P.
 The fine (coding) lattice is gamma*(C + q*Z^n) for a linear code
 C = {u*G mod q : u in Z_q^k}.  The codebook is the set of fine points
 inside the coarse Voronoi cell; with a systematic generator it has
-exactly q^k elements for any modulus q.  All codebook algebra is exact:
-points carry integer coordinates in units of gamma ("units"), and the
-mod-q fold of an integer vector is computed in integer arithmetic, so
-group identities hold with zero tolerance.  A parallel exact-rational
+exactly q^k elements for any modulus q.  A codeword is its message index:
+the integer whose base-q digits (least significant first) are the message
+u, with codebook row u*G folded into [-q/2, q/2) in units of gamma.  By
+linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
+difference of two codewords are digit-wise mod-q sums and differences of
+their messages, exact with zero tolerance.  A parallel exact-rational
 path (`mod_units_exact`) covers non-integer vectors via Fractions.
 """
 
@@ -119,39 +121,15 @@ def mod_units_exact(values: Iterable, q: int) -> tuple[Fraction, ...]:
 # Dither
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dither:
-    """Uniform offset over the coarse Voronoi cube, reproducible from its seed."""
-
-    values: np.ndarray
-    seed: int | None = None
-
-
-def dither_sample(seed: int, coarse: CoarseLattice) -> Dither:
-    """Draw one dither vector uniformly over [-cell/2, cell/2)^n from `seed`."""
-    rng = generator(seed)
+def dither(rng: np.random.Generator, coarse: CoarseLattice) -> np.ndarray:
+    """One dither vector drawn uniformly over [-cell/2, cell/2)^n from `rng`."""
     half = coarse.cell / 2.0
-    return Dither(values=rng.uniform(-half, half, size=coarse.n), seed=seed)
-
-
-def dither_from_rng(rng: np.random.Generator, coarse: CoarseLattice) -> Dither:
-    """Dither drawn from a live stream (no standalone seed recorded)."""
-    half = coarse.cell / 2.0
-    return Dither(values=rng.uniform(-half, half, size=coarse.n), seed=None)
+    return rng.uniform(-half, half, size=coarse.n)
 
 
 # ---------------------------------------------------------------------------
 # Nested pair and codebook
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class LatticePoint:
-    """A codebook point: float coordinates plus exact integer gamma-units."""
-
-    coords: np.ndarray
-    units: tuple[int, ...]
-    index: int | None = None
-
 
 def _enumerate_messages(q: int, k: int) -> np.ndarray:
     """All q^k messages, ordered by base-q index (least significant digit first)."""
@@ -189,6 +167,8 @@ class NestedLatticePair:
         codewords = msgs @ G % q
         self.codebook_units = centered_units(codewords, q)
         self.codebook_coords = self.coarse.gamma * self.codebook_units.astype(float)
+        self.codebook_coords.flags.writeable = False
+        self._place = q ** np.arange(k, dtype=np.int64)
         self._index_of = {
             tuple(int(c) for c in row): i for i, row in enumerate(self.codebook_units)
         }
@@ -230,11 +210,13 @@ class NestedLatticePair:
     def index_of_units(self, units: Sequence[int]) -> int:
         return self._index_of[tuple(int(u) for u in units)]
 
-    def point_from_index(self, index: int) -> LatticePoint:
-        units = tuple(int(u) for u in self.codebook_units[index])
-        return LatticePoint(
-            coords=self.codebook_coords[index].copy(), units=units, index=index
-        )
+    def digits(self, index: int) -> np.ndarray:
+        """Base-q message digits of a codebook index, least significant first."""
+        return index // self._place % self.q
+
+    def index_of_digits(self, digits: np.ndarray) -> int:
+        """Codebook index of the message digits, each taken mod q."""
+        return int(digits % self.q @ self._place)
 
     def to_descriptor(self) -> dict:
         """JSON-serializable description {n, q, k, G rows, P}."""
@@ -290,11 +272,11 @@ def make_pair(
 # Codebook operations
 # ---------------------------------------------------------------------------
 
-def encode_message(index: int, pair: NestedLatticePair) -> LatticePoint:
-    """Bijective base-q map from an integer message index to a codebook point."""
+def encode_message(index: int, pair: NestedLatticePair) -> np.ndarray:
+    """Coordinates of the codebook point of a message index (a read-only row)."""
     if not 0 <= index < pair.size:
         raise ValidationError(f"message index {index} outside [0, {pair.size})")
-    return pair.point_from_index(index)
+    return pair.codebook_coords[index]
 
 
 def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
@@ -308,8 +290,8 @@ def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
     return np.einsum("ij,ij->i", diffs, diffs)
 
 
-def quantize_fine(x: np.ndarray, pair: NestedLatticePair) -> LatticePoint:
-    """Nearest fine-lattice point to x, folded into the coarse cell.
+def quantize_fine(x: np.ndarray, pair: NestedLatticePair) -> int:
+    """Index of the nearest fine-lattice point to x, folded into the coarse cell.
 
     Distance is measured to every fine representative (codebook point plus
     coarse translates); exact ties resolve to the lowest codebook index.
@@ -317,27 +299,18 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair) -> LatticePoint:
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:
         units = centered_units(np.rint(x / pair.coarse.gamma).astype(np.int64), pair.q)
-        return pair.point_from_index(pair.index_of_units(units))
-    idx = int(np.argmin(wrapped_sq_distances(x, pair)))
-    return pair.point_from_index(idx)
+        return pair.index_of_units(units)
+    return int(np.argmin(wrapped_sq_distances(x, pair)))
 
 
-def modulo_sum(a: LatticePoint, b: LatticePoint, pair: NestedLatticePair) -> LatticePoint:
-    """(a + b) mod coarse, computed exactly in integer gamma-units."""
-    units = centered_units(
-        np.asarray(a.units, dtype=np.int64) + np.asarray(b.units, dtype=np.int64),
-        pair.q,
-    )
-    return pair.point_from_index(pair.index_of_units(units))
+def modulo_sum(a: int, b: int, pair: NestedLatticePair) -> int:
+    """Index of (t_a + t_b) mod coarse: the digit-wise mod-q sum of the messages."""
+    return pair.index_of_digits(pair.digits(a) + pair.digits(b))
 
 
-def modulo_diff(a: LatticePoint, b: LatticePoint, pair: NestedLatticePair) -> LatticePoint:
-    """(a - b) mod coarse, exact; inverse of `modulo_sum` in its second slot."""
-    units = centered_units(
-        np.asarray(a.units, dtype=np.int64) - np.asarray(b.units, dtype=np.int64),
-        pair.q,
-    )
-    return pair.point_from_index(pair.index_of_units(units))
+def modulo_diff(a: int, b: int, pair: NestedLatticePair) -> int:
+    """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot."""
+    return pair.index_of_digits(pair.digits(a) - pair.digits(b))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,7 @@ class SumCodebook:
     sum_points: np.ndarray       # distinct sums, coordinates
     pair_counts: np.ndarray      # pairs mapping to each distinct sum
     on_shell: np.ndarray         # bool per distinct sum
+    pair_to_sum: np.ndarray      # (m1, m2) row of each pair's sum in sum_units
     m1: int
     m2: int
 
@@ -142,13 +143,15 @@ class SumCodebook:
         if total > PAIR_GUARD:
             raise GuardExceededError(f"{total} pairs exceed guard {PAIR_GUARD}")
         combined = (cb1.units[:, None, :] + cb2.units[None, :, :]).reshape(total, cb1.n)
-        uniq, counts = np.unique(combined, axis=0, return_counts=True)
+        uniq, inverse, counts = np.unique(
+            combined, axis=0, return_inverse=True, return_counts=True)
         offset = cb1.translation + cb2.translation
         pts = cb1.gamma * uniq + offset
         norms = np.einsum("ij,ij->i", pts, pts)
         return cls(
             shell=shell, sum_units=uniq, sum_points=pts,
             pair_counts=counts, on_shell=shell.contains_sq(norms),
+            pair_to_sum=inverse.reshape(cb1.size, cb2.size),
             m1=cb1.size, m2=cb2.size,
         )
 
@@ -301,15 +304,9 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float,
         raise ValidationError("no sum points on the shell; widen delta")
     if shell_pts.shape[0] > 1:
         check_distinct_directions(shell_pts)
-    # Map each (i, j) pair to its row in the distinct-sum table.
-    order = {tuple(int(v) for v in row): r for r, row in enumerate(sums.sum_units)}
-    pair_to_sum = np.empty((cb1.size, cb2.size), dtype=np.int64)
-    for i in range(cb1.size):
-        for j in range(cb2.size):
-            pair_to_sum[i, j] = order[tuple(int(v) for v in (cb1.units[i] + cb2.units[j]))]
     shell_row_of_sum = np.full(sums.sum_units.shape[0], -1, dtype=np.int64)
     shell_row_of_sum[sums.on_shell] = np.arange(int(sums.on_shell.sum()))
-    return cb1, cb2, sums, shell_pts, pair_to_sum, shell_row_of_sum
+    return cb1, cb2, sums, shell_pts, shell_row_of_sum
 
 
 def minangle_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, int]:
@@ -326,14 +323,14 @@ def minangle_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, in
     delta = float(params["delta"])
     s1 = params.get("s1")
     s2 = params.get("s2")
-    cb1, cb2, sums, shell_pts, pair_to_sum, shell_row = _decoder_instance(
+    cb1, cb2, sums, shell_pts, shell_row = _decoder_instance(
         n, gamma, power, delta,
         tuple(s1) if s1 is not None else None,
         tuple(s2) if s2 is not None else None,
     )
     i = int(rng.integers(cb1.size))
     j = int(rng.integers(cb2.size))
-    true_sum_row = int(pair_to_sum[i, j])
+    true_sum_row = int(sums.pair_to_sum[i, j])
     y = cb1.points[i] + cb2.points[j]
     if sigma2 > 0:
         y = y + rng.normal(0.0, math.sqrt(sigma2), size=n)
@@ -402,7 +399,7 @@ def min_angle_error_rate(
     if delta is None:
         delta = 0.1 * power
     params = {"n": n, "gamma": gamma, "power": power, "sigma2": sigma2, "delta": delta}
-    _, _, sums, shell_pts, _, _ = _decoder_instance(n, gamma, power, delta, None, None)
+    _, _, sums, _, _ = _decoder_instance(n, gamma, power, delta, None, None)
     spec = harness.ExperimentSpec(name="minangle", params=params,
                                   error_keys=MINANGLE_ERROR_KEYS)
     report = harness.run_trials(spec, trials=trials, master_seed=seed, workers=workers)

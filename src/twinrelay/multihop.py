@@ -11,7 +11,7 @@ packet per decode once the pipeline has filled.
 
 The symbolic executor tracks each node's state as an integer coefficient
 ledger over packet symbols.  The numeric executors replay the same
-schedule with codebook points, fresh dithers per (slot, node), and the
+schedule with codebook indices, fresh dithers per (slot, node), and the
 MMSE-scaled modulo decoder at every listener.
 """
 
@@ -25,15 +25,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScheduleError, ValidationError
-from .lattice import (
-    NestedLatticePair,
-    centered_units,
-    dither_sample,
-    encode_message,
-    mod_coarse,
-    quantize_fine,
-)
+from .lattice import NestedLatticePair, dither, mod_coarse, modulo_diff, quantize_fine
 from .rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator
+from .twoway import encode_node
 
 Packet = tuple[int, int]     # (direction, index): direction 1 leaves A, 2 leaves B
 Combo = dict[Packet, int]
@@ -300,11 +294,12 @@ class MultihopResult:
         }
 
 
-def _combo_units(combo: Combo, points: Mapping[Packet, np.ndarray], q: int, n: int) -> np.ndarray:
-    total = np.zeros(n, dtype=np.int64)
+def _combo_index(combo: Combo, truth: Mapping[Packet, int], pair: NestedLatticePair) -> int:
+    """Codebook index of a ledger combination: a digit-wise mod-q sum of messages."""
+    total = np.zeros(pair.k, dtype=np.int64)
     for pkt, coeff in combo.items():
-        total += coeff * points[pkt]
-    return centered_units(total, q)
+        total += coeff * pair.digits(truth[pkt])
+    return pair.index_of_digits(total)
 
 
 def run_multihop(
@@ -340,33 +335,27 @@ def run_multihop(
 
     power = pair.coarse.second_moment
     pkt_rng = generator(seed, TAG_PACKET)
-    truth_index: dict[Packet, int] = {}
-    truth_units: dict[Packet, np.ndarray] = {}
+    truth: dict[Packet, int] = {}
     for direction in (1, 2):
         for idx in range(1, schedule.num_packets + 1):
-            u = int(pkt_rng.integers(pair.size))
-            truth_index[(direction, idx)] = u
-            truth_units[(direction, idx)] = np.asarray(
-                encode_message(u, pair).units, dtype=np.int64
-            )
+            truth[(direction, idx)] = int(pkt_rng.integers(pair.size))
 
     result = MultihopResult(schedule=schedule, mode=mode)
-    zero = encode_message(0, pair)
-    state_points = {f"R{i}": zero for i in range(1, schedule.relays + 1)}
+    states = {f"R{i}": 0 for i in range(1, schedule.relays + 1)}
 
     for rec in schedule.slots:
         signals: dict[str, np.ndarray] = {}
         dithers: dict[str, np.ndarray] = {}
         for nd in rec.transmitters:
             pos = _position(nd, schedule.relays)
-            d = dither_sample(derive_seed(seed, TAG_DITHER, rec.slot, pos), pair.coarse)
-            dithers[nd] = d.values
+            dithers[nd] = dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
+                                 pair.coarse)
             if nd in ("A", "B"):
                 pkt = rec.injections.get(nd)
-                t = encode_message(truth_index[pkt], pair) if pkt is not None else zero
+                t = truth[pkt] if pkt is not None else 0
             else:
-                t = state_points[nd]
-            signals[nd] = mod_coarse(t.coords - d.values, pair.coarse)
+                t = states[nd]
+            signals[nd] = encode_node(t, dithers[nd], pair)
 
         for nd in schedule.nodes:
             if nd in rec.transmitters:
@@ -391,22 +380,17 @@ def run_multihop(
                 for ev in rec.decode_events:
                     if ev.node != nd:
                         continue
-                    known = _combo_units(ev.subtracted, truth_units, pair.q, pair.n)
-                    rec_units = centered_units(
-                        np.asarray(decoded.units, dtype=np.int64) - known, pair.q
-                    )
-                    got = pair.index_of_units(rec_units)
-                    ok = got == truth_index[ev.packet]
+                    got = modulo_diff(decoded, _combo_index(ev.subtracted, truth, pair), pair)
+                    ok = got == truth[ev.packet]
                     result.end_decodes += 1
                     result.end_errors += 0 if ok else 1
                     result.recovered.append((ev.slot, nd, ev.packet, ok))
             else:
-                truth = _combo_units(rec.relay_states[nd], truth_units, pair.q, pair.n)
                 result.hop_decodes += 1
-                if not np.array_equal(np.asarray(decoded.units, dtype=np.int64), truth):
+                if decoded != _combo_index(rec.relay_states[nd], truth, pair):
                     result.hop_errors += 1
                     # Error propagation is part of the model: keep the bad state.
-                state_points[nd] = decoded
+                states[nd] = decoded
 
     return result
 

@@ -1,4 +1,4 @@
-"""Closed-form exchange rates, the time-sharing envelope, and curve export.
+"""Closed-form exchange rates, the time-sharing envelope, and the rate-curve CSV.
 
 All rates are in bits per transmitter per channel use of each phase, as
 functions of the linear uplink/downlink SNR.  The envelope concavifies
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -60,47 +59,16 @@ def _d_rate_jd(s: float) -> float:
     return 1.0 / (2.0 * LN2 * (1.0 + 2.0 * s))
 
 
-def _d_rate_lattice(s: float) -> float:
-    return 1.0 / (2.0 * LN2 * (0.5 + s))
+def _tangent_points() -> tuple[float, float, float]:
+    """Common tangent of R_jd and R_lattice over linear snr: (s_lo, s_hi, slope).
 
-
-@lru_cache(maxsize=1)
-def _tangent_points(tol: float = 1e-12) -> tuple[float, float, float]:
-    """Solve the common tangent of R_jd and R_lattice over linear snr.
-
-    Equal slopes force s_hi = 2*s_lo + 1/2; the remaining chord condition
-    g(s_lo) = R_lattice(s_hi) - R_jd(s_lo) - slope*(s_hi - s_lo) = 0 is
-    solved by bisection plus a Newton polish.  Returns (s_lo, s_hi, slope).
+    Equal slopes 1/(1 + 2 s_lo) = 1/(1/2 + s_hi) force s_hi = 2 s_lo + 1/2.
+    The chord R_lattice(s_hi) - R_jd(s_lo) is then (1/4) log2(1 + 2 s_lo) and
+    slope*(s_hi - s_lo) is 1/(4 ln 2), so tangency means ln(1 + 2 s_lo) = 1:
+    s_lo = (e - 1)/2 and s_hi = e - 1/2.
     """
-
-    def g(s_lo: float) -> float:
-        s_hi = 2.0 * s_lo + 0.5
-        slope = _d_rate_jd(s_lo)
-        return rate_lattice(s_hi) - rate_joint_decoding(s_lo) - slope * (s_hi - s_lo)
-
-    lo, hi = 0.55, 5.0
-    glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0:
-        raise RuntimeError("tangency bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-13:
-            break
-    s = 0.5 * (lo + hi)
-    for _ in range(8):  # Newton polish with a numerical derivative
-        h = 1e-7
-        deriv = (g(s + h) - g(s - h)) / (2.0 * h)
-        if deriv == 0:
-            break
-        s = s - g(s) / deriv
-    if abs(g(s)) > tol:
-        raise RuntimeError(f"tangency solve residual {g(s):.3e} above {tol:.0e}")
-    return s, 2.0 * s + 0.5, _d_rate_jd(s)
+    s_lo = (math.e - 1.0) / 2.0
+    return s_lo, math.e - 0.5, _d_rate_jd(s_lo)
 
 
 def crossover_window() -> tuple[float, float]:
@@ -190,12 +158,3 @@ def curve_csv(curve: RateCurve) -> str:
             p.snr_db, p.upper, p.lattice, p.jd, p.envelope, p.anc, p.pure_nc, p.beta_star,
         )))
     return "\n".join(lines) + "\n"
-
-
-def emit_curve(grid: GridSpec, path: str) -> RateCurve:
-    """Write the CSV (header plus one row per grid point) and return the curve."""
-    curve = rate_curve(grid)
-    text = curve_csv(curve)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return curve

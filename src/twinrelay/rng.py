@@ -19,8 +19,6 @@ _MASK64 = (1 << 64) - 1
 # (master, session) pair never collide.
 TAG_DITHER = 0x01
 TAG_NOISE = 0x02
-TAG_MESSAGE = 0x03
-TAG_BROADCAST = 0x04
 TAG_PACKET = 0x05
 TAG_TRIAL = 0x06
 

@@ -9,7 +9,8 @@ collapses exactly to (t1 + t2) mod coarse, so the relay learns only the
 modulo sum.  Downlink: the sum point reaches the end nodes (either as an
 ideally coded index, or retransmitted through AWGN and lattice-decoded),
 and each node cancels its own point mod the coarse lattice to recover the
-other message.
+other message.  Codewords are handled as message indices throughout;
+coordinates appear only where a signal is formed.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ import numpy as np
 from . import harness
 from .errors import ValidationError
 from .lattice import (
-    Dither,
-    LatticePoint,
     NestedLatticePair,
-    dither_from_rng,
-    dither_sample,
+    dither,
     encode_message,
     make_pair,
     mod_coarse,
@@ -95,20 +93,16 @@ class BroadcastMode(Enum):
 
 @dataclass(eq=False)
 class ExchangeTranscript:
-    """Everything observable in one uplink + downlink round."""
+    """Everything observable in one uplink + downlink round; codewords are indices."""
 
     u_a: int
     u_b: int
-    t1: LatticePoint
-    t2: LatticePoint
-    d1: Dither
-    d2: Dither
+    d1: np.ndarray
+    d2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     y_relay: np.ndarray
-    relay_decoded: LatticePoint
-    recovered_at_a: LatticePoint | None
-    recovered_at_b: LatticePoint | None
+    relay_decoded: int
     u_b_hat_at_a: int | None
     u_a_hat_at_b: int | None
     relay_error: bool
@@ -122,28 +116,25 @@ class ExchangeTranscript:
         return self.end_error_a or self.end_error_b
 
 
-def encode_node(u: int, d: Dither, pair: NestedLatticePair) -> np.ndarray:
+def encode_node(u: int, d: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
     """Transmit signal (t_u - d) mod coarse; uniform over the cell, power P."""
-    t = encode_message(u, pair)
-    return mod_coarse(t.coords - d.values, pair.coarse)
+    return mod_coarse(encode_message(u, pair) - d, pair.coarse)
 
 
 def relay_decode_sum(
     y_relay: np.ndarray,
-    d1: Dither,
-    d2: Dither,
+    d1: np.ndarray,
+    d2: np.ndarray,
     params: ChannelParams,
     pair: NestedLatticePair,
-) -> LatticePoint:
-    """Estimate (t1 + t2) mod coarse from the relay observation."""
+) -> int:
+    """Estimate the index of (t1 + t2) mod coarse from the relay observation."""
     pre = mod_coarse(params.alpha_opt * np.asarray(y_relay, dtype=float)
-                     + d1.values + d2.values, pair.coarse)
+                     + d1 + d2, pair.coarse)
     return quantize_fine(pre, pair)
 
 
-def recover_at_node(
-    t_hat: LatticePoint, own: LatticePoint, pair: NestedLatticePair
-) -> LatticePoint:
+def recover_at_node(t_hat: int, own: int, pair: NestedLatticePair) -> int:
     """(t_hat - own) mod coarse; inverts the modulo sum given one summand."""
     return modulo_diff(t_hat, own, pair)
 
@@ -163,8 +154,8 @@ def run_session(
     known at every node through seed sharing.  Errors are recorded in the
     transcript, never raised.
     """
-    d1 = dither_sample(derive_seed(seed, session, TAG_DITHER, 1), pair.coarse)
-    d2 = dither_sample(derive_seed(seed, session, TAG_DITHER, 2), pair.coarse)
+    d1 = dither(generator(derive_seed(seed, session, TAG_DITHER, 1)), pair.coarse)
+    d2 = dither(generator(derive_seed(seed, session, TAG_DITHER, 2)), pair.coarse)
     noise_rng = generator(seed, session, TAG_NOISE)
     return _session_core(u_a, u_b, params, pair, mode, d1, d2, noise_rng)
 
@@ -175,14 +166,12 @@ def _session_core(
     params: ChannelParams,
     pair: NestedLatticePair,
     mode: BroadcastMode,
-    d1: Dither,
-    d2: Dither,
+    d1: np.ndarray,
+    d2: np.ndarray,
     noise_rng: np.random.Generator,
 ) -> ExchangeTranscript:
-    t1 = encode_message(u_a, pair)
-    t2 = encode_message(u_b, pair)
-    x1 = mod_coarse(t1.coords - d1.values, pair.coarse)
-    x2 = mod_coarse(t2.coords - d2.values, pair.coarse)
+    x1 = encode_node(u_a, d1, pair)
+    x2 = encode_node(u_b, d2, pair)
 
     sigma = math.sqrt(params.sigma2)
     y_relay = x1 + x2
@@ -190,8 +179,7 @@ def _session_core(
         y_relay = y_relay + noise_rng.normal(0.0, sigma, size=pair.n)
 
     t_hat = relay_decode_sum(y_relay, d1, d2, params, pair)
-    t_true = modulo_sum(t1, t2, pair)
-    relay_error = t_hat.index != t_true.index
+    relay_error = t_hat != modulo_sum(u_a, u_b, pair)
 
     broadcast_failed = False
     if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
@@ -212,21 +200,17 @@ def _session_core(
         t_at_b = _direct_downlink(t_hat, sigma, pair, noise_rng)
 
     if t_at_a is None or t_at_b is None:
-        rec_a = rec_b = None
         u_b_hat = u_a_hat = None
         end_a = end_b = True
     else:
-        rec_a = recover_at_node(t_at_a, t1, pair)
-        rec_b = recover_at_node(t_at_b, t2, pair)
-        u_b_hat = rec_a.index
-        u_a_hat = rec_b.index
+        u_b_hat = recover_at_node(t_at_a, u_a, pair)
+        u_a_hat = recover_at_node(t_at_b, u_b, pair)
         end_a = u_b_hat != u_b
         end_b = u_a_hat != u_a
 
     return ExchangeTranscript(
-        u_a=u_a, u_b=u_b, t1=t1, t2=t2, d1=d1, d2=d2, x1=x1, x2=x2,
+        u_a=u_a, u_b=u_b, d1=d1, d2=d2, x1=x1, x2=x2,
         y_relay=y_relay, relay_decoded=t_hat,
-        recovered_at_a=rec_a, recovered_at_b=rec_b,
         u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
         relay_error=relay_error, broadcast_failed=broadcast_failed,
         end_error_a=end_a, end_error_b=end_b,
@@ -234,10 +218,10 @@ def _session_core(
 
 
 def _direct_downlink(
-    t_hat: LatticePoint, sigma: float, pair: NestedLatticePair,
+    t_hat: int, sigma: float, pair: NestedLatticePair,
     noise_rng: np.random.Generator,
-) -> LatticePoint:
-    y = t_hat.coords.copy()
+) -> int:
+    y = encode_message(t_hat, pair)
     if sigma > 0:
         y = y + noise_rng.normal(0.0, sigma, size=pair.n)
     return quantize_fine(mod_coarse(y, pair.coarse), pair)
@@ -273,8 +257,8 @@ def lattice_exchange_trial(params: Mapping, rng: np.random.Generator) -> Mapping
     mode = BroadcastMode(params.get("mode", "index"))
     u_a = int(rng.integers(pair.size))
     u_b = int(rng.integers(pair.size))
-    d1 = dither_from_rng(rng, pair.coarse)
-    d2 = dither_from_rng(rng, pair.coarse)
+    d1 = dither(rng, pair.coarse)
+    d2 = dither(rng, pair.coarse)
     tr = _session_core(u_a, u_b, ch, pair, mode, d1, d2, rng)
     return {
         "relay_error": int(tr.relay_error),

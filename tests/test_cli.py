@@ -50,6 +50,24 @@ def test_rates_invalid_grid_exit_2_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sim_target_ci_without_error_key_exit_2_no_file(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, stderr = run_cli(capsys, "sim", "anc-power", "--snr-db", "10",
+                              "--target-ci", "0.01", "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_sim_trials_with_target_ci_exit_2_no_file(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, stderr = run_cli(capsys, "sim", "lattice", "--snr-db", "20", "--trials", "100",
+                              "--target-ci", "0.01", "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error:") and "not both" in stderr
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_2(tmp_path, capsys):
     code = main(["rates", "--bogus", "1", "--out", str(tmp_path / "x.csv")])
     capsys.readouterr()

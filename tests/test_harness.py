@@ -1,4 +1,4 @@
-"""Channels, Wilson intervals, deterministic parallel trials, RNG pinning."""
+"""Relay map, Wilson intervals, deterministic parallel trials, RNG pinning."""
 
 import json
 import math
@@ -9,8 +9,6 @@ import pytest
 
 from twinrelay.errors import ValidationError
 from twinrelay.harness import (
-    AwgnChannel,
-    BscChannel,
     ExperimentSpec,
     anc_relay,
     canonical_dumps,
@@ -56,26 +54,8 @@ def test_rng_streams_distinct_and_order_sensitive():
 
 
 # ---------------------------------------------------------------------------
-# Channels
+# Noise sampler and relay map
 # ---------------------------------------------------------------------------
-
-def test_awgn_zero_noise_identity():
-    ch = AwgnChannel.from_seed(0.0, 1)
-    x = np.arange(5.0)
-    out = ch.transmit(x)
-    assert np.array_equal(out, x)
-    assert out is not x
-
-
-def test_awgn_variance_and_determinism():
-    ch1 = AwgnChannel.from_seed(0.7, 42)
-    ch2 = AwgnChannel.from_seed(0.7, 42)
-    x = np.zeros(1_000_000)
-    n1 = ch1.transmit(x)
-    n2 = ch2.transmit(x)
-    assert np.array_equal(n1, n2)
-    assert abs(float(np.var(n1)) - 0.7) / 0.7 < 0.01
-
 
 def test_gaussian_sampler_moments():
     g = generator(9).normal(size=1_000_000)
@@ -84,14 +64,6 @@ def test_gaussian_sampler_moments():
     assert abs(g.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
     kurt = float(np.mean(g ** 4)) - 3.0 * float(np.var(g)) ** 2
     assert abs(kurt) < 3.0 * math.sqrt(24.0 / n)
-
-
-def test_bsc_channel_flip_rate():
-    ch = BscChannel.from_seed(0.2, 5)
-    bits = np.zeros(200_000, dtype=np.int64)
-    out = ch.transmit(bits)
-    rate = out.mean()
-    assert abs(rate - 0.2) < 3 * math.sqrt(0.2 * 0.8 / bits.size)
 
 
 def test_anc_relay_gain():
@@ -195,6 +167,18 @@ def test_run_trials_validation():
         run_trials(SYNTH, trials=0, master_seed=0)
     with pytest.raises(ValidationError):
         run_trials(ExperimentSpec("nope", {}, ()), trials=10, master_seed=0)
+
+
+def test_run_trials_target_ci_rejections_run_no_trial():
+    calls = []
+    register_experiment("counted", lambda params, rng: calls.append(1) or {"hit": 0})
+    with pytest.raises(ValidationError, match="not both"):
+        run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=10, master_seed=0,
+                   target_ci=0.01)
+    with pytest.raises(ValidationError, match="error key"):
+        run_trials(ExperimentSpec("counted", {}, ()), trials=None, master_seed=0,
+                   target_ci=0.01)
+    assert calls == []
 
 
 def test_canonical_json_deterministic():

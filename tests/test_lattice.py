@@ -12,7 +12,7 @@ from twinrelay.lattice import (
     NestedLatticePair,
     centered_units,
     diagnostics,
-    dither_sample,
+    dither,
     encode_message,
     make_pair,
     mod_coarse,
@@ -23,6 +23,7 @@ from twinrelay.lattice import (
     systematic_generator,
     wrapped_sq_distances,
 )
+from twinrelay.rng import generator
 
 UNIT_CELL = CoarseLattice(n=1, q=4, gamma=1.0)  # cell [-2, 2)
 
@@ -100,12 +101,22 @@ def test_quantizer_residual_in_cube():
 def test_codebook_fold_q4():
     pair = pair_q4()
     assert pair.codebook_units.ravel().tolist() == [0, 1, -2, -1]
-    assert [encode_message(i, pair).coords[0] for i in range(4)] == [0.0, 1.0, -2.0, -1.0]
+    assert [encode_message(i, pair)[0] for i in range(4)] == [0.0, 1.0, -2.0, -1.0]
 
 
 def test_encode_zero_is_origin():
     pair = make_pair(n=3, q=5, k=2, power=1.0)
-    assert np.all(encode_message(0, pair).coords == 0.0)
+    assert np.all(encode_message(0, pair) == 0.0)
+
+
+def test_encode_message_row_is_read_only():
+    pair = make_pair(n=3, q=5, k=2, power=1.0)
+    row = encode_message(7, pair)
+    assert np.array_equal(row, pair.codebook_coords[7])
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+    with pytest.raises(ValueError):
+        pair.codebook_coords[0, 0] = 1.0
 
 
 def test_encode_index_out_of_range():
@@ -116,14 +127,15 @@ def test_encode_index_out_of_range():
 def test_encode_decode_roundtrip_exhaustive():
     pair = make_pair(n=3, q=5, k=2, power=1.0)
     for i in range(pair.size):
-        point = encode_message(i, pair)
-        assert pair.index_of_units(point.units) == i
+        units = np.rint(encode_message(i, pair) / pair.coarse.gamma).astype(np.int64)
+        assert pair.index_of_units(units) == i
+        assert quantize_fine(encode_message(i, pair), pair) == i
 
 
 def test_quantize_tie_prefers_lowest_index():
     pair = pair_q4()
     # x = 0.5 ties between codebook points 0.0 (index 0) and 1.0 (index 1)
-    assert quantize_fine(np.array([0.5]), pair).index == 0
+    assert quantize_fine(np.array([0.5]), pair) == 0
 
 
 def test_quantize_matches_bruteforce_translate_search():
@@ -139,7 +151,7 @@ def test_quantize_matches_bruteforce_translate_search():
                 d = float(np.sum((x - point - shift) ** 2))
                 if best is None or d < best[0] - 1e-12:
                     best = (d, idx)
-        assert quantize_fine(x, pair).index == best[1]
+        assert quantize_fine(x, pair) == best[1]
 
 
 def test_quantize_fast_path_matches_generic():
@@ -151,22 +163,20 @@ def test_quantize_fast_path_matches_generic():
     for _ in range(100):
         x = rng.uniform(-cell / 2, cell / 2, size=2)
         generic = int(np.argmin(wrapped_sq_distances(x, pair)))
-        assert quantize_fine(x, pair).index == generic
+        assert quantize_fine(x, pair) == generic
 
 
 def test_modulo_sum_examples():
     pair = pair_q4()
-    zero = encode_message(0, pair)
-    one = encode_message(1, pair)
-    assert modulo_sum(zero, one, pair).index == 1
-    assert modulo_sum(one, one, pair).coords[0] == -2.0
+    assert modulo_sum(0, 1, pair) == 1
+    assert encode_message(modulo_sum(1, 1, pair), pair)[0] == -2.0
+    assert modulo_sum(2, 3, pair) == 1  # -2 + -1 = -3 folds to 1
 
 
 def test_modulo_sum_bijection_q5():
     pair = make_pair(n=1, q=5, k=1, power=1.0)
     for a in range(5):
-        pa = encode_message(a, pair)
-        images = {modulo_sum(pa, encode_message(b, pair), pair).index for b in range(5)}
+        images = {modulo_sum(a, b, pair) for b in range(5)}
         assert images == set(range(5))
 
 
@@ -174,19 +184,20 @@ def test_modulo_diff_inverts_sum():
     pair = make_pair(n=2, q=5, k=1, power=1.0)
     for a in range(pair.size):
         for b in range(pair.size):
-            pa, pb = encode_message(a, pair), encode_message(b, pair)
-            s = modulo_sum(pa, pb, pair)
-            assert modulo_diff(s, pa, pair).index == b
-            assert modulo_diff(s, pb, pair).index == a
+            s = modulo_sum(a, b, pair)
+            assert modulo_diff(s, a, pair) == b
+            assert modulo_diff(s, b, pair) == a
 
 
 def test_codebook_closure_exhaustive():
+    # the folded sum of any two codewords is the codeword modulo_sum names
     pair = make_pair(n=2, q=3, k=2, power=1.0)
-    valid = set(range(pair.size))
+    units = pair.codebook_units
     for a in range(pair.size):
         for b in range(pair.size):
-            s = modulo_sum(encode_message(a, pair), encode_message(b, pair), pair)
-            assert s.index in valid
+            s = modulo_sum(a, b, pair)
+            assert 0 <= s < pair.size
+            assert np.array_equal(units[s], centered_units(units[a] + units[b], pair.q))
 
 
 @pytest.mark.parametrize("q,k,n", [
@@ -208,24 +219,23 @@ def test_mod_sum_uniformity_exhaustive(q, k, n):
 
 def test_dither_reproducible_and_in_cell():
     coarse = CoarseLattice.for_power(n=8, q=4, power=1.0)
-    d1 = dither_sample(99, coarse)
-    d2 = dither_sample(99, coarse)
-    assert np.array_equal(d1.values, d2.values)
-    assert d1.seed == 99
+    d1 = dither(generator(99), coarse)
+    d2 = dither(generator(99), coarse)
+    assert np.array_equal(d1, d2)
     half = coarse.cell / 2
-    assert np.all(d1.values >= -half) and np.all(d1.values < half)
-    assert not np.array_equal(d1.values, dither_sample(100, coarse).values)
+    assert np.all(d1 >= -half) and np.all(d1 < half)
+    assert not np.array_equal(d1, dither(generator(100), coarse))
 
 
 def test_dither_moments():
     # components are iid, so one long vector gives 1e6 samples
     coarse = CoarseLattice.for_power(n=1_000_000, q=4, power=1.0)
-    d = dither_sample(7, coarse)
+    d = dither(generator(7), coarse)
     n = coarse.n
     cell = coarse.cell
     mean_bound = 3.0 * cell / np.sqrt(12.0 * n)
-    assert abs(float(np.mean(d.values))) < mean_bound
-    second = float(np.mean(d.values ** 2))
+    assert abs(float(np.mean(d))) < mean_bound
+    second = float(np.mean(d ** 2))
     assert abs(second - 1.0) < 0.01  # power P = 1 within 1%
 
 
@@ -239,7 +249,7 @@ def test_dithered_codeword_power():
     for _ in range(samples):
         t = encode_message(int(rng.integers(pair.size)), pair)
         d = rng.uniform(-half, half, size=4)
-        x = mod_coarse(t.coords - d, pair.coarse)
+        x = mod_coarse(t - d, pair.coarse)
         total += float(np.mean(x ** 2))
     est = total / samples
     sem = np.sqrt(0.8 / (samples * 4))  # var of U^2 per component is 0.8 P^2

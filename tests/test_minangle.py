@@ -110,6 +110,20 @@ def test_pair_accounting():
     assert sums.pair_counts.sum() == sums.pairs_total
 
 
+def test_pair_to_sum_maps_every_pair_to_its_sum():
+    spec = ShellSpec(n=3, power=2.0, delta=1.0)
+    cb1 = half_cell_codebook(3, 1.0, 2.0)
+    cb2 = BallCodebook(gamma=1.0, translation=np.array([0.25, 0.5, 0.1]), power=1.5)
+    assert cb1.size != cb2.size  # a transposed map would not fit
+    sums = SumCodebook.from_codebooks(cb1, cb2, spec)
+    assert sums.pair_to_sum.shape == (cb1.size, cb2.size)
+    for i in range(cb1.size):
+        for j in range(cb2.size):
+            assert np.array_equal(sums.sum_units[sums.pair_to_sum[i, j]],
+                                  cb1.units[i] + cb2.units[j])
+    assert np.array_equal(np.bincount(sums.pair_to_sum.ravel()), sums.pair_counts)
+
+
 def test_direction_collision_detected():
     pts = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DirectionCollisionError):

@@ -12,7 +12,6 @@ from twinrelay.rates import (
     GridSpec,
     crossover_window,
     curve_csv,
-    emit_curve,
     envelope,
     rate_anc,
     rate_curve,
@@ -82,6 +81,25 @@ def test_crossover_window_matches_closed_form():
     assert hi == pytest.approx(want_hi, abs=1e-8)
 
 
+def test_crossover_window_is_a_common_tangent():
+    # Independent of the closed form: the window edges, read back from dB,
+    # must carry equal finite-difference slopes of the public rate functions
+    # and a zero chord residual, and the envelope inside must be that chord.
+    lo_db, hi_db = crossover_window()
+    s_lo, s_hi = 10.0 ** (lo_db / 10.0), 10.0 ** (hi_db / 10.0)
+    h = 1e-6
+    slope_jd = (rate_joint_decoding(s_lo + h) - rate_joint_decoding(s_lo - h)) / (2 * h)
+    slope_lat = (rate_lattice(s_hi + h) - rate_lattice(s_hi - h)) / (2 * h)
+    assert slope_jd == pytest.approx(slope_lat, rel=1e-8)
+    residual = rate_lattice(s_hi) - rate_joint_decoding(s_lo) - slope_jd * (s_hi - s_lo)
+    assert abs(residual) < 1e-9
+    for frac in (0.25, 0.5, 0.75):
+        s = s_lo + frac * (s_hi - s_lo)
+        env, beta = envelope(s)
+        assert env == pytest.approx(rate_joint_decoding(s_lo) + slope_jd * (s - s_lo), abs=1e-9)
+        assert beta == pytest.approx(1.0 - frac, abs=1e-9)
+
+
 def test_envelope_inside_window_beats_both():
     env, beta = envelope(1.5)
     assert env > max(rate_lattice(1.5), rate_joint_decoding(1.5)) + 1e-4
@@ -132,11 +150,10 @@ def test_rate_point_ordering():
     assert p.envelope >= max(p.lattice, p.jd)
 
 
-def test_curve_csv_contract(tmp_path):
+def test_curve_csv_contract():
     grid = GridSpec(-10.0, 30.0, 1.0)
-    path = tmp_path / "rates.csv"
-    curve = emit_curve(grid, str(path))
-    text = path.read_text()
+    curve = rate_curve(grid)
+    text = curve_csv(curve)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 41
@@ -144,10 +161,8 @@ def test_curve_csv_contract(tmp_path):
         cols = line.split(",")
         assert float(cols[2]) <= float(cols[1]) + 1e-12  # lattice <= upper
         assert float(cols[0]) == pytest.approx(point.snr_db, abs=1e-9)
-    # deterministic: a second emission is byte-identical
-    path2 = tmp_path / "rates2.csv"
-    emit_curve(grid, str(path2))
-    assert path2.read_bytes() == path.read_bytes()
+    # deterministic: a second rendering is byte-identical
+    assert curve_csv(rate_curve(grid)) == text
 
 
 def test_curve_csv_12_sig_digits():

@@ -9,13 +9,13 @@ import oracles
 from twinrelay.errors import ValidationError
 from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import (
-    Dither,
-    dither_sample,
+    dither,
     encode_message,
     make_pair,
     mod_units_exact,
     modulo_sum,
 )
+from twinrelay.rng import TAG_DITHER, derive_seed, generator
 from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
     BroadcastMode,
@@ -65,39 +65,33 @@ def test_mmse_grid_never_beats_alpha_opt():
 
 def test_encode_node_examples():
     pair = make_pair(n=1, q=4, k=1, power=16.0 / 12.0)  # gamma = 1
-    zero_d = Dither(values=np.zeros(1), seed=None)
-    assert encode_node(0, zero_d, pair)[0] == 0.0
-    t1 = encode_message(1, pair)
-    self_d = Dither(values=t1.coords.copy(), seed=None)
-    assert encode_node(1, self_d, pair)[0] == 0.0
-    d = Dither(values=np.array([1.6]), seed=None)
-    assert encode_node(1, d, pair)[0] == pytest.approx(-0.6, abs=1e-12)
+    assert encode_node(0, np.zeros(1), pair)[0] == 0.0
+    assert encode_node(1, encode_message(1, pair).copy(), pair)[0] == 0.0
+    assert encode_node(1, np.array([1.6]), pair)[0] == pytest.approx(-0.6, abs=1e-12)
 
 
 def test_relay_decode_noiseless_collapses_to_modulo_sum():
     pair = make_pair(n=2, q=5, k=1, power=1.0)
-    d1 = dither_sample(11, pair.coarse)
-    d2 = dither_sample(12, pair.coarse)
+    d1 = dither(generator(11), pair.coarse)
+    d2 = dither(generator(12), pair.coarse)
     for ua in range(pair.size):
         for ub in range(pair.size):
             y = encode_node(ua, d1, pair) + encode_node(ub, d2, pair)
-            got = relay_decode_sum(y, d1, d2, NOISELESS, pair)
-            want = modulo_sum(encode_message(ua, pair), encode_message(ub, pair), pair)
-            assert got.index == want.index
+            assert relay_decode_sum(y, d1, d2, NOISELESS, pair) == modulo_sum(ua, ub, pair)
 
 
 def test_relay_sees_only_the_sum():
     # same dithers, same modulo sum, zero noise -> bit-identical decode input
     pair = make_pair(n=2, q=5, k=1, power=1.0)
-    d1 = dither_sample(21, pair.coarse)
-    d2 = dither_sample(22, pair.coarse)
+    d1 = dither(generator(21), pair.coarse)
+    d2 = dither(generator(22), pair.coarse)
     by_sum = {}
     for ua in range(pair.size):
         for ub in range(pair.size):
-            s = modulo_sum(encode_message(ua, pair), encode_message(ub, pair), pair)
+            s = modulo_sum(ua, ub, pair)
             y = encode_node(ua, d1, pair) + encode_node(ub, d2, pair)
-            decoded = relay_decode_sum(y, d1, d2, NOISELESS, pair).index
-            by_sum.setdefault(s.index, set()).add(decoded)
+            decoded = relay_decode_sum(y, d1, d2, NOISELESS, pair)
+            by_sum.setdefault(s, set()).add(decoded)
     for sum_index, decodes in by_sum.items():
         assert decodes == {sum_index}
 
@@ -122,20 +116,18 @@ def test_algebraic_collapse_exact_rational():
 
 def test_recover_at_node_examples():
     pair = make_pair(n=2, q=5, k=1, power=1.0)
-    zero = encode_message(0, pair)
-    t = encode_message(3, pair)
-    assert recover_at_node(t, zero, pair).index == 3
-    assert recover_at_node(t, t, pair).index == 0
+    assert recover_at_node(3, 0, pair) == 3
+    assert recover_at_node(3, 3, pair) == 0
+    assert recover_at_node(1, 3, pair) == 3  # 1 - 3 = -2 folds to 3
 
 
 def test_recover_inverts_modulo_sum_exhaustive():
     pair = make_pair(n=2, q=5, k=1, power=1.0)
     for a in range(pair.size):
         for b in range(pair.size):
-            pa, pb = encode_message(a, pair), encode_message(b, pair)
-            s = modulo_sum(pa, pb, pair)
-            assert recover_at_node(s, pa, pair).index == b
-            assert recover_at_node(s, pb, pair).index == a
+            s = modulo_sum(a, b, pair)
+            assert recover_at_node(s, a, pair) == b
+            assert recover_at_node(s, b, pair) == a
 
 
 @pytest.mark.parametrize("mode", [BroadcastMode.INDEX_FORWARD_IDEAL,
@@ -156,8 +148,12 @@ def test_session_transcript_shape():
     half = pair.coarse.cell / 2
     for x in (tr.x1, tr.x2):
         assert np.all(x >= -half) and np.all(x < half)
-    assert tr.relay_decoded.index is not None
-    assert tr.d1.seed != tr.d2.seed
+    assert isinstance(tr.relay_decoded, int) and 0 <= tr.relay_decoded < pair.size
+    # dithers come from the streams derive_seed(seed, session, TAG_DITHER, node)
+    for node, d in ((1, tr.d1), (2, tr.d2)):
+        want = dither(generator(derive_seed(9, 0, TAG_DITHER, node)), pair.coarse)
+        assert np.array_equal(d, want)
+    assert not np.array_equal(tr.d1, tr.d2)
 
 
 def test_session_determinism():
@@ -165,7 +161,7 @@ def test_session_determinism():
     a = run_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
     b = run_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
     assert np.array_equal(a.y_relay, b.y_relay)
-    assert a.relay_decoded.index == b.relay_decoded.index
+    assert a.relay_decoded == b.relay_decoded
 
 
 def test_index_forward_fails_above_capacity():
