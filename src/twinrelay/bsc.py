@@ -19,6 +19,7 @@ import numpy as np
 
 from . import harness
 from .errors import GuardExceededError, ValidationError
+from .lattice import scan_rows
 from .rng import generator
 
 ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
@@ -57,10 +58,20 @@ class BinaryLinearCode:
         return message @ self.generator % 2
 
     def ml_decode(self, word: np.ndarray) -> np.ndarray:
-        """Minimum-Hamming-distance decode; ties go to the lowest message index."""
+        """Minimum-Hamming-distance decode of each row of `word` (..., n) to
+        its message bits (..., k); ties go to the lowest message index.
+
+        Against a row w, codeword c is at distance |w| + |c| - 2 w.c; |w| is
+        the same for every c, so the argmin is that of |c| - 2 w.c, computed
+        in row chunks of at most SCAN_WORKSET distances.
+        """
         word = np.asarray(word, dtype=np.int64) % 2
-        dists = np.count_nonzero(self.codewords != word[None, :], axis=1)
-        return self.messages[int(np.argmin(dists))].copy()
+        rows = word.reshape(-1, self.n)
+        best = np.empty(rows.shape[0], dtype=np.int64)
+        weights = self.codewords.sum(axis=1)
+        for sl in scan_rows(rows.shape[0], self.codewords.shape[0]):
+            best[sl] = np.argmin(weights - 2 * rows[sl] @ self.codewords.T, axis=1)
+        return self.messages[best].reshape(word.shape[:-1] + (self.k,))
 
 
 def _all_bit_vectors(k: int) -> np.ndarray:
@@ -174,24 +185,58 @@ def _cached_code(name: str, n: int, k: int, seed: int) -> BinaryLinearCode:
     raise ValidationError(f"unknown code {name!r}; known: hamming74, random")
 
 
-def bsc_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, int]:
-    """params: p, code ("hamming74" | "random"), and n/k/code_seed for random."""
+@dataclass(eq=False)
+class BscDraws:
+    """The random inputs of a block of relay rounds, one row per round: the
+    message bits and the uniforms behind the relay and the two downlink flips."""
+
+    u_a: np.ndarray
+    u_b: np.ndarray
+    r_relay: np.ndarray
+    r_a: np.ndarray
+    r_b: np.ndarray
+
+
+def draw_bsc(rng: np.random.Generator, count: int, code: BinaryLinearCode) -> BscDraws:
+    """Messages and flip uniforms for `count` rounds, each kind drawn as one array."""
+    u_a = rng.integers(0, 2, size=(count, code.k))
+    u_b = rng.integers(0, 2, size=(count, code.k))
+    r_relay, r_a, r_b = (rng.random((count, code.n)) for _ in range(3))
+    return BscDraws(u_a, u_b, r_relay, r_a, r_b)
+
+
+def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
+             params: BscParams) -> dict[str, np.ndarray]:
+    """Per-round relay, end and union errors of a block; `bsc_relay_roundtrip`
+    row by row."""
+    p = params.p_cross
+    y_relay = (code.encode(draws.u_a) ^ code.encode(draws.u_b)
+               ^ (draws.r_relay < p).astype(np.int64))
+    m_relay = code.ml_decode(y_relay)
+    relay_error = np.any(m_relay != (draws.u_a ^ draws.u_b), axis=1)
+    x_relay = code.encode(m_relay)
+    u_b_hat = code.ml_decode(x_relay ^ (draws.r_a < p).astype(np.int64)) ^ draws.u_a
+    u_a_hat = code.ml_decode(x_relay ^ (draws.r_b < p).astype(np.int64)) ^ draws.u_b
+    end_error = np.any(u_b_hat != draws.u_b, axis=1) | np.any(u_a_hat != draws.u_a, axis=1)
+    return {"relay_error": relay_error, "end_error": end_error,
+            "union_error": relay_error | end_error}
+
+
+def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
+    """Error totals of `count` rounds.
+
+    params: p, code ("hamming74" | "random"), and n/k/code_seed for random.
+    """
     code = _cached_code(
         str(params.get("code", "hamming74")),
         int(params.get("n", 7)), int(params.get("k", 4)),
         int(params.get("code_seed", 0)),
     )
     bp = BscParams(float(params["p"]))
-    u_a = rng.integers(0, 2, size=code.k)
-    u_b = rng.integers(0, 2, size=code.k)
-    out = bsc_relay_roundtrip(u_a, u_b, code, bp, rng)
-    return {
-        "relay_error": int(out.relay_error),
-        "end_error": int(out.error),
-        "union_error": int(out.relay_error or out.error),
-    }
+    rows = bsc_rows(draw_bsc(rng, count, code), code, bp)
+    return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
 
-harness.register_experiment("bsc", bsc_trial)
+harness.register_experiment("bsc", bsc_kernel)
 
 BSC_ERROR_KEYS = ("relay_error", "end_error", "union_error")

@@ -3,19 +3,23 @@
 Subcommands: rates, sim, multihop, concentration.  All user-facing SNR
 flags are in dB with snr_db = 10*log10(P/sigma2); transmit power is fixed
 at P = 1 and sigma2 is derived, since only the ratio matters.  Every
-output file is written in one shot after computation succeeds (invalid
-flags never leave partial files) and is byte-identical across reruns of
-the same configuration; provenance (tool version, full config, master
-seed) is embedded in JSON outputs and written as a `.meta.json` sidecar
-next to CSV outputs.  Exit codes: 0 success, 1 runtime failure, 2
+output file is written after computation succeeds, through a temporary
+file renamed into place (invalid flags and failed writes never leave
+partial files), and is byte-identical across reruns of the same
+configuration; provenance (tool and numpy versions, the stream-addressing
+scheme, full config, master seed) is embedded in JSON outputs and written
+as a `.meta.json` sidecar next to CSV outputs.  Exit codes: 0 success, 1 runtime failure, 2
 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+
+import numpy as np
 
 from . import __version__, harness, minangle, multihop, rates
 from .bsc import BSC_ERROR_KEYS
@@ -35,15 +39,29 @@ def _default_workers() -> int:
 
 
 def _provenance(config: dict, seed: int | None = None) -> dict:
-    out = {"tool": {"name": "twinrelay", "version": __version__}, "config": config}
+    out = {"tool": {"name": "twinrelay", "version": __version__},
+           "numpy": np.__version__,
+           "stream_addressing": {"version": harness.STREAM_VERSION, "block": harness.BLOCK},
+           "config": config}
     if seed is not None:
         out["master_seed"] = seed
     return out
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write to a temporary file beside `path`, then rename it into place, so
+    `path` holds either its old content or all of `text`."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path: str, obj: dict) -> None:

@@ -1,10 +1,13 @@
 """The amplify-and-forward relay map and a deterministic Monte Carlo trial runner.
 
-Trials are pure functions of a per-trial generator derived from
-(master seed, trial index), so aggregate counts are identical for any
-worker count or scheduling order.  Reports carry Wilson 95% intervals
-for the binary error classes and serialize to a canonical JSON form
-that is byte-stable across reruns (wall time is reported separately).
+An experiment is a block kernel `(params, rng, count) -> totals` that
+runs `count` trials on one generator.  Trials are grouped in fixed blocks
+of BLOCK: block b holds trials [BLOCK*b, BLOCK*(b+1)) and draws from the
+stream (master seed, TAG_TRIAL, b).  Workers receive whole blocks, so
+aggregate counts are identical for any worker count or scheduling order.
+Reports carry Wilson 95% intervals for the binary error classes and
+serialize to a canonical JSON form that is byte-stable across reruns
+(wall time is reported separately).
 """
 
 from __future__ import annotations
@@ -13,15 +16,23 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TwinrelayError, ValidationError
 from .rng import TAG_TRIAL, generator
 
 Z95 = 1.959963984540054
+
+# Trials per random stream.  Changing it re-addresses every draw, so it is
+# recorded with STREAM_VERSION in the CLI's provenance.
+BLOCK = 4096
+STREAM_VERSION = 2
+MAX_WORKERS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +70,13 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
 # Experiment registry
 # ---------------------------------------------------------------------------
 
-TrialFn = Callable[[Mapping, np.random.Generator], Mapping[str, float]]
+# kernel(params, rng, count) -> totals of each outcome over `count` trials
+KernelFn = Callable[[Mapping, np.random.Generator, int], Mapping[str, float]]
 
-_REGISTRY: dict[str, TrialFn] = {}
+_REGISTRY: dict[str, KernelFn] = {}
 
 
-def register_experiment(name: str, fn: TrialFn) -> None:
+def register_experiment(name: str, fn: KernelFn) -> None:
     _REGISTRY[name] = fn
 
 
@@ -73,7 +85,7 @@ def _ensure_registered() -> None:
     from . import bsc, minangle, twoway  # noqa: F401
 
 
-def get_experiment(name: str) -> TrialFn:
+def get_experiment(name: str) -> KernelFn:
     _ensure_registered()
     try:
         return _REGISTRY[name]
@@ -94,20 +106,26 @@ class ExperimentSpec:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-# Per-trial values are quantized onto a fixed binary grid and summed as
+# Each block's totals are quantized onto a fixed binary grid and summed as
 # integers, so aggregation is exactly associative: any worker count or
 # partitioning yields bit-identical totals.
 _GRID = 1 << 32
 
 
 def _run_range(name: str, params: Mapping, master: int, start: int, stop: int) -> dict:
-    fn = get_experiment(name)
+    """Totals of trials [start, stop), start on a block boundary; one stream per block."""
+    kernel = get_experiment(name)
     totals: dict[str, int] = {}
-    for i in range(start, stop):
-        out = fn(params, generator(master, TAG_TRIAL, i))
+    for first in range(start, stop, BLOCK):
+        out = kernel(params, generator(master, TAG_TRIAL, first // BLOCK),
+                     min(BLOCK, stop - first))
         for key, val in out.items():
             totals[key] = totals.get(key, 0) + round(float(val) * _GRID)
     return totals
+
+
+def _blocks(trials: int) -> int:
+    return -(-trials // BLOCK)
 
 
 def _merge(into: dict, other: Mapping) -> dict:
@@ -198,14 +216,16 @@ def run_trials(
     workers: int = 1,
     target_ci: float | None = None,
     max_trials: int | None = None,
-    block: int = 4096,
+    block: int = BLOCK,
 ) -> TrialReport:
-    """Run a trial batch with per-trial derived streams.
+    """Run a trial batch in fixed blocks of BLOCK trials, one stream per block.
 
     Either a fixed `trials` count, or sequential stopping once the primary
-    Wilson half-width drops below `target_ci` (evaluated at fixed block
-    boundaries so the stopping point is identical for any worker count),
-    capped by `max_trials`.
+    Wilson half-width drops below `target_ci`, checked every `block` trials
+    (a multiple of BLOCK, so the stopping point is identical for any worker
+    count), capped by `max_trials`.  At most one process pool serves the
+    whole call, and only when a chunk between checks has two or more blocks
+    to spread over `workers`.
     """
     if trials is None and target_ci is None:
         raise ValidationError("need trials or target_ci")
@@ -216,40 +236,34 @@ def run_trials(
             f"target_ci needs an error key; experiment {spec.name!r} has none")
     if trials is not None and trials <= 0:
         raise ValidationError("trials must be positive")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    if block < BLOCK or block % BLOCK:
+        raise ValidationError(f"block must be a positive multiple of {BLOCK}, got {block}")
+    get_experiment(spec.name)
 
     start_time = time.perf_counter()
+    if trials is not None:
+        stop = period = trials
+    else:
+        stop = max_trials if max_trials is not None else 1 << 22
+        period = block
+    spread = min(workers, _blocks(min(period, stop)))
     totals: dict[str, int] = {}
     done = 0
-
-    def run_chunk(begin: int, end: int) -> None:
-        nonlocal done
-        if workers == 1 or end - begin < 2 * workers:
-            _merge(totals, _run_range(spec.name, spec.params, master_seed, begin, end))
-        else:
-            bounds = np.linspace(begin, end, workers + 1).astype(int)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_range, spec.name, spec.params, master_seed, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                    if b > a
-                ]
-                for fut in futures:
-                    _merge(totals, fut.result())
-        done = end
-
-    if trials is not None:
-        run_chunk(0, trials)
-    else:
-        cap = max_trials if max_trials is not None else 1 << 22
-        primary = spec.error_keys[0]
-        while done < cap:
-            end = min(done + block, cap)
-            run_chunk(done, end)
-            lo, hi = wilson_interval(round(totals.get(primary, 0) / _GRID), done)
-            if (hi - lo) / 2.0 <= target_ci:
-                break
+    try:
+        with ProcessPoolExecutor(max_workers=spread) if spread > 1 else nullcontext() as pool:
+            while done < stop:
+                end = min(done + period, stop)
+                _merge(totals, _run_chunk(pool, spread, spec, master_seed, done, end))
+                done = end
+                if target_ci is not None:
+                    primary = round(totals.get(spec.error_keys[0], 0) / _GRID)
+                    lo, hi = wilson_interval(primary, done)
+                    if (hi - lo) / 2.0 <= target_ci:
+                        break
+    except BrokenProcessPool as exc:
+        raise TwinrelayError(f"a trial worker process died: {exc}") from exc
 
     return TrialReport(
         experiment=spec.name,
@@ -260,6 +274,25 @@ def run_trials(
         master_seed=master_seed,
         wall_time_s=time.perf_counter() - start_time,
     )
+
+
+def _run_chunk(pool, spread: int, spec: ExperimentSpec, master: int,
+               start: int, stop: int) -> dict:
+    """Totals of trials [start, stop): in process for one block, else whole
+    blocks spread over the pool in contiguous ranges."""
+    first, last = start // BLOCK, _blocks(stop)
+    if pool is None or last - first < 2:
+        return _run_range(spec.name, spec.params, master, start, stop)
+    bounds = np.linspace(first, last, min(spread, last - first) + 1).astype(int)
+    futures = [
+        pool.submit(_run_range, spec.name, spec.params, master,
+                    int(a) * BLOCK, min(int(b) * BLOCK, stop))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    totals: dict[str, int] = {}
+    for fut in futures:
+        _merge(totals, fut.result())
+    return totals
 
 
 def write_jsonl(records: list[dict], path: str) -> None:
@@ -274,23 +307,23 @@ def write_jsonl(records: list[dict], path: str) -> None:
 # Amplify-and-forward power contract experiment
 # ---------------------------------------------------------------------------
 
-def anc_power_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, float]:
-    """One amplify-and-forward session with Gaussian signaling.
+def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Mapping[str, float]:
+    """`count` amplify-and-forward sessions with Gaussian signaling.
 
-    Accumulates the relay output energy so the batch mean checks the
-    power renormalization contract E||x_R||^2/n = P.
+    Totals the relay output energy per dimension, so the batch mean checks
+    the power renormalization contract E||x_R||^2/n = P.
     """
     n = int(params.get("n", 16))
     power = float(params.get("power", 1.0))
     sigma2 = float(params["sigma2"])
     sigma = math.sqrt(power)
-    x1 = rng.normal(0.0, sigma, size=n)
-    x2 = rng.normal(0.0, sigma, size=n)
+    x1 = rng.normal(0.0, sigma, size=(count, n))
+    x2 = rng.normal(0.0, sigma, size=(count, n))
     y = x1 + x2
     if sigma2 > 0:
-        y = y + rng.normal(0.0, math.sqrt(sigma2), size=n)
+        y = y + rng.normal(0.0, math.sqrt(sigma2), size=(count, n))
     x_relay = anc_relay(y, power, sigma2)
-    return {"relay_energy_per_dim": float(np.dot(x_relay, x_relay)) / n}
+    return {"relay_energy_per_dim": float(np.einsum("ij,ij->", x_relay, x_relay)) / n}
 
 
-register_experiment("anc-power", anc_power_trial)
+register_experiment("anc-power", anc_power_kernel)

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .errors import DimensionMismatchError, GuardExceededError, ValidationError
 from .rng import generator
 
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
+# Elements of one exhaustive-scan array: the distances from one row to the
+# 4,096 points of the Golay [24,12] codebook, so batching keeps memory flat.
+SCAN_WORKSET = 4096 * 24
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +125,11 @@ def mod_units_exact(values: Iterable, q: int) -> tuple[Fraction, ...]:
 # Dither
 # ---------------------------------------------------------------------------
 
-def dither(rng: np.random.Generator, coarse: CoarseLattice) -> np.ndarray:
-    """One dither vector drawn uniformly over [-cell/2, cell/2)^n from `rng`."""
+def dither(rng: np.random.Generator, coarse: CoarseLattice,
+           count: int | None = None) -> np.ndarray:
+    """A dither vector, or `count` rows of them, uniform over [-cell/2, cell/2)^n."""
     half = coarse.cell / 2.0
-    return rng.uniform(-half, half, size=coarse.n)
+    return rng.uniform(-half, half, size=coarse.n if count is None else (count, coarse.n))
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +170,28 @@ class NestedLatticePair:
             )
         msgs = _enumerate_messages(q, k)
         codewords = msgs @ G % q
-        self.codebook_units = centered_units(codewords, q)
-        self.codebook_coords = self.coarse.gamma * self.codebook_units.astype(float)
-        self.codebook_coords.flags.writeable = False
-        self._place = q ** np.arange(k, dtype=np.int64)
-        self._index_of = {
-            tuple(int(c) for c in row): i for i, row in enumerate(self.codebook_units)
-        }
-        if len(self._index_of) != q ** k:
+        # u -> u*G is linear, so its codewords are distinct iff only the zero
+        # message maps to the zero codeword.
+        if np.count_nonzero(~codewords.any(axis=1)) != 1:
             raise ValidationError(
                 "generator does not produce q^k distinct codewords; "
                 "use a systematic (full-rank) generator"
             )
+        self.codebook_units = centered_units(codewords, q)
+        self.codebook_coords = self.coarse.gamma * self.codebook_units.astype(float)
+        self.codebook_coords.flags.writeable = False
+        self._place = q ** np.arange(k, dtype=np.int64)
         # Full code <=> fine lattice is gamma*Z^n; quantization then separates
-        # per coordinate, which keeps uncoded high-rate instances fast.
-        self._is_full_code = len(self._index_of) == q ** self.coarse.n
+        # per coordinate: the residues of the rounded coordinates, read as a
+        # base-q key, index a lookup array of length q^n.
+        self._is_full_code = k == self.coarse.n
+        if self._is_full_code:
+            self._lookup = np.empty(q ** k, dtype=np.int64)
+            self._lookup[codewords @ self._place] = np.arange(q ** k)
+
+    @cached_property
+    def _index_of(self) -> dict[tuple[int, ...], int]:
+        return {tuple(int(c) for c in row): i for i, row in enumerate(self.codebook_units)}
 
     @property
     def n(self) -> int:
@@ -210,13 +222,14 @@ class NestedLatticePair:
     def index_of_units(self, units: Sequence[int]) -> int:
         return self._index_of[tuple(int(u) for u in units)]
 
-    def digits(self, index: int) -> np.ndarray:
-        """Base-q message digits of a codebook index, least significant first."""
-        return index // self._place % self.q
+    def digits(self, index) -> np.ndarray:
+        """Base-q message digits of codebook indices, shape (..., k), least
+        significant first."""
+        return np.asarray(index)[..., None] // self._place % self.q
 
-    def index_of_digits(self, digits: np.ndarray) -> int:
-        """Codebook index of the message digits, each taken mod q."""
-        return int(digits % self.q @ self._place)
+    def index_of_digits(self, digits: np.ndarray):
+        """Codebook indices of message digits (..., k), each digit taken mod q."""
+        return _index(digits % self.q @ self._place)
 
     def to_descriptor(self) -> dict:
         """JSON-serializable description {n, q, k, G rows, P}."""
@@ -272,43 +285,70 @@ def make_pair(
 # Codebook operations
 # ---------------------------------------------------------------------------
 
-def encode_message(index: int, pair: NestedLatticePair) -> np.ndarray:
-    """Coordinates of the codebook point of a message index (a read-only row)."""
-    if not 0 <= index < pair.size:
+def _index(a: np.ndarray):
+    """A 0-d index array as a plain int (the one-row case); arrays pass through."""
+    return int(a) if a.ndim == 0 else a
+
+
+def scan_rows(rows: int, width: int) -> Iterator[slice]:
+    """Row slices whose (rows, width) scan array stays within SCAN_WORKSET elements."""
+    step = max(1, SCAN_WORKSET // width)
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
+
+
+def encode_message(index, pair: NestedLatticePair) -> np.ndarray:
+    """Coordinates of the codebook points of message indices (read-only for one index)."""
+    idx = np.asarray(index)
+    if idx.size and (idx.min() < 0 or idx.max() >= pair.size):
         raise ValidationError(f"message index {index} outside [0, {pair.size})")
     return pair.codebook_coords[index]
 
 
 def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
-    """Squared torus distance from x to every codebook point.
+    """Squared torus distance from each row of x (..., n) to every codebook point.
 
     Because the coarse lattice is a coordinate product, the minimum over
     all coarse translates separates per component into a centered fold.
+    The result has shape (..., size).
     """
     x = pair.coarse.check_dim(x)
-    diffs = mod_coarse(x[None, :] - pair.codebook_coords, pair.coarse)
-    return np.einsum("ij,ij->i", diffs, diffs)
+    cell = pair.coarse.cell
+    diffs = x[..., None, :] - pair.codebook_coords
+    # Subtract the nearest coarse translate; which face a tie folds to does
+    # not change the square, so this skips `mod_coarse`'s face guards.
+    wraps = diffs / cell
+    np.rint(wraps, out=wraps)
+    wraps *= cell
+    diffs -= wraps
+    return np.einsum("...ij,...ij->...i", diffs, diffs)
 
 
-def quantize_fine(x: np.ndarray, pair: NestedLatticePair) -> int:
-    """Index of the nearest fine-lattice point to x, folded into the coarse cell.
+def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
+    """Indices of the nearest fine-lattice points to the rows of x (..., n).
 
     Distance is measured to every fine representative (codebook point plus
     coarse translates); exact ties resolve to the lowest codebook index.
+    A single row (shape (n,)) returns an int.  The exhaustive scan runs in
+    row chunks so its distance array never exceeds SCAN_WORKSET elements.
     """
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:
-        units = centered_units(np.rint(x / pair.coarse.gamma).astype(np.int64), pair.q)
-        return pair.index_of_units(units)
-    return int(np.argmin(wrapped_sq_distances(x, pair)))
+        units = np.rint(x / pair.coarse.gamma).astype(np.int64) % pair.q
+        return _index(pair._lookup[units @ pair._place])
+    rows = x.reshape(-1, pair.n)
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    for sl in scan_rows(rows.shape[0], pair.size * pair.n):
+        out[sl] = np.argmin(wrapped_sq_distances(rows[sl], pair), axis=-1)
+    return _index(out.reshape(x.shape[:-1]))
 
 
-def modulo_sum(a: int, b: int, pair: NestedLatticePair) -> int:
+def modulo_sum(a, b, pair: NestedLatticePair):
     """Index of (t_a + t_b) mod coarse: the digit-wise mod-q sum of the messages."""
     return pair.index_of_digits(pair.digits(a) + pair.digits(b))
 
 
-def modulo_diff(a: int, b: int, pair: NestedLatticePair) -> int:
+def modulo_diff(a, b, pair: NestedLatticePair):
     """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot."""
     return pair.index_of_digits(pair.digits(a) - pair.digits(b))
 
@@ -347,10 +387,8 @@ def diagnostics(
     half = coarse.cell / 2.0
     pts = rng.uniform(-half, half, size=(samples, coarse.n))
     worst = 0.0
-    for p in pts:
-        d2 = float(np.min(wrapped_sq_distances(p, pair)))
-        if d2 > worst:
-            worst = d2
+    for sl in scan_rows(samples, pair.size * coarse.n):
+        worst = max(worst, float(wrapped_sq_distances(pts[sl], pair).min(axis=-1).max()))
     fine_volume = vol / pair.size
     r_eff = (fine_volume / _unit_ball_volume(coarse.n)) ** (1.0 / coarse.n)
     return LatticeDiagnostics(

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import harness
 from .errors import DirectionCollisionError, GuardExceededError, ValidationError
+from .lattice import scan_rows
 
 BALL_GUARD = 100_000        # max points per ball codebook
 PAIR_GUARD = 10_000_000     # max enumerated codeword pairs
@@ -180,8 +181,9 @@ def project_to_shell(x: np.ndarray, spec: ShellSpec) -> np.ndarray:
     return (spec.r_inner / norm) * x
 
 
-def min_angle_decode(y: np.ndarray, points: np.ndarray, spec: ShellSpec | None = None) -> int:
-    """Index of the candidate at minimum angle to y; ties to the lowest index.
+def min_angle_decode(y: np.ndarray, points: np.ndarray, spec: ShellSpec | None = None):
+    """Index of the candidate at minimum angle to each row of y (..., n); ties
+    to the lowest index.  A single row (shape (n,)) returns an int.
 
     Equivalent to nearest-projection decoding: the angle to a point equals
     the angle to its shell projection, so candidates may be passed either
@@ -191,8 +193,25 @@ def min_angle_decode(y: np.ndarray, points: np.ndarray, spec: ShellSpec | None =
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValidationError("candidate set must be a non-empty 2-D array")
     y = np.asarray(y, dtype=float)
-    cosines = points @ y / np.linalg.norm(points, axis=1)
-    return int(np.argmax(cosines))
+    rows = y.reshape(-1, points.shape[1])
+    norms = np.linalg.norm(points, axis=1)
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    for sl in scan_rows(rows.shape[0], points.shape[0]):
+        out[sl] = np.argmax(np.einsum("mn,cn->cm", points, rows[sl]) / norms, axis=1)
+    return int(out[0]) if y.ndim == 1 else out.reshape(y.shape[:-1])
+
+
+def nearest_sum(y: np.ndarray, sum_points: np.ndarray) -> np.ndarray:
+    """Row of the sum point nearest to each row of y (m, n); ties to the lowest row.
+
+    The unrestricted maximum-likelihood reference for the angle decoder,
+    scanned in row chunks of at most SCAN_WORKSET coordinate differences.
+    """
+    out = np.empty(y.shape[0], dtype=np.int64)
+    for sl in scan_rows(y.shape[0], sum_points.size):
+        diff = sum_points - y[sl, None, :]
+        out[sl] = np.argmin(np.einsum("cmn,cmn->cm", diff, diff), axis=1)
+    return out
 
 
 def check_distinct_directions(points: np.ndarray, tol: float = 1e-9) -> None:
@@ -222,23 +241,26 @@ def ball_sample(rng: np.random.Generator, n: int, radius: float, count: int) -> 
     return directions * radii[:, None]
 
 
-def concentration_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, int]:
-    """One batch of uniform ball pairs; counts sums falling off the shell."""
+def concentration_kernel(params: Mapping, rng: np.random.Generator,
+                         count: int) -> Mapping[str, int]:
+    """`count` batches of uniform ball pairs; counts sums falling off the shell.
+
+    Batches are drawn one after another, so memory stays at one batch.
+    """
     n = int(params["n"])
     power = float(params.get("power", 1.0))
     delta = float(params["delta"])
     batch = int(params.get("batch", _CONC_BATCH))
     shell = ShellSpec(n=n, power=power, delta=delta)
     radius = math.sqrt(n * power)
-    u = ball_sample(rng, n, radius, batch)
-    v = ball_sample(rng, n, radius, batch)
-    s = u + v
-    norms = np.einsum("ij,ij->i", s, s)
-    off = int(np.count_nonzero(~shell.contains_sq(norms)))
-    return {"off_shell": off, "samples": batch}
+    off = 0
+    for _ in range(count):
+        s = ball_sample(rng, n, radius, batch) + ball_sample(rng, n, radius, batch)
+        off += int(np.count_nonzero(~shell.contains_sq(np.einsum("ij,ij->i", s, s))))
+    return {"off_shell": off, "samples": count * batch}
 
 
-harness.register_experiment("concentration", concentration_trial)
+harness.register_experiment("concentration", concentration_kernel)
 
 
 @dataclass(frozen=True)
@@ -309,45 +331,63 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float,
     return cb1, cb2, sums, shell_pts, shell_row_of_sum
 
 
-def minangle_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, int]:
-    """One random pair through AWGN, angle-decoded among on-shell sums.
-
-    Reports the union-bound total error (off-shell sums count as losses),
-    the on-shell-conditioned error, and an unrestricted nearest-sum ML
-    reference decoded over every distinct sum.
-    """
-    n = int(params["n"])
-    gamma = float(params.get("gamma", 1.0))
-    power = float(params["power"])
-    sigma2 = float(params["sigma2"])
-    delta = float(params["delta"])
+def _instance_from_params(params: Mapping):
     s1 = params.get("s1")
     s2 = params.get("s2")
-    cb1, cb2, sums, shell_pts, shell_row = _decoder_instance(
-        n, gamma, power, delta,
+    return _decoder_instance(
+        int(params["n"]), float(params.get("gamma", 1.0)), float(params["power"]),
+        float(params["delta"]),
         tuple(s1) if s1 is not None else None,
         tuple(s2) if s2 is not None else None,
     )
-    i = int(rng.integers(cb1.size))
-    j = int(rng.integers(cb2.size))
-    true_sum_row = int(sums.pair_to_sum[i, j])
+
+
+@dataclass(eq=False)
+class MinAngleDraws:
+    """The random inputs of a block of decodes, one row per decode: the
+    codeword pair (i, j) and the received sum y = x1[i] + x2[j] + noise."""
+
+    i: np.ndarray
+    j: np.ndarray
+    y: np.ndarray
+
+
+def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
+    """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
+    cb1, cb2, _, _, _ = _instance_from_params(params)
+    i = rng.integers(cb1.size, size=count)
+    j = rng.integers(cb2.size, size=count)
     y = cb1.points[i] + cb2.points[j]
+    sigma2 = float(params["sigma2"])
     if sigma2 > 0:
-        y = y + rng.normal(0.0, math.sqrt(sigma2), size=n)
-
-    ml_row = int(np.argmin(np.einsum("ij,ij->i", sums.sum_points - y, sums.sum_points - y)))
-    ml_error = int(ml_row != true_sum_row)
-
-    if sums.on_shell[true_sum_row]:
-        decoded_shell = min_angle_decode(y, shell_pts)
-        wrong = int(decoded_shell != shell_row[true_sum_row])
-        return {"angle_error": wrong, "angle_error_on_shell": wrong,
-                "off_shell": 0, "ml_error": ml_error}
-    return {"angle_error": 1, "angle_error_on_shell": 0,
-            "off_shell": 1, "ml_error": ml_error}
+        y = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
+    return MinAngleDraws(i, j, y)
 
 
-harness.register_experiment("minangle", minangle_trial)
+def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray]:
+    """Per-decode outcomes of a block.
+
+    The union-bound total error counts off-shell sums as losses; the
+    on-shell-conditioned error, the off-shell flag, and an unrestricted
+    nearest-sum ML reference decoded over every distinct sum.
+    """
+    _, _, sums, shell_pts, shell_row = _instance_from_params(params)
+    true_sum_row = sums.pair_to_sum[draws.i, draws.j]
+    ml_error = nearest_sum(draws.y, sums.sum_points) != true_sum_row
+    on_shell = sums.on_shell[true_sum_row]
+    wrong = min_angle_decode(draws.y, shell_pts) != shell_row[true_sum_row]
+    return {"angle_error": ~on_shell | wrong, "angle_error_on_shell": on_shell & wrong,
+            "off_shell": ~on_shell, "ml_error": ml_error}
+
+
+def minangle_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Mapping[str, int]:
+    """Outcome totals of `count` random pairs through AWGN, angle-decoded
+    among on-shell sums (see `minangle_rows`)."""
+    rows = minangle_rows(draw_minangle(rng, count, params), params)
+    return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
+
+
+harness.register_experiment("minangle", minangle_kernel)
 
 MINANGLE_ERROR_KEYS = ("angle_error", "ml_error")
 

@@ -10,7 +10,9 @@ modulo sum.  Downlink: the sum point reaches the end nodes (either as an
 ideally coded index, or retransmitted through AWGN and lattice-decoded),
 and each node cancels its own point mod the coarse lattice to recover the
 other message.  Codewords are handled as message indices throughout;
-coordinates appear only where a signal is formed.
+coordinates appear only where a signal is formed.  The harness kernel runs
+a block of rounds at once on index arrays (`session_rows`); `run_session`
+and `_session_core` are the one-round reference it is tested against.
 """
 
 from __future__ import annotations
@@ -116,8 +118,11 @@ class ExchangeTranscript:
         return self.end_error_a or self.end_error_b
 
 
-def encode_node(u: int, d: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
-    """Transmit signal (t_u - d) mod coarse; uniform over the cell, power P."""
+def encode_node(u, d: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
+    """Transmit signal (t_u - d) mod coarse; uniform over the cell, power P.
+
+    Takes one index and dither row, or index arrays with dither rows (..., n).
+    """
     return mod_coarse(encode_message(u, pair) - d, pair.coarse)
 
 
@@ -127,16 +132,23 @@ def relay_decode_sum(
     d2: np.ndarray,
     params: ChannelParams,
     pair: NestedLatticePair,
-) -> int:
-    """Estimate the index of (t1 + t2) mod coarse from the relay observation."""
+):
+    """Estimate the index of (t1 + t2) mod coarse from each relay observation row."""
     pre = mod_coarse(params.alpha_opt * np.asarray(y_relay, dtype=float)
                      + d1 + d2, pair.coarse)
     return quantize_fine(pre, pair)
 
 
-def recover_at_node(t_hat: int, own: int, pair: NestedLatticePair) -> int:
+def recover_at_node(t_hat, own, pair: NestedLatticePair):
     """(t_hat - own) mod coarse; inverts the modulo sum given one summand."""
     return modulo_diff(t_hat, own, pair)
+
+
+def index_broadcast_ok(params: ChannelParams, pair: NestedLatticePair) -> bool:
+    """Ideal downlink code: reliable iff the codebook rate clears the
+    point-to-point capacity (1/2) log2(1 + snr)."""
+    capacity = math.inf if params.sigma2 == 0 else 0.5 * math.log2(1.0 + params.snr)
+    return pair.rate < capacity
 
 
 def run_session(
@@ -170,6 +182,7 @@ def _session_core(
     d2: np.ndarray,
     noise_rng: np.random.Generator,
 ) -> ExchangeTranscript:
+    """The scalar reference exchange; `session_rows` is its block form."""
     x1 = encode_node(u_a, d1, pair)
     x2 = encode_node(u_b, d2, pair)
 
@@ -183,10 +196,7 @@ def _session_core(
 
     broadcast_failed = False
     if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
-        # Ideal downlink code: reliable iff the codebook rate clears the
-        # point-to-point capacity (1/2) log2(1 + snr).
-        capacity = math.inf if params.sigma2 == 0 else 0.5 * math.log2(1.0 + params.snr)
-        if pair.rate < capacity:
+        if index_broadcast_ok(params, pair):
             t_at_a = t_hat
             t_at_b = t_hat
         else:
@@ -227,6 +237,70 @@ def _direct_downlink(
     return quantize_fine(mod_coarse(y, pair.coarse), pair)
 
 
+@dataclass(eq=False)
+class SessionDraws:
+    """The random inputs of a block of exchange rounds, one row per round.
+
+    Noise rows are already scaled by sigma; they are None when noiseless,
+    and the downlink rows are None unless the downlink is direct.
+    """
+
+    u_a: np.ndarray
+    u_b: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    z_relay: np.ndarray | None
+    z_a: np.ndarray | None
+    z_b: np.ndarray | None
+
+
+def draw_sessions(
+    rng: np.random.Generator, count: int, params: ChannelParams,
+    pair: NestedLatticePair, mode: BroadcastMode,
+) -> SessionDraws:
+    """Messages, dithers and noise for `count` rounds, each kind drawn as one array."""
+    u_a = rng.integers(pair.size, size=count)
+    u_b = rng.integers(pair.size, size=count)
+    d1 = dither(rng, pair.coarse, count)
+    d2 = dither(rng, pair.coarse, count)
+    z_relay = z_a = z_b = None
+    if params.sigma2 > 0:
+        sigma = math.sqrt(params.sigma2)
+        z_relay = rng.normal(0.0, sigma, size=(count, pair.n))
+        if mode is BroadcastMode.DIRECT_LATTICE_RELAY:
+            z_a = rng.normal(0.0, sigma, size=(count, pair.n))
+            z_b = rng.normal(0.0, sigma, size=(count, pair.n))
+    return SessionDraws(u_a, u_b, d1, d2, z_relay, z_a, z_b)
+
+
+def session_rows(
+    draws: SessionDraws, params: ChannelParams, pair: NestedLatticePair,
+    mode: BroadcastMode,
+) -> dict[str, np.ndarray]:
+    """Per-round relay, end and union errors of a block; `_session_core` row by row."""
+    y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
+    if draws.z_relay is not None:
+        y_relay = y_relay + draws.z_relay
+    t_hat = relay_decode_sum(y_relay, draws.d1, draws.d2, params, pair)
+    relay_error = t_hat != modulo_sum(draws.u_a, draws.u_b, pair)
+
+    if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
+        if not index_broadcast_ok(params, pair):
+            end_error = np.ones_like(relay_error)
+            return {"relay_error": relay_error, "end_error": end_error,
+                    "union_error": end_error}
+        t_at_a = t_at_b = t_hat
+    else:
+        sent = encode_message(t_hat, pair)
+        t_at_a, t_at_b = (
+            quantize_fine(mod_coarse(sent if z is None else sent + z, pair.coarse), pair)
+            for z in (draws.z_a, draws.z_b))
+    end_error = ((recover_at_node(t_at_a, draws.u_a, pair) != draws.u_b)
+                 | (recover_at_node(t_at_b, draws.u_b, pair) != draws.u_a))
+    return {"relay_error": relay_error, "end_error": end_error,
+            "union_error": relay_error | end_error}
+
+
 # ---------------------------------------------------------------------------
 # Harness experiment
 # ---------------------------------------------------------------------------
@@ -246,8 +320,8 @@ def pair_from_params(params: Mapping) -> NestedLatticePair:
     )
 
 
-def lattice_exchange_trial(params: Mapping, rng: np.random.Generator) -> Mapping[str, int]:
-    """One exchange round; message, dithers, and noise all from `rng`.
+def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
+    """Error totals of `count` exchange rounds; messages, dithers and noise from `rng`.
 
     params: n, q, k, snr_db (None for noiseless), power, mode ("index"|"direct"),
     optional generator rows.
@@ -255,19 +329,11 @@ def lattice_exchange_trial(params: Mapping, rng: np.random.Generator) -> Mapping
     pair = pair_from_params(params)
     ch = ChannelParams.from_snr_db(params.get("snr_db"), float(params.get("power", 1.0)))
     mode = BroadcastMode(params.get("mode", "index"))
-    u_a = int(rng.integers(pair.size))
-    u_b = int(rng.integers(pair.size))
-    d1 = dither(rng, pair.coarse)
-    d2 = dither(rng, pair.coarse)
-    tr = _session_core(u_a, u_b, ch, pair, mode, d1, d2, rng)
-    return {
-        "relay_error": int(tr.relay_error),
-        "end_error": int(tr.error),
-        "union_error": int(tr.relay_error or tr.error),
-    }
+    rows = session_rows(draw_sessions(rng, count, ch, pair, mode), ch, pair, mode)
+    return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
 
-harness.register_experiment("lattice", lattice_exchange_trial)
+harness.register_experiment("lattice", lattice_kernel)
 
 LATTICE_ERROR_KEYS = ("relay_error", "end_error", "union_error")
 

@@ -9,8 +9,10 @@ from twinrelay.bsc import (
     BinaryLinearCode,
     BscParams,
     bsc_exchange_rate_bound,
+    bsc_kernel,
     bsc_relay_roundtrip,
-    bsc_trial,
+    bsc_rows,
+    draw_bsc,
     hamming74,
     random_code,
 )
@@ -126,5 +128,46 @@ def test_ml_guard():
 
 
 def test_trial_fn_keys():
-    out = bsc_trial({"p": 0.01, "code": "hamming74"}, generator(2))
+    out = bsc_kernel({"p": 0.1, "code": "hamming74"}, generator(2), 500)
     assert set(out) == {"relay_error", "end_error", "union_error"}
+    assert all(isinstance(v, int) and 0 <= v <= 500 for v in out.values())
+    assert max(out["relay_error"], out["end_error"]) <= out["union_error"]
+
+
+class _ReplayUniforms:
+    """Stands in for the stream of `bsc_relay_roundtrip`: hands out
+    pre-drawn uniform rows in call order."""
+
+    def __init__(self, *rows):
+        self._rows = iter(rows)
+
+    def random(self, size):
+        row = next(self._rows)
+        assert row.shape == (size,)
+        return row
+
+
+@pytest.mark.parametrize("code", [hamming74(), random_code(10, 5, seed=4)])
+def test_block_rows_replay_scalar_roundtrip(code):
+    # each row of the block kernel is the scalar round trip on the same draws
+    params = BscParams(0.1)
+    draws = draw_bsc(generator(31), 400, code)
+    rows = bsc_rows(draws, code, params)
+    for i in range(400):
+        out = bsc_relay_roundtrip(draws.u_a[i], draws.u_b[i], code, params,
+                                  _ReplayUniforms(draws.r_relay[i], draws.r_a[i], draws.r_b[i]))
+        assert rows["relay_error"][i] == out.relay_error
+        assert rows["end_error"][i] == out.error
+        assert rows["union_error"][i] == (out.relay_error or out.error)
+    assert 0 < np.count_nonzero(rows["relay_error"]) < 400
+    assert 0 < np.count_nonzero(rows["end_error"]) < 400
+
+
+def test_ml_decode_rows_match_single_words():
+    code = random_code(12, 6, seed=2)
+    words = generator(3).integers(0, 2, size=(3, 50, 12))
+    batch = code.ml_decode(words)
+    assert batch.shape == (3, 50, 6)
+    for idx in np.ndindex(3, 50):
+        dists = np.count_nonzero(code.codewords != words[idx], axis=1)
+        assert np.array_equal(batch[idx], code.messages[int(np.argmin(dists))])

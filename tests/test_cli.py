@@ -1,7 +1,11 @@
 """CLI contract: flags, exit codes, file determinism, stdout summaries."""
 
 import json
+import os
 
+import numpy as np
+
+from twinrelay import harness
 from twinrelay.cli import main
 
 
@@ -185,3 +189,62 @@ def test_version(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("twinrelay ")
+
+
+def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
+    addressing = {"version": 2, "block": 4096}
+    out = tmp_path / "lat.json"
+    code, _, _ = run_cli(capsys, "sim", "lattice", "--snr-db", "20", "--trials", "100",
+                         "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["numpy"] == np.__version__
+    assert doc["stream_addressing"] == addressing
+    code, _, _ = run_cli(capsys, "rates", "--out", str(tmp_path / "r.csv"))
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert meta["numpy"] == np.__version__
+    assert meta["stream_addressing"] == addressing
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "rates.csv"
+    target.write_text("old\n")
+
+    def fail_replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    code, _, stderr = run_cli(capsys, "rates", "--out", str(target))
+    assert code == 1
+    assert stderr.startswith("error:") and "replace refused" in stderr
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.csv"]
+
+
+def test_sim_workers_above_cap_exit_2_no_file(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, stderr = run_cli(capsys, "sim", "bsc", "--p", "0.1", "--trials", "10000",
+                              "--workers", str(harness.MAX_WORKERS + 1), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error:") and "workers" in stderr
+    assert not out.exists()
+
+
+_PARENT_PID = os.getpid()
+
+
+def _exit_in_worker(params, rng, count):
+    if os.getpid() != _PARENT_PID:
+        os._exit(3)
+    return {"relay_error": 0, "end_error": 0, "union_error": 0}
+
+
+def test_sim_broken_pool_exit_1_no_file(tmp_path, capsys, monkeypatch):
+    harness.get_experiment("bsc")
+    monkeypatch.setitem(harness._REGISTRY, "bsc", _exit_in_worker)
+    out = tmp_path / "x.json"
+    code, _, stderr = run_cli(capsys, "sim", "bsc", "--p", "0.1", "--trials", "8192",
+                              "--workers", "2", "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert not out.exists()

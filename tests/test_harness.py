@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from twinrelay.errors import ValidationError
+from twinrelay.errors import TwinrelayError, ValidationError
 from twinrelay.harness import (
+    BLOCK,
+    MAX_WORKERS,
     ExperimentSpec,
     anc_relay,
     canonical_dumps,
@@ -17,7 +19,7 @@ from twinrelay.harness import (
     wilson_interval,
     write_jsonl,
 )
-from twinrelay.rng import derive_seed, generator, philox_key
+from twinrelay.rng import TAG_TRIAL, derive_seed, generator, philox_key
 
 VECTORS = os.path.join(
     os.path.dirname(__file__), "..", "src", "twinrelay", "data", "rng_vectors.json"
@@ -110,19 +112,35 @@ def test_wilson_coverage():
 # run_trials
 # ---------------------------------------------------------------------------
 
-def _synthetic_trial(params, rng):
-    return {"hit": int(rng.random() < params["p"]), "value": float(rng.random())}
+def _synthetic_kernel(params, rng, count):
+    return {"hit": int(np.count_nonzero(rng.random(count) < params["p"])),
+            "value": float(rng.random(count).sum())}
 
 
-register_experiment("synthetic", _synthetic_trial)
+register_experiment("synthetic", _synthetic_kernel)
 SYNTH = ExperimentSpec("synthetic", {"p": 0.1}, ("hit",))
 
 
 def test_run_trials_worker_invariance():
-    serial = run_trials(SYNTH, trials=2000, master_seed=3, workers=1)
-    parallel = run_trials(SYNTH, trials=2000, master_seed=3, workers=8)
-    assert serial.counts == parallel.counts
-    assert serial.canonical_json() == parallel.canonical_json()
+    # partial, exact and multiple blocks; whole blocks go to the workers
+    for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        serial = run_trials(SYNTH, trials=trials, master_seed=3, workers=1)
+        assert serial.trials == trials
+        for workers in (2, 8):
+            parallel = run_trials(SYNTH, trials=trials, master_seed=3, workers=workers)
+            assert serial.counts == parallel.counts
+            assert serial.canonical_json() == parallel.canonical_json()
+
+
+def test_run_trials_blocks_draw_from_block_streams():
+    # block b is the kernel run on stream (master, TAG_TRIAL, b) for its count
+    report = run_trials(SYNTH, trials=2 * BLOCK + 7, master_seed=12)
+    want = [_synthetic_kernel(SYNTH.params, generator(12, TAG_TRIAL, b), count)
+            for b, count in ((0, BLOCK), (1, BLOCK), (2, 7))]
+    assert report.counts["hit"] == sum(w["hit"] for w in want)
+    # each block's float total is put on the fixed grid once
+    grid = 1 << 32
+    assert report.counts["value"] == sum(round(w["value"] * grid) for w in want) / grid
 
 
 def test_run_trials_reproducible():
@@ -140,14 +158,17 @@ def test_run_trials_estimate_and_interval():
 
 
 def test_run_trials_target_ci_stopping():
-    report = run_trials(SYNTH, trials=None, master_seed=5, target_ci=0.02,
-                        max_trials=50_000, block=1000)
+    # at p = 0.1 the half-width is about 0.0092 after one block and 0.0065
+    # after two, so a 0.0075 target stops after more than one check
+    report = run_trials(SYNTH, trials=None, master_seed=5, target_ci=0.0075,
+                        max_trials=50_000, block=BLOCK)
     lo, hi = report.interval("hit")
-    assert (hi - lo) / 2 <= 0.02
-    assert report.trials % 1000 == 0
+    assert (hi - lo) / 2 <= 0.0075
+    assert report.trials % BLOCK == 0
+    assert report.trials > BLOCK
     # stopping point is a function of the counts only, not the worker count
-    again = run_trials(SYNTH, trials=None, master_seed=5, target_ci=0.02,
-                       max_trials=50_000, block=1000, workers=4)
+    again = run_trials(SYNTH, trials=None, master_seed=5, target_ci=0.0075,
+                       max_trials=50_000, block=BLOCK, workers=4)
     assert again.trials == report.trials
 
 
@@ -167,11 +188,38 @@ def test_run_trials_validation():
         run_trials(SYNTH, trials=0, master_seed=0)
     with pytest.raises(ValidationError):
         run_trials(ExperimentSpec("nope", {}, ()), trials=10, master_seed=0)
+    # the stop-check period is a positive multiple of BLOCK
+    for block in (0, -BLOCK, 1000, BLOCK + 1, 3 * BLOCK // 2):
+        with pytest.raises(ValidationError, match="multiple of"):
+            run_trials(SYNTH, trials=None, master_seed=0, target_ci=0.01, block=block)
+    # the worker cap is checked before any pool starts
+    for workers in (0, MAX_WORKERS + 1):
+        with pytest.raises(ValidationError, match="workers"):
+            run_trials(SYNTH, trials=2 * BLOCK, master_seed=0, workers=workers)
+
+
+_PARENT_PID = os.getpid()
+
+
+def _exit_in_worker(params, rng, count):
+    if os.getpid() != _PARENT_PID:
+        os._exit(3)
+    return {"hit": 0}
+
+
+register_experiment("exit-in-worker", _exit_in_worker)
+
+
+def test_run_trials_broken_pool_raises_package_error():
+    spec = ExperimentSpec("exit-in-worker", {}, ("hit",))
+    with pytest.raises(TwinrelayError, match="worker process died") as info:
+        run_trials(spec, trials=2 * BLOCK, master_seed=0, workers=2)
+    assert not isinstance(info.value, ValidationError)
 
 
 def test_run_trials_target_ci_rejections_run_no_trial():
     calls = []
-    register_experiment("counted", lambda params, rng: calls.append(1) or {"hit": 0})
+    register_experiment("counted", lambda params, rng, count: calls.append(1) or {"hit": 0})
     with pytest.raises(ValidationError, match="not both"):
         run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=10, master_seed=0,
                    target_ci=0.01)

@@ -289,6 +289,44 @@ def test_descriptor_roundtrip():
     assert clone.coarse.gamma == pytest.approx(pair.coarse.gamma, rel=1e-15)
 
 
+def test_rank_deficient_generator_rejected():
+    # repeated rows over GF(2), and a non-unit generator over Z_4 (2*u repeats)
+    for q, gen in ((2, [[1, 0, 1], [1, 0, 1]]), (4, [[2]]), (4, [[1, 2], [1, 2]])):
+        with pytest.raises(ValidationError, match="distinct codewords"):
+            NestedLatticePair(coarse=CoarseLattice(n=len(gen[0]), q=q, gamma=1.0),
+                              generator_matrix=gen)
+
+
+@pytest.mark.parametrize("n,q,k", [(2, 4, 2), (3, 5, 3), (8, 4, 4), (3, 5, 2)])
+def test_quantize_rows_match_single_rows(n, q, k):
+    # full codes (k = n) and the chunked scan; with n=8, q=4, k=4 (256
+    # codewords) the 300 rows span seven scan chunks
+    pair = make_pair(n=n, q=q, k=k, power=1.0)
+    x = generator(17).normal(0.0, 2.0, size=(2, 150, n))
+    batch = quantize_fine(x, pair)
+    assert batch.shape == (2, 150)
+    for idx in np.ndindex(2, 150):
+        single = quantize_fine(x[idx], pair)
+        assert isinstance(single, int) and batch[idx] == single
+        assert single == int(np.argmin(wrapped_sq_distances(x[idx], pair)))
+
+
+def test_index_arithmetic_on_arrays():
+    pair = make_pair(n=3, q=5, k=2, power=1.0)
+    a, b = np.meshgrid(np.arange(pair.size), np.arange(pair.size), indexing="ij")
+    assert pair.digits(a).shape == (pair.size, pair.size, 2)
+    assert np.array_equal(pair.index_of_digits(pair.digits(a)), a)
+    sums, diffs = modulo_sum(a, b, pair), modulo_diff(a, b, pair)
+    coords = encode_message(a, pair)
+    assert coords.shape == (pair.size, pair.size, 3)
+    for i, j in np.ndindex(a.shape):
+        assert sums[i, j] == modulo_sum(i, j, pair)
+        assert diffs[i, j] == modulo_diff(i, j, pair)
+        assert np.array_equal(coords[i, j], encode_message(i, pair))
+    with pytest.raises(ValidationError):
+        encode_message(np.array([0, pair.size]), pair)
+
+
 def test_systematic_generator_rank():
     for q in (2, 4, 5, 16):
         G = systematic_generator(6, 3, q)

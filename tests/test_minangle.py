@@ -9,6 +9,9 @@ import oracles
 from twinrelay.errors import DirectionCollisionError, ValidationError
 from twinrelay.minangle import (
     BallCodebook,
+    _decoder_instance,
+    draw_minangle,
+    minangle_rows,
     ShellSpec,
     SumCodebook,
     ball_sample,
@@ -218,3 +221,28 @@ def test_translation_average_point_count():
     counts = np.asarray(counts, dtype=float)
     sem = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - want) < 4 * sem
+
+
+def test_minangle_rows_replay_scalar_decode():
+    # each row of the block kernel is the per-decode reference on the same
+    # draws: a scalar angle decode among on-shell sums and a nearest-sum ML
+    # decode over every distinct sum, both computed here row by row
+    params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": 0.3, "delta": 1.5}
+    _, _, sums, shell_pts, shell_row = _decoder_instance(3, 1.0, 2.0, 1.5, None, None)
+    draws = draw_minangle(generator(14), 500, params)
+    rows = minangle_rows(draws, params)
+    norms = np.linalg.norm(shell_pts, axis=1)
+    for r in range(500):
+        y = draws.y[r]
+        true = int(sums.pair_to_sum[draws.i[r], draws.j[r]])
+        decoded = int(np.argmax(shell_pts @ y / norms))
+        assert min_angle_decode(y, shell_pts) == decoded
+        ml = int(np.argmin(((sums.sum_points - y) ** 2).sum(axis=1)))
+        on = bool(sums.on_shell[true])
+        wrong = on and decoded != shell_row[true]
+        assert rows["off_shell"][r] == (not on)
+        assert rows["angle_error"][r] == ((not on) or wrong)
+        assert rows["angle_error_on_shell"][r] == wrong
+        assert rows["ml_error"][r] == (ml != true)
+    for key in ("angle_error_on_shell", "off_shell", "ml_error"):
+        assert 0 < np.count_nonzero(rows[key]) < 500, key

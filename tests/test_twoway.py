@@ -20,11 +20,14 @@ from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
     BroadcastMode,
     ChannelParams,
+    _session_core,
+    draw_sessions,
     encode_node,
     recover_at_node,
     relay_decode_sum,
     run_session,
     session_batch_record,
+    session_rows,
     sigma2_eq_of_alpha,
 )
 
@@ -229,3 +232,72 @@ def test_session_batch_record_schema():
     rec = session_batch_record(report)
     assert set(rec) == {"seed", "snr_db", "n", "q", "k", "relay_errors", "end_errors", "trials"}
     assert rec["trials"] == 100
+
+
+EXT_HAMMING_8_4 = [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+                   [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]]
+
+
+def _golay_24_12():
+    """Extended Golay code: cyclic shifts of g(x) in length 23 plus a parity bit."""
+    poly = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    rows = []
+    for shift in range(12):
+        row = [0] * 23
+        row[shift:shift + 12] = poly
+        rows.append(row + [sum(row) % 2])
+    return rows
+
+
+class _ReplayNoise:
+    """Stands in for the noise stream of `_session_core`: hands out the
+    block's pre-drawn noise rows in call order (relay, then each downlink)."""
+
+    def __init__(self, *rows):
+        self._rows = iter(row for row in rows if row is not None)
+
+    def normal(self, loc, scale, size):
+        row = next(self._rows)
+        assert loc == 0.0 and row.shape == (size,)
+        return row
+
+
+REPLAY_CASES = {
+    # id: (pair arguments, snr_db, mode, rows, errors of both kinds expected)
+    "full-n1-q4-index": (dict(n=1, q=4, k=1), 14.0, "index", 400, True),
+    "full-n2-q4-index-over-capacity": (dict(n=2, q=4, k=2), 8.0, "index", 100, False),
+    "full-n2-q4-direct": (dict(n=2, q=4, k=2), 10.0, "direct", 400, True),
+    "hamming-8-4-index": (dict(n=8, q=2, k=4, generator_matrix=EXT_HAMMING_8_4), 3.0,
+                          "index", 400, True),
+    "hamming-8-4-direct": (dict(n=8, q=2, k=4, generator_matrix=EXT_HAMMING_8_4), 3.0,
+                           "direct", 400, True),
+    "golay-24-12-direct": (dict(n=24, q=2, k=12, generator_matrix=_golay_24_12()), 4.5,
+                           "direct", 60, True),
+    "noiseless-full-n1-q16-direct": (dict(n=1, q=16, k=1), None, "direct", 200, False),
+    "noiseless-n4-q16-direct": (dict(n=4, q=16, k=2), None, "direct", 200, False),
+    "noiseless-n4-q16-index": (dict(n=4, q=16, k=2), None, "index", 200, False),
+}
+
+
+@pytest.mark.parametrize("pair_args,snr_db,mode,count,noisy", REPLAY_CASES.values(),
+                         ids=REPLAY_CASES.keys())
+def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, noisy):
+    # each row of the block kernel is `_session_core` on the same draws
+    pair = make_pair(power=1.0, **pair_args)
+    ch = ChannelParams.from_snr_db(snr_db)
+    mode = BroadcastMode(mode)
+    draws = draw_sessions(generator(41, count), count, ch, pair, mode)
+    rows = session_rows(draws, ch, pair, mode)
+    for i in range(count):
+        tr = _session_core(
+            int(draws.u_a[i]), int(draws.u_b[i]), ch, pair, mode, draws.d1[i], draws.d2[i],
+            _ReplayNoise(*(z if z is None else z[i]
+                           for z in (draws.z_relay, draws.z_a, draws.z_b))))
+        assert rows["relay_error"][i] == tr.relay_error, f"row {i}"
+        assert rows["end_error"][i] == tr.error, f"row {i}"
+        assert rows["union_error"][i] == (tr.relay_error or tr.error), f"row {i}"
+    if noisy:
+        assert 0 < np.count_nonzero(rows["relay_error"]) < count
+        assert 0 < np.count_nonzero(rows["end_error"]) < count
+    if snr_db is None:
+        assert not rows["relay_error"].any() and not rows["end_error"].any()
