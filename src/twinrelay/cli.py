@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -25,7 +26,7 @@ from . import __version__, harness, minangle, multihop, rates
 from .bsc import BSC_ERROR_KEYS
 from .errors import TwinrelayError, ValidationError
 from .minangle import MINANGLE_ERROR_KEYS
-from .twoway import LATTICE_ERROR_KEYS, pair_from_params
+from .twoway import LATTICE_ERROR_KEYS, ChannelParams, pair_from_params
 
 DEFAULT_POWER = 1.0
 
@@ -98,38 +99,13 @@ def cmd_rates(args: argparse.Namespace) -> int:
 # sim
 # ---------------------------------------------------------------------------
 
-def _sim_spec(args: argparse.Namespace) -> harness.ExperimentSpec:
-    if args.scheme == "lattice":
-        params = {"n": args.n, "q": args.q, "k": args.k, "snr_db": args.snr_db,
-                  "power": DEFAULT_POWER, "mode": args.broadcast}
-        pair_from_params(params)  # validate codebook parameters up front
-        return harness.ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS)
-    if args.scheme == "bsc":
-        if args.p is None:
-            raise ValidationError("bsc scheme needs --p")
-        return harness.ExperimentSpec(
-            "bsc", {"p": args.p, "code": args.code}, BSC_ERROR_KEYS)
-    if args.scheme == "anc-power":
-        if args.snr_db is None:
-            raise ValidationError("anc-power scheme needs --snr-db")
-        sigma2 = DEFAULT_POWER / 10.0 ** (args.snr_db / 10.0)
-        return harness.ExperimentSpec(
-            "anc-power", {"n": args.n, "power": DEFAULT_POWER, "sigma2": sigma2}, ())
-    if args.scheme == "minangle":
-        if args.snr_db is None:
-            raise ValidationError("minangle scheme needs --snr-db")
-        sigma2 = args.power / 10.0 ** (args.snr_db / 10.0)
-        delta = args.delta if args.delta is not None else 0.1 * args.power
-        return harness.ExperimentSpec(
-            "minangle",
-            {"n": args.dim, "gamma": args.gamma, "power": args.power,
-             "sigma2": sigma2, "delta": delta},
-            MINANGLE_ERROR_KEYS)
-    raise ValidationError(f"unknown scheme {args.scheme!r}")
+def _minangle_codebook(params: dict) -> dict:
+    sums = minangle._instance_from_params(params)[1]
+    return {"M1": sums.m1, "M2": sums.m2, "Msum_on_shell": int(sums.on_shell.sum())}
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    spec = _sim_spec(args)
+    spec = harness.ExperimentSpec(args.scheme, args.params(args), args.error_keys)
     config = {"subcommand": "sim", "scheme": args.scheme, "params": dict(spec.params),
               "trials": args.trials, "target_ci": args.target_ci,
               "max_trials": args.max_trials, "out": args.out}
@@ -138,22 +114,17 @@ def cmd_sim(args: argparse.Namespace) -> int:
         target_ci=args.target_ci, max_trials=args.max_trials,
     )
     payload = {**_provenance(config, seed=args.seed), "report": report.to_dict()}
-    if args.scheme == "minangle":
-        sums = minangle._decoder_instance(
-            args.dim, args.gamma, args.power, spec.params["delta"], None, None)[2]
-        payload["codebook"] = {
-            "M1": sums.m1, "M2": sums.m2,
-            "Msum_on_shell": int(sums.on_shell.sum()),
-        }
-    _write_json(args.out, payload)
+    if args.codebook is not None:
+        payload["codebook"] = args.codebook(spec.params)
     if spec.error_keys:
         lo, hi = report.interval(spec.error_keys[0])
-        print(f"{args.scheme}: {spec.error_keys[0]}={report.estimate:.6g} "
-              f"ci95=[{lo:.6g},{hi:.6g}] trials={report.trials}")
+        summary = (f"{spec.error_keys[0]}={report.estimate:.6g} "
+                   f"ci95=[{lo:.6g},{hi:.6g}] trials={report.trials}")
     else:
         key = next(iter(sorted(report.counts)))
-        print(f"{args.scheme}: mean {key}={report.counts[key] / report.trials:.6g} "
-              f"trials={report.trials}")
+        summary = f"mean {key}={report.counts[key] / report.trials:.6g} trials={report.trials}"
+    _write_json(args.out, payload)
+    print(f"{args.scheme}: {summary}")
     print(f"wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
     print(f"wrote report to {args.out}")
     return 0
@@ -181,11 +152,7 @@ def cmd_multihop(args: argparse.Namespace) -> int:
     else:
         pair = pair_from_params({"n": args.n, "q": args.q, "k": args.k,
                                  "power": DEFAULT_POWER})
-        sigma2 = 0.0
-        if args.mode == "numeric-awgn":
-            if args.snr_db is None:
-                raise ValidationError("numeric-awgn needs --snr-db")
-            sigma2 = DEFAULT_POWER / 10.0 ** (args.snr_db / 10.0)
+        sigma2 = ChannelParams.from_snr_db(args.snr_db, DEFAULT_POWER).sigma2
         result = multihop.run_multihop(schedule, args.mode, pair=pair,
                                        sigma2=sigma2, seed=args.seed)
     payload["result"] = result.to_dict()
@@ -212,7 +179,10 @@ def _load_table1() -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_concentration(args: argparse.Namespace) -> int:
-    dims = [int(v) for v in args.n_list.split(",") if v.strip()]
+    try:
+        dims = [int(v) for v in args.n_list.split(",") if v.strip()]
+    except ValueError:
+        dims = []
     if not dims or any(d < 1 for d in dims):
         raise ValidationError(f"bad dimension list {args.n_list!r}")
     delta = args.delta if args.delta is not None else 0.1 * args.power
@@ -246,6 +216,32 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
+                   params) -> argparse.ArgumentParser:
+    """A `sim` scheme's parser with the run flags every scheme shares; the
+    caller adds the scheme's own flags, which `params(args)` reads."""
+    p = schemes.add_parser(name, allow_abbrev=False)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--target-ci", type=_finite_float, default=None,
+                   help="stop when the primary 95%% half-width drops below this")
+    p.add_argument("--max-trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--out", required=True)
+    p.set_defaults(params=params, error_keys=error_keys, codebook=None)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinrelay",
@@ -255,34 +251,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rates", help="emit the closed-form rate curves")
-    p.add_argument("--snr-min", type=float, default=-10.0)
-    p.add_argument("--snr-max", type=float, default=30.0)
-    p.add_argument("--step", type=float, default=1.0)
+    p.add_argument("--snr-min", type=_finite_float, default=-10.0)
+    p.add_argument("--snr-max", type=_finite_float, default=30.0)
+    p.add_argument("--step", type=_finite_float, default=1.0)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("sim", help="run a Monte Carlo experiment")
-    p.add_argument("scheme", choices=("lattice", "bsc", "anc-power", "minangle"))
-    p.add_argument("--n", type=int, default=1, help="block dimension (lattice/anc-power)")
+    p.set_defaults(func=cmd_sim)
+    schemes = p.add_subparsers(dest="scheme", required=True)
+
+    p = _scheme_parser(schemes, "lattice", LATTICE_ERROR_KEYS, lambda a: {
+        "n": a.n, "q": a.q, "k": a.k, "snr_db": a.snr_db, "power": DEFAULT_POWER,
+        "mode": a.broadcast})
+    p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--snr-db", type=float, default=None)
+    p.add_argument("--snr-db", type=_finite_float, default=None, help="default noiseless")
     p.add_argument("--broadcast", choices=("index", "direct"), default="index")
-    p.add_argument("--p", type=float, default=None, help="BSC crossover probability")
-    p.add_argument("--code", default="hamming74")
-    p.add_argument("--dim", type=int, default=3, help="minangle dimension")
-    p.add_argument("--power", type=float, default=2.0, help="minangle ball power")
-    p.add_argument("--gamma", type=float, default=1.0, help="minangle lattice cell")
-    p.add_argument("--delta", type=float, default=None, help="minangle shell half-width")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--target-ci", type=float, default=None,
-                   help="stop when the primary 95%% half-width drops below this")
-    p.add_argument("--max-trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sim)
+
+    p = _scheme_parser(schemes, "bsc", BSC_ERROR_KEYS, lambda a: {"p": a.p, "code": a.code})
+    p.add_argument("--p", type=_finite_float, required=True,
+                   help="BSC crossover probability")
+    p.add_argument("--code", choices=("hamming74",), default="hamming74")
+
+    p = _scheme_parser(schemes, "minangle", MINANGLE_ERROR_KEYS, lambda a: {
+        "n": a.dim, "gamma": a.gamma, "power": a.power,
+        "sigma2": ChannelParams.from_snr_db(a.snr_db, a.power).sigma2,
+        "delta": a.delta if a.delta is not None else 0.1 * a.power})
+    p.set_defaults(codebook=_minangle_codebook)
+    p.add_argument("--dim", type=int, default=3, help="dimension")
+    p.add_argument("--power", type=_finite_float, default=2.0, help="ball power")
+    p.add_argument("--gamma", type=_finite_float, default=1.0, help="lattice cell")
+    p.add_argument("--delta", type=_finite_float, default=None,
+                   help="shell half-width, default 0.1 * power")
+    p.add_argument("--snr-db", type=_finite_float, required=True)
+
+    p = _scheme_parser(schemes, "anc-power", (), lambda a: {
+        "n": a.n, "power": DEFAULT_POWER,
+        "sigma2": ChannelParams.from_snr_db(a.snr_db, DEFAULT_POWER).sigma2})
+    p.add_argument("--n", type=int, default=1, help="block dimension")
+    p.add_argument("--snr-db", type=_finite_float, required=True)
 
     p = sub.add_parser("multihop", help="schedule and run the relay chain")
     p.add_argument("--relays", type=int, required=True)
@@ -292,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--snr-db", type=float, default=None)
+    p.add_argument("--snr-db", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_multihop)
 
     p = sub.add_parser("concentration", help="off-shell fraction of ball-pair sums")
     p.add_argument("--n-list", default="8,16,32,64")
-    p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=None, help="default 0.1 * power")
+    p.add_argument("--power", type=_finite_float, default=1.0)
+    p.add_argument("--delta", type=_finite_float, default=None, help="default 0.1 * power")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=_default_workers())
@@ -318,15 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (TwinrelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwinrelayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -236,6 +236,10 @@ def run_trials(
             f"target_ci needs an error key; experiment {spec.name!r} has none")
     if trials is not None and trials <= 0:
         raise ValidationError("trials must be positive")
+    if trials is not None and max_trials is not None:
+        raise ValidationError("max_trials caps a target_ci run; give it without trials")
+    if max_trials is not None and max_trials < 1:
+        raise ValidationError(f"max_trials must be positive, got {max_trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValidationError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     if block < BLOCK or block % BLOCK:
@@ -314,6 +318,8 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
     the power renormalization contract E||x_R||^2/n = P.
     """
     n = int(params.get("n", 16))
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got {n}")
     power = float(params.get("power", 1.0))
     sigma2 = float(params["sigma2"])
     sigma = math.sqrt(power)

@@ -214,11 +214,6 @@ class NestedLatticePair:
         """Coding rate (k/n) log2 q in bits per dimension."""
         return self.k / self.n * math.log2(self.q)
 
-    @property
-    def nesting_ratio(self) -> int:
-        """Fine points per coarse cell, V(coarse)/V(fine) = q^k."""
-        return self.size
-
     def index_of_units(self, units: Sequence[int]) -> int:
         return self._index_of[tuple(int(u) for u in units)]
 

@@ -82,6 +82,8 @@ class BallCodebook:
     def __post_init__(self) -> None:
         s = np.asarray(self.translation, dtype=float)
         n = s.shape[0]
+        if n < 1:
+            raise ValidationError(f"dimension must be >= 1, got {n}")
         if self.gamma <= 0 or self.power <= 0:
             raise ValidationError("gamma and power must be positive")
         self.translation = s
@@ -181,7 +183,7 @@ def project_to_shell(x: np.ndarray, spec: ShellSpec) -> np.ndarray:
     return (spec.r_inner / norm) * x
 
 
-def min_angle_decode(y: np.ndarray, points: np.ndarray, spec: ShellSpec | None = None):
+def min_angle_decode(y: np.ndarray, points: np.ndarray):
     """Index of the candidate at minimum angle to each row of y (..., n); ties
     to the lowest index.  A single row (shape (n,)) returns an int.
 
@@ -313,14 +315,12 @@ def concentration_exact(cb1: BallCodebook, cb2: BallCodebook, delta: float) -> f
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _decoder_instance(n: int, gamma: float, power: float, delta: float,
-                      s1: tuple | None, s2: tuple | None):
-    t1 = np.full(n, gamma / 2.0) if s1 is None else np.asarray(s1, dtype=float)
-    t2 = np.full(n, gamma / 2.0) if s2 is None else np.asarray(s2, dtype=float)
-    cb1 = BallCodebook(gamma=gamma, translation=t1, power=power)
-    cb2 = BallCodebook(gamma=gamma, translation=t2, power=power)
+def _decoder_instance(n: int, gamma: float, power: float, delta: float):
+    """Both nodes' half-cell codebook, its pair sums, the on-shell sum points,
+    and each sum's row among them (-1 off the shell)."""
     shell = ShellSpec(n=n, power=power, delta=delta)
-    sums = SumCodebook.from_codebooks(cb1, cb2, shell)
+    cb = half_cell_codebook(n, gamma, power)
+    sums = SumCodebook.from_codebooks(cb, cb, shell)
     shell_pts = sums.shell_points()
     if shell_pts.shape[0] == 0:
         raise ValidationError("no sum points on the shell; widen delta")
@@ -328,18 +328,12 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float,
         check_distinct_directions(shell_pts)
     shell_row_of_sum = np.full(sums.sum_units.shape[0], -1, dtype=np.int64)
     shell_row_of_sum[sums.on_shell] = np.arange(int(sums.on_shell.sum()))
-    return cb1, cb2, sums, shell_pts, shell_row_of_sum
+    return cb, sums, shell_pts, shell_row_of_sum
 
 
 def _instance_from_params(params: Mapping):
-    s1 = params.get("s1")
-    s2 = params.get("s2")
-    return _decoder_instance(
-        int(params["n"]), float(params.get("gamma", 1.0)), float(params["power"]),
-        float(params["delta"]),
-        tuple(s1) if s1 is not None else None,
-        tuple(s2) if s2 is not None else None,
-    )
+    return _decoder_instance(int(params["n"]), float(params.get("gamma", 1.0)),
+                             float(params["power"]), float(params["delta"]))
 
 
 @dataclass(eq=False)
@@ -354,10 +348,10 @@ class MinAngleDraws:
 
 def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
     """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
-    cb1, cb2, _, _, _ = _instance_from_params(params)
-    i = rng.integers(cb1.size, size=count)
-    j = rng.integers(cb2.size, size=count)
-    y = cb1.points[i] + cb2.points[j]
+    cb = _instance_from_params(params)[0]
+    i = rng.integers(cb.size, size=count)
+    j = rng.integers(cb.size, size=count)
+    y = cb.points[i] + cb.points[j]
     sigma2 = float(params["sigma2"])
     if sigma2 > 0:
         y = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
@@ -371,7 +365,7 @@ def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray
     on-shell-conditioned error, the off-shell flag, and an unrestricted
     nearest-sum ML reference decoded over every distinct sum.
     """
-    _, _, sums, shell_pts, shell_row = _instance_from_params(params)
+    _, sums, shell_pts, shell_row = _instance_from_params(params)
     true_sum_row = sums.pair_to_sum[draws.i, draws.j]
     ml_error = nearest_sum(draws.y, sums.sum_points) != true_sum_row
     on_shell = sums.on_shell[true_sum_row]
@@ -439,7 +433,7 @@ def min_angle_error_rate(
     if delta is None:
         delta = 0.1 * power
     params = {"n": n, "gamma": gamma, "power": power, "sigma2": sigma2, "delta": delta}
-    _, _, sums, _, _ = _decoder_instance(n, gamma, power, delta, None, None)
+    sums = _decoder_instance(n, gamma, power, delta)[1]
     spec = harness.ExperimentSpec(name="minangle", params=params,
                                   error_keys=MINANGLE_ERROR_KEYS)
     report = harness.run_trials(spec, trials=trials, master_seed=seed, workers=workers)

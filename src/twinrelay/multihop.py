@@ -270,14 +270,6 @@ class MultihopResult:
     end_errors: int = 0
     recovered: list[tuple[int, str, Packet, bool]] = field(default_factory=list)
 
-    @property
-    def hop_error_rate(self) -> float:
-        return self.hop_errors / self.hop_decodes if self.hop_decodes else 0.0
-
-    @property
-    def end_error_rate(self) -> float:
-        return self.end_errors / self.end_decodes if self.end_decodes else 0.0
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -331,7 +323,7 @@ def run_multihop(
     if mode == "numeric-noiseless":
         sigma2 = 0.0
     elif sigma2 <= 0:
-        raise ValidationError("numeric-awgn needs sigma2 > 0")
+        raise ValidationError("numeric-awgn needs sigma2 > 0, a finite SNR")
 
     power = pair.coarse.second_moment
     pkt_rng = generator(seed, TAG_PACKET)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import GuardExceededError, ValidationError
 
 LN2 = math.log(2.0)
+GRID_GUARD = 100_000        # max points on a rate-curve grid
 
 
 def _check_snr(snr: float) -> float:
@@ -128,6 +129,9 @@ class GridSpec:
             raise ValidationError(f"grid step must be positive, got {self.step_db}")
         if self.snr_db_max < self.snr_db_min:
             raise ValidationError("grid max below min")
+        # Compared as a float, so a span too wide to count is refused too.
+        if (self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9 >= GRID_GUARD:
+            raise GuardExceededError(f"grid has more than {GRID_GUARD} points")
 
     def points(self) -> list[float]:
         count = int(math.floor((self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9)) + 1

@@ -62,7 +62,11 @@ class ChannelParams:
         """snr_db=None means noiseless."""
         if snr_db is None:
             return cls(power=power, sigma2=0.0)
-        return cls(power=power, sigma2=power / 10.0 ** (snr_db / 10.0))
+        try:
+            sigma2 = power / 10.0 ** (snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(f"snr_db {snr_db} is outside the float range") from None
+        return cls(power=power, sigma2=sigma2)
 
     @property
     def snr(self) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from twinrelay import harness
 from twinrelay.cli import main
@@ -248,3 +249,101 @@ def test_sim_broken_pool_exit_1_no_file(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert stderr.startswith("error:") and "Traceback" not in stderr
     assert not out.exists()
+
+
+def _assert_exit_2_no_file(tmp_path, code, stderr):
+    assert code == 2
+    assert "error:" in stderr and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "--snr-db", "10", "--power", "5"],
+    ["lattice", "--snr-db", "10", "--p", "0.3"],
+    ["lattice", "--snr-db", "10", "--dim", "9"],
+    ["bsc", "--p", "0.01", "--n", "15", "--k", "11"],
+    ["bsc", "--p", "0.01", "--snr-db", "10"],
+    ["minangle", "--snr-db", "10", "--n", "4"],
+    ["minangle", "--snr-db", "10", "--p", "0.3"],
+    ["minangle", "--snr-db", "10", "--broadcast", "direct"],
+    ["anc-power", "--snr-db", "10", "--q", "8"],
+    ["anc-power", "--snr-db", "10", "--power", "2"],
+])
+def test_sim_flag_of_another_scheme_exit_2_no_file(tmp_path, capsys, argv):
+    code, _, stderr = run_cli(capsys, "sim", *argv, "--trials", "100",
+                              "--out", str(tmp_path / "x.json"))
+    _assert_exit_2_no_file(tmp_path, code, stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bsc", "--p", "0.01", "--code", "random", "--trials", "100"],
+    ["minangle", "--trials", "100"],
+    ["anc-power", "--n", "16", "--trials", "100"],
+])
+def test_sim_required_flag_or_code_choice_exit_2_no_file(tmp_path, capsys, argv):
+    code, _, stderr = run_cli(capsys, "sim", *argv, "--out", str(tmp_path / "x.json"))
+    _assert_exit_2_no_file(tmp_path, code, stderr)
+
+
+@pytest.mark.parametrize("run", [
+    ["--target-ci", "0.01", "--max-trials", "0"],
+    ["--target-ci", "0.01", "--max-trials", "-5"],
+    ["--trials", "100", "--max-trials", "1000"],
+])
+def test_sim_max_trials_misuse_exit_2_no_file(tmp_path, capsys, run):
+    code, _, stderr = run_cli(capsys, "sim", "lattice", "--snr-db", "10", *run,
+                              "--out", str(tmp_path / "l.json"))
+    _assert_exit_2_no_file(tmp_path, code, stderr)
+    assert "max_trials" in stderr
+
+
+_FLOAT_FLAGS = [
+    (["rates"], "--snr-min"),
+    (["rates"], "--snr-max"),
+    (["rates"], "--step"),
+    (["sim", "lattice", "--trials", "100"], "--snr-db"),
+    (["sim", "lattice", "--snr-db", "10"], "--target-ci"),
+    (["sim", "bsc", "--trials", "100"], "--p"),
+    (["sim", "minangle", "--trials", "100"], "--snr-db"),
+    (["sim", "minangle", "--snr-db", "10", "--trials", "100"], "--power"),
+    (["sim", "minangle", "--snr-db", "10", "--trials", "100"], "--gamma"),
+    (["sim", "minangle", "--snr-db", "10", "--trials", "100"], "--delta"),
+    (["sim", "anc-power", "--trials", "100"], "--snr-db"),
+    (["multihop", "--relays", "2", "--packets", "4", "--mode", "numeric-awgn"], "--snr-db"),
+    (["concentration", "--samples", "1000"], "--power"),
+    (["concentration", "--samples", "1000"], "--delta"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,flag", _FLOAT_FLAGS)
+def test_non_finite_float_flag_exit_2_no_file(tmp_path, capsys, argv, flag, value):
+    code, _, stderr = run_cli(capsys, *argv, f"{flag}={value}",
+                              "--out", str(tmp_path / "x.out"))
+    _assert_exit_2_no_file(tmp_path, code, stderr)
+    assert "not a finite number" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "anc-power", "--snr-db", "10", "--n", "0", "--trials", "100"],
+    ["sim", "anc-power", "--snr-db", "10", "--n", "-1", "--trials", "100"],
+    ["sim", "minangle", "--snr-db", "10", "--dim", "0", "--trials", "100"],
+    ["sim", "minangle", "--snr-db", "10", "--dim", "-1", "--trials", "100"],
+    ["sim", "lattice", "--snr-db", "4000", "--trials", "100"],
+    ["sim", "minangle", "--snr-db=-4000", "--trials", "100"],
+    ["concentration", "--n-list", "x"],
+    ["concentration", "--n-list", "8,1.5"],
+])
+def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code == 2
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rates_grid_guard_exit_1_no_file(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "rates", "--snr-min", "0", "--snr-max", "1e6",
+                              "--step", "1e-4", "--out", str(tmp_path / "rates.csv"))
+    assert code == 1
+    assert stderr.startswith("error:") and "grid" in stderr
+    assert list(tmp_path.iterdir()) == []

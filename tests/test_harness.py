@@ -12,6 +12,7 @@ from twinrelay.harness import (
     BLOCK,
     MAX_WORKERS,
     ExperimentSpec,
+    anc_power_kernel,
     anc_relay,
     canonical_dumps,
     register_experiment,
@@ -79,6 +80,9 @@ def test_anc_power_contract():
     report = run_trials(spec, trials=20_000, master_seed=11)
     mean_power = report.counts["relay_energy_per_dim"] / report.trials
     assert abs(mean_power - 1.0) < 0.01
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="dimension"):
+            anc_power_kernel({"n": n, "power": 1.0, "sigma2": 0.5}, generator(0), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,13 @@ def test_run_trials_target_ci_rejections_run_no_trial():
     with pytest.raises(ValidationError, match="error key"):
         run_trials(ExperimentSpec("counted", {}, ()), trials=None, master_seed=0,
                    target_ci=0.01)
+    for max_trials in (0, -1):
+        with pytest.raises(ValidationError, match="max_trials must be positive"):
+            run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=None, master_seed=0,
+                       target_ci=0.01, max_trials=max_trials)
+    with pytest.raises(ValidationError, match="without trials"):
+        run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=10, master_seed=0,
+                   max_trials=100)
     assert calls == []
 
 

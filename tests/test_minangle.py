@@ -60,14 +60,13 @@ def test_projection_norm_and_idempotence():
 def test_decode_exact_match_and_scale_invariance():
     rng = np.random.default_rng(1)
     points = rng.normal(size=(40, 3))
-    spec = ShellSpec(n=3, power=2.0, delta=0.2)
     for i in (0, 7, 39):
-        assert min_angle_decode(points[i], points, spec) == i
-        assert min_angle_decode(3.7 * points[i], points, spec) == i
+        assert min_angle_decode(points[i], points) == i
+        assert min_angle_decode(3.7 * points[i], points) == i
     y = rng.normal(size=3)
-    base = min_angle_decode(y, points, spec)
+    base = min_angle_decode(y, points)
     for c in (1e-6, 0.5, 42.0):
-        assert min_angle_decode(c * y, points, spec) == base
+        assert min_angle_decode(c * y, points) == base
 
 
 def test_decode_matches_distance_ml_at_equal_norms():
@@ -83,7 +82,7 @@ def test_decode_matches_distance_ml_at_equal_norms():
     for _ in range(200):
         true = rng.integers(shell.shape[0])
         y = shell[true] + rng.normal(0, sigma, size=2)
-        angle_pick = min_angle_decode(y, shell, spec)
+        angle_pick = min_angle_decode(y, shell)
         d2 = np.einsum("ij,ij->i", projected - y, projected - y)
         assert angle_pick == int(np.argmin(d2))
 
@@ -102,6 +101,11 @@ def test_ball_codebook_enumeration_complete():
                 if p @ p <= radius2:
                     count += 1
     assert cb.size == count
+
+
+def test_ball_codebook_rejects_empty_dimension():
+    with pytest.raises(ValidationError, match="dimension"):
+        BallCodebook(gamma=1.0, translation=np.zeros(0), power=1.0)
 
 
 def test_pair_accounting():
@@ -228,7 +232,7 @@ def test_minangle_rows_replay_scalar_decode():
     # draws: a scalar angle decode among on-shell sums and a nearest-sum ML
     # decode over every distinct sum, both computed here row by row
     params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": 0.3, "delta": 1.5}
-    _, _, sums, shell_pts, shell_row = _decoder_instance(3, 1.0, 2.0, 1.5, None, None)
+    _, sums, shell_pts, shell_row = _decoder_instance(3, 1.0, 2.0, 1.5)
     draws = draw_minangle(generator(14), 500, params)
     rows = minangle_rows(draws, params)
     norms = np.linalg.norm(shell_pts, axis=1)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from twinrelay.errors import ValidationError
+from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.rates import (
     CSV_HEADER,
+    GRID_GUARD,
     GridSpec,
     crossover_window,
     curve_csv,
@@ -142,6 +143,11 @@ def test_grid_validation():
         GridSpec(0.0, 10.0, 0.0)
     with pytest.raises(ValidationError):
         GridSpec(10.0, 0.0, 1.0)
+    # the point-count guard refuses a grid before building any point
+    assert len(GridSpec(0.0, GRID_GUARD - 1.0, 1.0).points()) == GRID_GUARD
+    for lo, hi, step in ((0.0, GRID_GUARD, 1.0), (0.0, 1e6, 1e-4), (-1e308, 1e308, 1e-300)):
+        with pytest.raises(GuardExceededError):
+            GridSpec(lo, hi, step)
 
 
 def test_rate_point_ordering():

@@ -55,6 +55,9 @@ def test_channel_params_validation():
         ChannelParams(power=0.0, sigma2=1.0)
     with pytest.raises(ValidationError):
         ChannelParams(power=1.0, sigma2=-0.1)
+    for snr_db in (4000.0, -4000.0):  # 10**(snr_db/10) overflows or underflows
+        with pytest.raises(ValidationError, match="float range"):
+            ChannelParams.from_snr_db(snr_db)
 
 
 def test_mmse_grid_never_beats_alpha_opt():
