@@ -29,6 +29,7 @@ from .minangle import MINANGLE_ERROR_KEYS
 from .twoway import LATTICE_ERROR_KEYS, ChannelParams, pair_from_params
 
 DEFAULT_POWER = 1.0
+MULTIHOP_MODES = ("symbolic", "numeric-noiseless", "numeric-awgn")
 
 
 def _default_workers() -> int:
@@ -136,10 +137,11 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_multihop(args: argparse.Namespace) -> int:
     schedule = multihop.build_schedule(args.relays, args.packets)
-    config = {"subcommand": "multihop", "relays": args.relays, "packets": args.packets,
-              "mode": args.mode, "n": args.n, "q": args.q, "k": args.k,
-              "snr_db": args.snr_db, "out": args.out}
-    payload = {**_provenance(config, seed=args.seed),
+    # The mode's parser defines only the flags it reads, so the config is
+    # every parsed flag; the seed goes in the provenance.
+    config = {"subcommand": "multihop", **{key: value for key, value in vars(args).items()
+                                           if key not in ("command", "func", "seed")}}
+    payload = {**_provenance(config, seed=getattr(args, "seed", None)),
                "schedule": multihop.schedule_json(schedule)}
 
     if args.mode == "symbolic":
@@ -152,7 +154,7 @@ def cmd_multihop(args: argparse.Namespace) -> int:
     else:
         pair = pair_from_params({"n": args.n, "q": args.q, "k": args.k,
                                  "power": DEFAULT_POWER})
-        sigma2 = ChannelParams.from_snr_db(args.snr_db, DEFAULT_POWER).sigma2
+        sigma2 = ChannelParams.from_snr_db(getattr(args, "snr_db", None), DEFAULT_POWER).sigma2
         result = multihop.run_multihop(schedule, args.mode, pair=pair,
                                        sigma2=sigma2, seed=args.seed)
     payload["result"] = result.to_dict()
@@ -294,18 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--snr-db", type=_finite_float, required=True)
 
-    p = sub.add_parser("multihop", help="schedule and run the relay chain")
-    p.add_argument("--relays", type=int, required=True)
-    p.add_argument("--packets", type=int, required=True)
-    p.add_argument("--mode", choices=("symbolic", "numeric-noiseless", "numeric-awgn"),
-                   default="symbolic")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=int, default=8)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--snr-db", type=_finite_float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("multihop", help="schedule and run the relay chain",
+                       usage=f"%(prog)s --mode {{{','.join(MULTIHOP_MODES)}}} ...")
     p.set_defaults(func=cmd_multihop)
+    modes = p.add_subparsers(dest="mode", required=True, title="modes (--mode)")
+    for mode in MULTIHOP_MODES:
+        p = modes.add_parser(mode, prog=f"twinrelay multihop --mode {mode}",
+                             allow_abbrev=False)
+        p.add_argument("--relays", type=int, required=True)
+        p.add_argument("--packets", type=int, required=True)
+        p.add_argument("--out", required=True)
+        if mode == "symbolic":
+            continue
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--q", type=int, default=8)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+        if mode == "numeric-awgn":
+            p.add_argument("--snr-db", type=_finite_float, required=True)
 
     p = sub.add_parser("concentration", help="off-shell fraction of ball-pair sums")
     p.add_argument("--n-list", default="8,16,32,64")
@@ -320,10 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mode_first(argv: list[str]) -> list[str]:
+    """`multihop ... --mode M ...` as `multihop M ...` (default symbolic), since
+    argparse picks a mode's own parser by position."""
+    if not argv or argv[0] != "multihop":
+        return argv
+    rest, mode = argv[1:], MULTIHOP_MODES[0]
+    for i, tok in enumerate(rest):
+        if tok.startswith("--mode="):
+            mode = rest.pop(i).partition("=")[2]
+            break
+        if tok == "--mode" and i + 1 < len(rest):
+            mode = rest[i + 1]
+            del rest[i:i + 2]
+            break
+    else:
+        if "-h" in rest or "--help" in rest:  # the mode list, not one mode's flags
+            return argv
+    return ["multihop", mode, *rest]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_mode_first(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse validation failure -> exit code 2
         return int(exc.code) if exc.code is not None else 2
     try:

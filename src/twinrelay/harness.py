@@ -231,6 +231,8 @@ def run_trials(
         raise ValidationError("need trials or target_ci")
     if trials is not None and target_ci is not None:
         raise ValidationError("give either trials or target_ci, not both")
+    if target_ci is not None and not (math.isfinite(target_ci) and target_ci > 0):
+        raise ValidationError(f"target_ci must be a positive finite number, got {target_ci}")
     if target_ci is not None and not spec.error_keys:
         raise ValidationError(
             f"target_ci needs an error key; experiment {spec.name!r} has none")

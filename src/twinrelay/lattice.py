@@ -15,25 +15,35 @@ linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
 difference of two codewords are digit-wise mod-q sums and differences of
 their messages, exact with zero tolerance.  A parallel exact-rational
 path (`mod_units_exact`) covers non-integer vectors via Fractions.
+`quantize_fine` scores rows against the whole codebook as one float32
+product of a separable cost table with a one-hot codebook matrix, exact
+against the `wrapped_sq_distances` argmin (see `_nearest`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError, ValidationError
 from .rng import generator
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
-# Elements of one exhaustive-scan array: the distances from one row to the
-# 4,096 points of the Golay [24,12] codebook, so batching keeps memory flat.
+# Max entries n*q*size of the one-hot codebook matrix (256 MB of float32).
+ONE_HOT_GUARD = 1 << 26
+# Elements of one scan array: the distances from 24 rows to the 4,096
+# points of the Golay [24,12] codebook, so batching keeps memory flat.
 SCAN_WORKSET = 4096 * 24
+_EPS32 = float(np.finfo(np.float32).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +123,8 @@ def mod_units_exact(values: Iterable, q: int) -> tuple[Fraction, ...]:
     Accepts ints or Fractions (coordinates measured in units of gamma);
     returns Fractions.  Mirrors `mod_coarse` without any floating point.
     """
+    from fractions import Fraction  # only the exact-algebra checks need it
+
     out = []
     half = Fraction(1, 2)
     for v in values:
@@ -149,12 +161,15 @@ def _enumerate_messages(q: int, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class NestedLatticePair:
-    """Coarse shaping lattice plus a mod-q linear code defining the fine lattice."""
+    """Coarse shaping lattice plus a mod-q linear code defining the fine lattice.
+
+    The codebook is stored once, as read-only int32 `codebook_units` (one
+    row per message index, in units of gamma); coordinates are derived.
+    """
 
     coarse: CoarseLattice
     generator_matrix: np.ndarray
     codebook_units: np.ndarray = field(init=False, repr=False)
-    codebook_coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         G = np.asarray(self.generator_matrix, dtype=np.int64) % self.coarse.q
@@ -168,8 +183,8 @@ class NestedLatticePair:
             raise GuardExceededError(
                 f"codebook size {q}^{k} exceeds enumeration guard {ENUMERATION_GUARD}"
             )
-        msgs = _enumerate_messages(q, k)
-        codewords = msgs @ G % q
+        codewords = _enumerate_messages(q, k) @ G
+        codewords %= q
         # u -> u*G is linear, so its codewords are distinct iff only the zero
         # message maps to the zero codeword.
         if np.count_nonzero(~codewords.any(axis=1)) != 1:
@@ -177,9 +192,6 @@ class NestedLatticePair:
                 "generator does not produce q^k distinct codewords; "
                 "use a systematic (full-rank) generator"
             )
-        self.codebook_units = centered_units(codewords, q)
-        self.codebook_coords = self.coarse.gamma * self.codebook_units.astype(float)
-        self.codebook_coords.flags.writeable = False
         self._place = q ** np.arange(k, dtype=np.int64)
         # Full code <=> fine lattice is gamma*Z^n; quantization then separates
         # per coordinate: the residues of the rounded coordinates, read as a
@@ -188,10 +200,40 @@ class NestedLatticePair:
         if self._is_full_code:
             self._lookup = np.empty(q ** k, dtype=np.int64)
             self._lookup[codewords @ self._place] = np.arange(q ** k)
+        # `centered_units` in place, so a large codebook leaves no transient
+        # arrays resident in the heap.
+        codewords += q // 2
+        codewords %= q
+        codewords -= q // 2
+        self.codebook_units = codewords.astype(np.int32)
+        self.codebook_units.flags.writeable = False
 
     @cached_property
     def _index_of(self) -> dict[tuple[int, ...], int]:
         return {tuple(int(c) for c in row): i for i, row in enumerate(self.codebook_units)}
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """gamma * v for the residues 0..q-1, v their centered units."""
+        return self.coarse.gamma * centered_units(np.arange(self.q), self.q).astype(float)
+
+    @cached_property
+    def _one_hot(self) -> np.ndarray:
+        """float32 (n*q, size): row i*q + r is 1 where codeword coordinate i is r mod q."""
+        n, q, size = self.n, self.q, self.size
+        if n * q * size > ONE_HOT_GUARD:
+            raise GuardExceededError(
+                f"one-hot codebook of {n}*{q}*{size} entries exceeds {ONE_HOT_GUARD}")
+        one_hot = np.zeros((n * q, size), dtype=np.float32)
+        cols = np.arange(size)
+        for i in range(n):  # one coordinate at a time: no (n, size) transients
+            one_hot[i * q + self.codebook_units[:, i] % q, cols] = 1.0
+        return one_hot
+
+    @property
+    def codebook_coords(self) -> np.ndarray:
+        """Read-only (size, n) coordinates gamma * units of every codebook point."""
+        return _coords(self, slice(None))
 
     @property
     def n(self) -> int:
@@ -292,12 +334,38 @@ def scan_rows(rows: int, width: int) -> Iterator[slice]:
         yield slice(start, start + step)
 
 
+def _coords(pair: NestedLatticePair, index) -> np.ndarray:
+    """Read-only coordinates gamma * units of the codebook rows at `index`."""
+    coords = pair.coarse.gamma * pair.codebook_units[index]
+    coords.flags.writeable = False
+    return coords
+
+
 def encode_message(index, pair: NestedLatticePair) -> np.ndarray:
-    """Coordinates of the codebook points of message indices (read-only for one index)."""
+    """Read-only coordinates of the codebook points of message indices."""
     idx = np.asarray(index)
     if idx.size and (idx.min() < 0 or idx.max() >= pair.size):
         raise ValidationError(f"message index {index} outside [0, {pair.size})")
-    return pair.codebook_coords[index]
+    return _coords(pair, index)
+
+
+def _fold(diffs: np.ndarray, cell: float) -> np.ndarray:
+    """Subtract the nearest coarse translate from each coordinate, in place.
+
+    Which face a tie folds to does not change the square, so this skips
+    `mod_coarse`'s face guards.
+    """
+    wraps = diffs / cell
+    np.rint(wraps, out=wraps)
+    wraps *= cell
+    diffs -= wraps
+    return diffs
+
+
+def _sq_distances(x: np.ndarray, coords: np.ndarray, cell: float) -> np.ndarray:
+    """Wrapped squared distances from rows x (..., n) to points coords (m, n): (..., m)."""
+    diffs = _fold(x[..., None, :] - coords, cell)
+    return np.einsum("...ij,...ij->...i", diffs, diffs)
 
 
 def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
@@ -305,18 +373,72 @@ def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
 
     Because the coarse lattice is a coordinate product, the minimum over
     all coarse translates separates per component into a centered fold.
-    The result has shape (..., size).
+    The result has shape (..., size).  This is the quantizer's reference.
     """
     x = pair.coarse.check_dim(x)
-    cell = pair.coarse.cell
-    diffs = x[..., None, :] - pair.codebook_coords
-    # Subtract the nearest coarse translate; which face a tie folds to does
-    # not change the square, so this skips `mod_coarse`'s face guards.
-    wraps = diffs / cell
-    np.rint(wraps, out=wraps)
-    wraps *= cell
-    diffs -= wraps
-    return np.einsum("...ij,...ij->...i", diffs, diffs)
+    return _sq_distances(x, pair.codebook_coords, pair.coarse.cell)
+
+
+_blas_threads = None  # (get, set) of numpy's OpenBLAS thread count, or ()
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block in one BLAS thread, then restore the previous count.
+
+    A threaded BLAS stalls for milliseconds handing a product as small as a
+    quantizer block to its workers.  The controls are the entry points of
+    the OpenBLAS that numpy links, looked up on first use; without them
+    this does nothing.
+    """
+    global _blas_threads
+    if _blas_threads is None:
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            _blas_threads = (lib.scipy_openblas_get_num_threads64_,
+                             lib.scipy_openblas_set_num_threads64_)
+        except (AttributeError, OSError):
+            _blas_threads = ()
+    before = _blas_threads[0]() if _blas_threads else 1
+    if before == 1:
+        yield
+        return
+    _blas_threads[1](1)
+    try:
+        yield
+    finally:
+        _blas_threads[1](before)
+
+
+def _nearest(rows: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
+    """Exact `wrapped_sq_distances` argmin of each row (m, n), ties to the lowest index.
+
+    The cost table holds the same float64 squared folds the reference sums,
+    scaled by 1/gamma^2 (so float32 cannot overflow) and cast to float32.
+    A product score then differs from its reference distance by at most
+    about n*eps32/2 relative (the cast and the summation), so any score
+    within eta = 2(n+2)*eps32 relative of the best may hide the reference
+    argmin; rows with such a runner-up are re-decided with the reference
+    distances to those candidates.  No underflow term is needed: two
+    codewords differ by at least gamma in some coordinate, so of any two
+    scores the larger is at least 1/4, and float32 subnormals (below
+    2^-126) lie far inside the relative bound.
+    """
+    coarse, n, q = pair.coarse, pair.n, pair.q
+    costs = _fold(rows[:, :, None] - pair._levels, coarse.cell)
+    costs *= costs
+    costs /= coarse.gamma * coarse.gamma
+    scores = costs.astype(np.float32).reshape(len(rows), n * q) @ pair._one_hot
+    # Gathers and argmins, not min(axis=1): numpy reduces short rows slowly.
+    flat, at = scores.reshape(-1), pair.size * np.arange(len(rows))
+    best = scores.argmin(axis=1)
+    margin = flat[at + best] * np.float32(1 + 2 * (n + 2) * _EPS32)
+    flat[at + best] = np.inf
+    for r in np.flatnonzero(flat[at + scores.argmin(axis=1)] <= margin):  # runner-up
+        scores[r, best[r]] = 0.0
+        cand = np.flatnonzero(scores[r] <= margin[r])
+        best[r] = cand[np.argmin(_sq_distances(rows[r], _coords(pair, cand), coarse.cell))]
+    return best
 
 
 def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
@@ -324,8 +446,10 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
 
     Distance is measured to every fine representative (codebook point plus
     coarse translates); exact ties resolve to the lowest codebook index.
-    A single row (shape (n,)) returns an int.  The exhaustive scan runs in
-    row chunks so its distance array never exceeds SCAN_WORKSET elements.
+    A single row (shape (n,)) returns an int.  A full code (k = n) rounds
+    each coordinate; any other code scores row chunks as one
+    single-threaded float32 product each (see `_nearest`), with the same
+    argmin as `wrapped_sq_distances`.
     """
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:
@@ -333,8 +457,9 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
         return _index(pair._lookup[units @ pair._place])
     rows = x.reshape(-1, pair.n)
     out = np.empty(rows.shape[0], dtype=np.int64)
-    for sl in scan_rows(rows.shape[0], pair.size * pair.n):
-        out[sl] = np.argmin(wrapped_sq_distances(rows[sl], pair), axis=-1)
+    with _one_blas_thread():
+        for sl in scan_rows(rows.shape[0], pair.size):
+            out[sl] = _nearest(rows[sl], pair)
     return _index(out.reshape(x.shape[:-1]))
 
 

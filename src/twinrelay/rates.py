@@ -17,6 +17,9 @@ from .errors import GuardExceededError, ValidationError
 
 LN2 = math.log(2.0)
 GRID_GUARD = 100_000        # max points on a rate-curve grid
+# Highest grid SNR in dB: every rate stays finite (rate_anc squares the
+# linear SNR, which overflows above about 1,541 dB).
+SNR_DB_MAX = 1000.0
 
 
 def _check_snr(snr: float) -> float:
@@ -132,6 +135,8 @@ class GridSpec:
         # Compared as a float, so a span too wide to count is refused too.
         if (self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9 >= GRID_GUARD:
             raise GuardExceededError(f"grid has more than {GRID_GUARD} points")
+        if self.snr_db_max > SNR_DB_MAX:
+            raise ValidationError(f"grid max {self.snr_db_max} dB is above {SNR_DB_MAX} dB")
 
     def points(self) -> list[float]:
         count = int(math.floor((self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9)) + 1

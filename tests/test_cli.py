@@ -341,6 +341,52 @@ def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rates_grid_above_db_bound_exit_2_no_file(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "rates", "--snr-min", "3000", "--snr-max", "3100",
+                              "--step", "10", "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sim_target_ci_zero_exit_2_no_file(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "sim", "lattice", "--snr-db", "10", "--target-ci", "0",
+                              "--max-trials", "8192", "--out", str(tmp_path / "l.json"))
+    assert code == 2
+    assert stderr.startswith("error:") and "target_ci" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "symbolic", "--q", "5", "--n", "7", "--snr-db", "3"],
+    ["--mode", "symbolic", "--seed", "4"],
+    ["--mode", "numeric-noiseless", "--snr-db", "3"],
+    ["--mode", "bogus"],
+])
+def test_multihop_flag_of_another_mode_exit_2_no_file(tmp_path, capsys, argv):
+    code, _, _ = run_cli(capsys, "multihop", "--relays", "3", "--packets", "6", *argv,
+                         "--out", str(tmp_path / "h.json"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_multihop_config_lists_only_read_flags(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    assert run_cli(capsys, "multihop", "--relays", "2", "--packets", "4", "--out", str(out),
+                   "--mode=symbolic")[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"] == {"subcommand": "multihop", "relays": 2, "packets": 4,
+                             "mode": "symbolic", "out": str(out)}
+    assert "master_seed" not in doc
+    assert run_cli(capsys, "multihop", "--relays", "2", "--packets", "4", "--mode",
+                   "numeric-awgn", "--snr-db", "20", "--seed", "3", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"] == {"subcommand": "multihop", "relays": 2, "packets": 4,
+                             "mode": "numeric-awgn", "n": 2, "q": 8, "k": 1, "snr_db": 20.0,
+                             "out": str(out)}
+    assert doc["master_seed"] == 3
+
+
 def test_rates_grid_guard_exit_1_no_file(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "rates", "--snr-min", "0", "--snr-max", "1e6",
                               "--step", "1e-4", "--out", str(tmp_path / "rates.csv"))

@@ -240,6 +240,16 @@ def test_run_trials_target_ci_rejections_run_no_trial():
     assert calls == []
 
 
+def test_run_trials_target_ci_must_be_positive_and_finite():
+    calls = []
+    register_experiment("counted", lambda params, rng, count: calls.append(1) or {"hit": 0})
+    for target in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="positive finite"):
+            run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=None, master_seed=0,
+                       target_ci=target, max_trials=BLOCK)
+    assert calls == []
+
+
 def test_canonical_json_deterministic():
     payload = {"b": 0.1234567890123456789, "a": [1, 2.0, float("nan")]}
     s1 = canonical_dumps(payload)

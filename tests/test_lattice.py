@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from twinrelay import lattice
 from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.lattice import (
     CoarseLattice,
@@ -337,3 +338,146 @@ def test_systematic_generator_rank():
 def test_dimension_mismatch():
     with pytest.raises(ValidationError):
         mod_coarse(np.zeros(3), UNIT_CELL)
+
+
+def _golay_24_12():
+    """Extended Golay code: cyclic shifts of g(x) in length 23 plus a parity bit."""
+    poly = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+    rows = []
+    for shift in range(12):
+        row = [0] * 23
+        row[shift:shift + 12] = poly
+        rows.append(row + [sum(row) % 2])
+    return rows
+
+
+EXT_HAMMING_8_4 = [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+                   [0, 0, 1, 0, 1, 1, 0, 1], [0, 0, 0, 1, 1, 1, 1, 0]]
+QUANTIZER_PAIRS = {
+    "q2-n8-k4": dict(n=8, q=2, k=4),
+    "q3-n6-k3": dict(n=6, q=3, k=3),
+    "q5-n5-k2": dict(n=5, q=5, k=2),
+    "q16-n4-k2": dict(n=4, q=16, k=2),
+    "golay-24-12": dict(n=24, q=2, k=12, generator_matrix=_golay_24_12()),
+}
+
+
+def _reference(x, pair):
+    return np.argmin(wrapped_sq_distances(x, pair), axis=-1)
+
+
+_SQ_DISTANCES = lattice._sq_distances
+
+
+class _Spy:
+    """Stands in for `lattice._sq_distances` and records the candidate calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, x, coords, cell):
+        self.calls.append(coords.copy())
+        return _SQ_DISTANCES(x, coords, cell)
+
+
+@pytest.mark.parametrize("pair_args", QUANTIZER_PAIRS.values(), ids=QUANTIZER_PAIRS.keys())
+def test_quantizer_matches_reference_argmin(pair_args):
+    # random rows, exact codewords, exact midpoints of codeword pairs (ties
+    # in the reference, which the lowest index wins) and midpoints nudged by
+    # float32-sized steps (near-ties that float32 scores can order wrongly),
+    # row for row
+    pair = make_pair(power=1.0, **pair_args)
+    rng = generator(23)
+    cell, rows = pair.coarse.cell, 600
+    a, b = rng.integers(pair.size, size=(2, rows))
+    midpoints = (encode_message(a, pair) + encode_message(b, pair)) / 2
+    for x in (rng.uniform(-cell / 2, cell / 2, size=(rows, pair.n)),
+              encode_message(a, pair),
+              midpoints,
+              mod_coarse(midpoints, pair.coarse),
+              midpoints + rng.normal(0.0, 1e-7 * pair.coarse.gamma, size=midpoints.shape)):
+        assert np.array_equal(quantize_fine(x, pair), _reference(x, pair))
+
+
+def test_quantizer_near_tie_takes_candidate_path(monkeypatch):
+    # a row a hair nearer to codeword j than to codeword 0, closer than
+    # float32 can tell apart, so the candidates decide it in float64; in the
+    # extended Hamming [8,4,4] code only 0 and j lie within gamma^2 of it
+    pair = make_pair(n=8, q=2, k=4, power=1.0, generator_matrix=EXT_HAMMING_8_4)
+    j = next(i for i in range(pair.size)
+             if np.count_nonzero(pair.codebook_units[i]) == 4)
+    toward = encode_message(j, pair)
+    x = toward / 2 + 1e-10 * toward
+    assert int(_reference(x, pair)) == j
+    spy = _Spy()
+    monkeypatch.setattr(lattice, "_sq_distances", spy)
+    assert quantize_fine(x, pair) == j
+    assert len(spy.calls) == 1
+    assert np.array_equal(spy.calls[0], encode_message(np.array([0, j]), pair))
+    # the exact midpoint ties in the reference, and the lower index wins
+    assert quantize_fine(toward / 2, pair) == 0 == int(_reference(toward / 2, pair))
+
+
+@pytest.mark.parametrize("pair_args", [QUANTIZER_PAIRS["q2-n8-k4"],
+                                       QUANTIZER_PAIRS["golay-24-12"]])
+def test_quantizer_huge_power_needs_no_candidates(monkeypatch, pair_args):
+    # squares of about 1e40 overflow float32; scores in units of gamma do not
+    pair = make_pair(power=1e40, **pair_args)
+    assert pair.coarse.cell ** 2 > float(np.finfo(np.float32).max)
+    cell = pair.coarse.cell
+    x = generator(29).uniform(-cell / 2, cell / 2, size=(200, pair.n))
+    spy = _Spy()
+    monkeypatch.setattr(lattice, "_sq_distances", spy)
+    assert np.array_equal(quantize_fine(x, pair), np.argmin(
+        _SQ_DISTANCES(x, pair.codebook_coords, cell), axis=-1))
+    assert spy.calls == []
+
+
+def test_quantizer_restores_blas_thread_count(monkeypatch):
+    pair = make_pair(n=8, q=2, k=4, power=1.0)
+    x = generator(31).normal(0.0, 1.0, size=(50, 8))
+    quantize_fine(x, pair)
+    if not lattice._blas_threads:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread controls")
+    get, put = lattice._blas_threads
+    original = get()
+    seen = []
+    nearest = lattice._nearest
+
+    def spy(rows, pair):
+        seen.append(get())
+        if len(seen) == 3:
+            raise RuntimeError("stop")
+        return nearest(rows, pair)
+
+    monkeypatch.setattr(lattice, "_nearest", spy)
+    try:
+        for before in (1, 2):
+            put(before)
+            quantize_fine(x, pair)
+            assert get() == before
+        with pytest.raises(RuntimeError, match="stop"):
+            quantize_fine(x, pair)
+        assert get() == 2
+    finally:
+        put(original)
+    assert seen == [1, 1, 1]
+
+
+def test_one_hot_guard():
+    pair = make_pair(n=3, q=512, k=2, power=1.0)
+    with pytest.raises(GuardExceededError, match="one-hot"):
+        quantize_fine(np.zeros(3), pair)
+
+
+def test_codebook_is_stored_once():
+    pair = make_pair(n=4, q=16, k=2, power=1.0)
+    assert pair.codebook_units.dtype == np.int32
+    with pytest.raises(ValueError):
+        pair.codebook_units[0, 0] = 1
+    coords = pair.codebook_coords
+    assert np.array_equal(coords, pair.coarse.gamma * pair.codebook_units.astype(float))
+    idx = np.array([3, 0, 255])
+    for got in (encode_message(idx, pair), encode_message(3, pair)):
+        assert not got.flags.writeable
+    assert np.array_equal(encode_message(idx, pair), coords[idx])

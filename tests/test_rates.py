@@ -10,6 +10,7 @@ from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.rates import (
     CSV_HEADER,
     GRID_GUARD,
+    SNR_DB_MAX,
     GridSpec,
     crossover_window,
     curve_csv,
@@ -144,9 +145,20 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         GridSpec(10.0, 0.0, 1.0)
     # the point-count guard refuses a grid before building any point
-    assert len(GridSpec(0.0, GRID_GUARD - 1.0, 1.0).points()) == GRID_GUARD
+    assert len(GridSpec(-(GRID_GUARD - 1.0), 0.0, 1.0).points()) == GRID_GUARD
     for lo, hi, step in ((0.0, GRID_GUARD, 1.0), (0.0, 1e6, 1e-4), (-1e308, 1e308, 1e-300)):
         with pytest.raises(GuardExceededError):
+            GridSpec(lo, hi, step)
+
+
+def test_grid_db_range_bound():
+    # every rate stays finite up to SNR_DB_MAX; above it the grid is refused
+    top = rate_point(SNR_DB_MAX)
+    assert all(math.isfinite(v) for v in vars(top).values())
+    assert GridSpec(SNR_DB_MAX - 10.0, SNR_DB_MAX, 10.0).points()[-1] == SNR_DB_MAX
+    for lo, hi, step in ((3000.0, 3100.0, 10.0), (0.0, SNR_DB_MAX + 0.5, 0.5),
+                         (-1e6, 1e6, 1e3)):
+        with pytest.raises(ValidationError, match="dB"):
             GridSpec(lo, hi, step)
 
 
