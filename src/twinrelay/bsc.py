@@ -176,13 +176,9 @@ def bsc_relay_roundtrip(
 # Harness experiment
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _cached_code(name: str, n: int, k: int, seed: int) -> BinaryLinearCode:
-    if name == "hamming74":
-        return hamming74()
-    if name == "random":
-        return random_code(n, k, seed)
-    raise ValidationError(f"unknown code {name!r}; known: hamming74, random")
+@lru_cache(maxsize=1)
+def _cached_hamming74() -> BinaryLinearCode:
+    return hamming74()
 
 
 @dataclass(eq=False)
@@ -225,13 +221,12 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
 def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
     """Error totals of `count` rounds.
 
-    params: p, code ("hamming74" | "random"), and n/k/code_seed for random.
+    params: p, and code ("hamming74", the only code).
     """
-    code = _cached_code(
-        str(params.get("code", "hamming74")),
-        int(params.get("n", 7)), int(params.get("k", 4)),
-        int(params.get("code_seed", 0)),
-    )
+    name = str(params.get("code", "hamming74"))
+    if name != "hamming74":
+        raise ValidationError(f"unknown code {name!r}; known: hamming74")
+    code = _cached_hamming74()
     bp = BscParams(float(params["p"]))
     rows = bsc_rows(draw_bsc(rng, count, code), code, bp)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}

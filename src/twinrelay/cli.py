@@ -101,7 +101,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _minangle_codebook(params: dict) -> dict:
-    sums = minangle._instance_from_params(params)[1]
+    sums = minangle.decoder_instance(params)[1]
     return {"M1": sums.m1, "M2": sums.m2, "Msum_on_shell": int(sums.on_shell.sum())}
 
 
@@ -187,30 +187,35 @@ def cmd_concentration(args: argparse.Namespace) -> int:
         dims = []
     if not dims or any(d < 1 for d in dims):
         raise ValidationError(f"bad dimension list {args.n_list!r}")
+    batch = minangle.CONC_BATCH
+    if args.samples < 1 or args.samples % batch:
+        raise ValidationError(
+            f"samples must be a positive multiple of {batch}, got {args.samples}")
     delta = args.delta if args.delta is not None else 0.1 * args.power
     config = {"subcommand": "concentration", "n_list": dims, "power": args.power,
               "delta": delta, "samples": args.samples, "format": args.format,
               "out": args.out}
-    results = [
-        minangle.concentration_experiment(
-            n=n, power=args.power, delta=delta, samples=args.samples,
-            seed=args.seed, workers=args.workers)
-        for n in dims
-    ]
+    rows = []
+    for n in dims:
+        spec = harness.ExperimentSpec(
+            "concentration", {"n": n, "power": args.power, "delta": delta, "batch": batch}, ())
+        report = harness.run_trials(spec, trials=args.samples // batch,
+                                    master_seed=args.seed, workers=args.workers)
+        off, samples = int(report.counts["off_shell"]), int(report.counts["samples"])
+        lo, hi = harness.wilson_interval(off, samples)
+        rows.append({"n": n, "fraction": off / samples, "ci_low": lo, "ci_high": hi,
+                     "samples": samples})
     if args.format == "csv":
-        lines = ["n,fraction,ci_low,ci_high"]
-        for r in results:
-            lines.append(f"{r.n},{r.fraction:.12g},{r.ci_low:.12g},{r.ci_high:.12g}")
+        lines = ["n,fraction,ci_low,ci_high"] + [
+            f"{r['n']},{r['fraction']:.12g},{r['ci_low']:.12g},{r['ci_high']:.12g}" for r in rows]
         _write_text(args.out, "\n".join(lines) + "\n")
         _write_json(args.out + ".meta.json", _provenance(config, seed=args.seed))
     else:
-        rows = [{"n": r.n, "fraction": r.fraction, "ci_low": r.ci_low,
-                 "ci_high": r.ci_high, "samples": r.samples} for r in results]
         _write_json(args.out, {**_provenance(config, seed=args.seed), "rows": rows})
-    for r in results:
-        print(f"n={r.n}: off_shell_fraction={r.fraction:.6g} "
-              f"ci95=[{r.ci_low:.6g},{r.ci_high:.6g}]")
-    print(f"wrote {len(results)} rows to {args.out}")
+    for r in rows:
+        print(f"n={r['n']}: off_shell_fraction={r['fraction']:.6g} "
+              f"ci95=[{r['ci_low']:.6g},{r['ci_high']:.6g}]")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -356,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except (TwinrelayError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TwinrelayError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 1
 
 

@@ -166,8 +166,9 @@ class TrialReport:
     def interval(self, key: str) -> tuple[float, float]:
         return wilson_interval(int(self.counts.get(key, 0)), self.trials)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The report without its wall time."""
+        return {
             "experiment": self.experiment,
             "params": dict(self.params),
             "trials": self.trials,
@@ -178,13 +179,10 @@ class TrialReport:
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
         }
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
     def canonical_json(self) -> str:
         """Deterministic serialization: sorted keys, 12 significant digits."""
-        return canonical_dumps(self.to_dict(include_timing=False))
+        return canonical_dumps(self.to_dict())
 
 
 def _round_floats(obj):
@@ -299,14 +297,6 @@ def _run_chunk(pool, spread: int, spec: ExperimentSpec, master: int,
     for fut in futures:
         _merge(totals, fut.result())
     return totals
-
-
-def write_jsonl(records: list[dict], path: str) -> None:
-    """One canonical-JSON record per line."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(canonical_dumps(rec))
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -268,21 +268,6 @@ class NestedLatticePair:
         """Codebook indices of message digits (..., k), each digit taken mod q."""
         return _index(digits % self.q @ self._place)
 
-    def to_descriptor(self) -> dict:
-        """JSON-serializable description {n, q, k, G rows, P}."""
-        return {
-            "n": self.n,
-            "q": self.q,
-            "k": self.k,
-            "generator": self.generator_matrix.tolist(),
-            "power": self.coarse.second_moment,
-        }
-
-    @classmethod
-    def from_descriptor(cls, desc: dict) -> "NestedLatticePair":
-        coarse = CoarseLattice.for_power(desc["n"], desc["q"], desc["power"])
-        return cls(coarse=coarse, generator_matrix=np.asarray(desc["generator"]))
-
 
 def systematic_generator(n: int, k: int, q: int, seed: int | None = None) -> np.ndarray:
     """Systematic generator [I_k | A]; guarantees q^k distinct codewords.

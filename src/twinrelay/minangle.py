@@ -26,7 +26,7 @@ from .lattice import scan_rows
 
 BALL_GUARD = 100_000        # max points per ball codebook
 PAIR_GUARD = 10_000_000     # max enumerated codeword pairs
-_CONC_BATCH = 1000          # pair draws per concentration trial
+CONC_BATCH = 1000           # pair draws per concentration trial
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
     n = int(params["n"])
     power = float(params.get("power", 1.0))
     delta = float(params["delta"])
-    batch = int(params.get("batch", _CONC_BATCH))
+    batch = int(params.get("batch", CONC_BATCH))
     shell = ShellSpec(n=n, power=power, delta=delta)
     radius = math.sqrt(n * power)
     off = 0
@@ -263,44 +263,6 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
 
 
 harness.register_experiment("concentration", concentration_kernel)
-
-
-@dataclass(frozen=True)
-class ConcentrationResult:
-    n: int
-    power: float
-    delta: float
-    samples: int
-    off_shell: int
-    fraction: float
-    ci_low: float
-    ci_high: float
-
-
-def concentration_experiment(
-    n: int, power: float, delta: float, samples: int, seed: int, workers: int = 1
-) -> ConcentrationResult:
-    """Monte Carlo estimate of the off-shell fraction of uniform ball-pair sums.
-
-    Samples are drawn in fixed batches of 1000 pairs per derived stream;
-    `samples` rounds up to a whole number of batches.
-    """
-    if samples < 1000:
-        raise ValidationError("need at least 1000 samples")
-    trials = (samples + _CONC_BATCH - 1) // _CONC_BATCH
-    spec = harness.ExperimentSpec(
-        name="concentration",
-        params={"n": n, "power": power, "delta": delta, "batch": _CONC_BATCH},
-        error_keys=(),
-    )
-    report = harness.run_trials(spec, trials=trials, master_seed=seed, workers=workers)
-    total = int(report.counts["samples"])
-    off = int(report.counts["off_shell"])
-    lo, hi = harness.wilson_interval(off, total)
-    return ConcentrationResult(
-        n=n, power=power, delta=delta, samples=total, off_shell=off,
-        fraction=off / total, ci_low=lo, ci_high=hi,
-    )
 
 
 def concentration_exact(cb1: BallCodebook, cb2: BallCodebook, delta: float) -> float:
@@ -331,7 +293,8 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float):
     return cb, sums, shell_pts, shell_row_of_sum
 
 
-def _instance_from_params(params: Mapping):
+def decoder_instance(params: Mapping):
+    """The cached `_decoder_instance` of a `minangle` experiment's params."""
     return _decoder_instance(int(params["n"]), float(params.get("gamma", 1.0)),
                              float(params["power"]), float(params["delta"]))
 
@@ -348,7 +311,7 @@ class MinAngleDraws:
 
 def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
     """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
-    cb = _instance_from_params(params)[0]
+    cb = decoder_instance(params)[0]
     i = rng.integers(cb.size, size=count)
     j = rng.integers(cb.size, size=count)
     y = cb.points[i] + cb.points[j]
@@ -365,7 +328,7 @@ def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray
     on-shell-conditioned error, the off-shell flag, and an unrestricted
     nearest-sum ML reference decoded over every distinct sum.
     """
-    _, sums, shell_pts, shell_row = _instance_from_params(params)
+    _, sums, shell_pts, shell_row = decoder_instance(params)
     true_sum_row = sums.pair_to_sum[draws.i, draws.j]
     ml_error = nearest_sum(draws.y, sums.sum_points) != true_sum_row
     on_shell = sums.on_shell[true_sum_row]
@@ -384,67 +347,3 @@ def minangle_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Ma
 harness.register_experiment("minangle", minangle_kernel)
 
 MINANGLE_ERROR_KEYS = ("angle_error", "ml_error")
-
-
-@dataclass(frozen=True)
-class MinAngleStats:
-    n: int
-    gamma: float
-    power: float
-    sigma2: float
-    delta: float
-    theta: float
-    trials: int
-    errors: int
-    errors_on_shell: int
-    off_shell_trials: int
-    ml_errors: int
-    m1: int
-    m2: int
-    msum_on_shell: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "gamma": self.gamma, "P": self.power,
-            "sigma2": self.sigma2, "delta": self.delta, "theta": self.theta,
-            "trials": self.trials, "errors": self.errors,
-            "errors_on_shell": self.errors_on_shell,
-            "off_shell_trials": self.off_shell_trials,
-            "ml_errors": self.ml_errors,
-            "M1": self.m1, "M2": self.m2, "Msum_on_shell": self.msum_on_shell,
-        }
-
-
-def min_angle_error_rate(
-    n: int,
-    gamma: float,
-    power: float,
-    sigma2: float,
-    trials: int,
-    seed: int,
-    delta: float | None = None,
-    workers: int = 1,
-) -> MinAngleStats:
-    """Monte Carlo sum-decode error of the minimum-angle decoder.
-
-    delta defaults to 0.1*P.  The run aborts up front if two on-shell sums
-    share a direction.
-    """
-    if delta is None:
-        delta = 0.1 * power
-    params = {"n": n, "gamma": gamma, "power": power, "sigma2": sigma2, "delta": delta}
-    sums = _decoder_instance(n, gamma, power, delta)[1]
-    spec = harness.ExperimentSpec(name="minangle", params=params,
-                                  error_keys=MINANGLE_ERROR_KEYS)
-    report = harness.run_trials(spec, trials=trials, master_seed=seed, workers=workers)
-    theta = math.asin(sin_theta(power, sigma2, delta)) if sigma2 > 0 else 0.0
-    return MinAngleStats(
-        n=n, gamma=gamma, power=power, sigma2=sigma2, delta=delta, theta=theta,
-        trials=report.trials,
-        errors=int(report.counts.get("angle_error", 0)),
-        errors_on_shell=int(report.counts.get("angle_error_on_shell", 0)),
-        off_shell_trials=int(report.counts.get("off_shell", 0)),
-        ml_errors=int(report.counts.get("ml_error", 0)),
-        m1=sums.m1, m2=sums.m2,
-        msum_on_shell=int(np.count_nonzero(sums.on_shell)),
-    )

@@ -340,18 +340,3 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
 harness.register_experiment("lattice", lattice_kernel)
 
 LATTICE_ERROR_KEYS = ("relay_error", "end_error", "union_error")
-
-
-def session_batch_record(report: harness.TrialReport) -> dict:
-    """JSON-lines summary schema for an exchange batch."""
-    p = report.params
-    return {
-        "seed": report.master_seed,
-        "snr_db": p.get("snr_db"),
-        "n": p.get("n"),
-        "q": p.get("q"),
-        "k": p.get("k"),
-        "relay_errors": int(report.counts.get("relay_error", 0)),
-        "end_errors": int(report.counts.get("end_error", 0)),
-        "trials": report.trials,
-    }

@@ -17,7 +17,7 @@ import oracles
 from twinrelay.bsc import BSC_ERROR_KEYS
 from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import centered_units, make_pair
-from twinrelay.minangle import MINANGLE_ERROR_KEYS, min_angle_error_rate
+from twinrelay.minangle import MINANGLE_ERROR_KEYS
 from twinrelay.multihop import build_schedule, table_json
 from twinrelay.rates import (
     crossover_window,
@@ -307,10 +307,11 @@ def test_criterion_12_min_angle_vs_ml(shared_reports):
     assert p_angle >= p_ml - oracles.three_sigma(p_ml, rep.trials)
     on_shell_trials = rep.trials - int(rep.counts["off_shell"])
     p_angle_cond = rep.counts["angle_error_on_shell"] / on_shell_trials
-    noiseless = min_angle_error_rate(n=3, gamma=1.0, power=2.0, sigma2=0.0,
-                                     trials=10_000, seed=2201, delta=1.5)
-    assert noiseless.errors_on_shell == 0
-    assert noiseless.ml_errors == 0
+    noiseless = run_trials(
+        ExperimentSpec("minangle", {**MINANGLE_PARAMS, "sigma2": 0.0}, MINANGLE_ERROR_KEYS),
+        trials=10_000, master_seed=2201)
+    assert noiseless.counts["angle_error_on_shell"] == 0
+    assert noiseless.counts["ml_error"] == 0
     print(f"criterion 12 angle decoder vs ML: PASS (angle {p_angle:.4f} "
           f"[on-shell {p_angle_cond:.4f}] >= ml {p_ml:.4f}; noiseless exact)")
 

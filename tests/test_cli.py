@@ -179,6 +179,25 @@ def test_concentration_csv(tmp_path, capsys):
     assert fracs[0] > fracs[-1]
 
 
+def test_concentration_json_rows(tmp_path, capsys):
+    out = tmp_path / "conc.json"
+    code, _, _ = run_cli(capsys, "concentration", "--n-list", "3,8", "--samples", "5000",
+                         "--seed", "4", "--format", "json", "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["samples"] == 5000
+    assert [row["n"] for row in doc["rows"]] == [3, 8]
+    for row in doc["rows"]:
+        assert row["samples"] == 5000
+        spec = harness.ExperimentSpec(
+            "concentration", {"n": row["n"], "power": 1.0, "delta": 0.1, "batch": 1000}, ())
+        off = int(harness.run_trials(spec, trials=5, master_seed=4).counts["off_shell"])
+        assert row["fraction"] == pytest.approx(off / 5000, rel=1e-11)
+        lo, hi = harness.wilson_interval(off, 5000)
+        assert row["ci_low"] == pytest.approx(lo, rel=1e-11)
+        assert row["ci_high"] == pytest.approx(hi, rel=1e-11)
+
+
 def test_concentration_bad_dims(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "concentration", "--n-list", "0,-3",
                          "--out", str(tmp_path / "x.csv"))
@@ -249,6 +268,25 @@ def test_sim_broken_pool_exit_1_no_file(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert stderr.startswith("error:") and "Traceback" not in stderr
     assert not out.exists()
+
+
+def _out_of_memory(params, rng, count):
+    raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+
+@pytest.mark.parametrize("experiment,argv", [
+    ("anc-power", ["sim", "anc-power", "--snr-db", "10", "--trials", "4096"]),
+    ("concentration", ["concentration", "--n-list", "8", "--samples", "1000"]),
+])
+def test_memory_error_exit_1_error_line_no_file(tmp_path, capsys, monkeypatch,
+                                                 experiment, argv):
+    harness.get_experiment(experiment)
+    monkeypatch.setitem(harness._REGISTRY, experiment, _out_of_memory)
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code == 1
+    assert stderr.startswith("error:") and "Unable to allocate" in stderr
+    assert "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def _assert_exit_2_no_file(tmp_path, code, stderr):
@@ -333,6 +371,8 @@ def test_non_finite_float_flag_exit_2_no_file(tmp_path, capsys, argv, flag, valu
     ["sim", "minangle", "--snr-db=-4000", "--trials", "100"],
     ["concentration", "--n-list", "x"],
     ["concentration", "--n-list", "8,1.5"],
+    ["concentration", "--samples", "1500"],
+    ["concentration", "--samples", "0"],
 ])
 def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
     code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))

@@ -18,7 +18,6 @@ from twinrelay.harness import (
     register_experiment,
     run_trials,
     wilson_interval,
-    write_jsonl,
 )
 from twinrelay.rng import TAG_TRIAL, derive_seed, generator, philox_key
 
@@ -256,10 +255,3 @@ def test_canonical_json_deterministic():
     s2 = canonical_dumps(json.loads(s1) | {"b": 0.123456789012})
     assert s1.startswith('{"a":')
     assert s1 == s2
-
-
-def test_write_jsonl(tmp_path):
-    path = tmp_path / "log.jsonl"
-    write_jsonl([{"x": 1}, {"y": 2.5}], str(path))
-    lines = path.read_text().strip().split("\n")
-    assert [json.loads(line) for line in lines] == [{"x": 1}, {"y": 2.5}]

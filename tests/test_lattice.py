@@ -282,15 +282,6 @@ def test_enumeration_guard():
         make_pair(n=21, q=2, k=21, power=1.0)
 
 
-def test_descriptor_roundtrip():
-    pair = make_pair(n=4, q=16, k=2, power=1.0)
-    desc = pair.to_descriptor()
-    assert set(desc) == {"n", "q", "k", "generator", "power"}
-    clone = NestedLatticePair.from_descriptor(desc)
-    assert np.array_equal(clone.codebook_units, pair.codebook_units)
-    assert clone.coarse.gamma == pytest.approx(pair.coarse.gamma, rel=1e-15)
-
-
 def test_rank_deficient_generator_rejected():
     # repeated rows over GF(2), and a non-unit generator over Z_4 (2*u repeats)
     for q, gen in ((2, [[1, 0, 1], [1, 0, 1]]), (4, [[2]]), (4, [[1, 2], [1, 2]])):

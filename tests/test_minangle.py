@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from twinrelay.errors import DirectionCollisionError, ValidationError
+from twinrelay.harness import ExperimentSpec, run_trials, wilson_interval
 from twinrelay.minangle import (
+    MINANGLE_ERROR_KEYS,
     BallCodebook,
     _decoder_instance,
     draw_minangle,
@@ -17,10 +19,8 @@ from twinrelay.minangle import (
     ball_sample,
     check_distinct_directions,
     concentration_exact,
-    concentration_experiment,
     half_cell_codebook,
     min_angle_decode,
-    min_angle_error_rate,
     project_to_shell,
     sin_theta,
 )
@@ -149,24 +149,33 @@ def test_ball_sampler_uniformity():
     assert abs(float(np.mean(pts))) < 0.02
 
 
+def _concentration(n, power, delta, samples, seed):
+    """Off-shell count, sample count and Wilson interval of `samples` ball pairs."""
+    spec = ExperimentSpec("concentration",
+                          {"n": n, "power": power, "delta": delta, "batch": 1000}, ())
+    report = run_trials(spec, trials=samples // 1000, master_seed=seed)
+    off, total = int(report.counts["off_shell"]), int(report.counts["samples"])
+    return off / total, total, wilson_interval(off, total)
+
+
 def test_concentration_matches_1d_oracle():
     power, delta = 1.0, 1.0
     want = oracles.concentration_1d_oracle(power, delta)
-    res = concentration_experiment(n=1, power=power, delta=delta,
-                                   samples=200_000, seed=6)
-    assert abs(res.fraction - want) < oracles.three_sigma(want, res.samples)
+    fraction, samples, _ = _concentration(n=1, power=power, delta=delta,
+                                          samples=200_000, seed=6)
+    assert abs(fraction - want) < oracles.three_sigma(want, samples)
 
 
 def test_concentration_decreases_with_dimension():
-    r8 = concentration_experiment(n=8, power=1.0, delta=0.1, samples=100_000, seed=7)
-    r64 = concentration_experiment(n=64, power=1.0, delta=0.1, samples=100_000, seed=7)
-    assert r64.ci_high < r8.ci_low
+    _, _, (lo8, _) = _concentration(n=8, power=1.0, delta=0.1, samples=100_000, seed=7)
+    _, _, (_, hi64) = _concentration(n=64, power=1.0, delta=0.1, samples=100_000, seed=7)
+    assert hi64 < lo8
 
 
 def test_concentration_nested_shells():
-    wide = concentration_experiment(n=6, power=1.0, delta=1.9, samples=50_000, seed=8)
-    thin = concentration_experiment(n=6, power=1.0, delta=0.1, samples=50_000, seed=8)
-    assert wide.fraction < thin.fraction
+    wide, _, _ = _concentration(n=6, power=1.0, delta=1.9, samples=50_000, seed=8)
+    thin, _, _ = _concentration(n=6, power=1.0, delta=0.1, samples=50_000, seed=8)
+    assert wide < thin
 
 
 def test_concentration_exact_mode():
@@ -184,31 +193,25 @@ def test_sin_theta_value():
         math.sqrt(1.0 / 3.0), abs=1e-15)
 
 
+def _minangle_report(n, sigma2, trials, seed):
+    params = {"n": n, "gamma": 1.0, "power": 2.0, "sigma2": sigma2, "delta": 1.5}
+    return run_trials(ExperimentSpec("minangle", params, MINANGLE_ERROR_KEYS),
+                      trials=trials, master_seed=seed)
+
+
 def test_noiseless_zero_decodable_errors():
-    stats = min_angle_error_rate(n=3, gamma=1.0, power=2.0, sigma2=0.0,
-                                 trials=10_000, seed=9, delta=1.5)
-    assert stats.errors_on_shell == 0
-    assert stats.ml_errors == 0
-    assert stats.errors == stats.off_shell_trials
-
-
-def test_minangle_stats_schema():
-    stats = min_angle_error_rate(n=2, gamma=1.0, power=2.0, sigma2=0.05,
-                                 trials=500, seed=10, delta=1.0)
-    d = stats.to_dict()
-    for key in ("n", "gamma", "P", "sigma2", "delta", "theta", "trials",
-                "errors", "M1", "M2", "Msum_on_shell"):
-        assert key in d
-    assert d["trials"] == 500
+    rep = _minangle_report(n=3, sigma2=0.0, trials=10_000, seed=9)
+    assert rep.counts["angle_error_on_shell"] == 0
+    assert rep.counts["ml_error"] == 0
+    assert rep.counts["angle_error"] == rep.counts["off_shell"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_angle_decoder_not_better_than_ml(n):
     sigma2 = 2.0 / 10 ** 1.5
-    stats = min_angle_error_rate(n=n, gamma=1.0, power=2.0, sigma2=sigma2,
-                                 trials=6000, seed=11, delta=1.5)
-    p_ml = stats.ml_errors / stats.trials
-    assert stats.errors / stats.trials >= p_ml - oracles.three_sigma(p_ml, stats.trials)
+    rep = _minangle_report(n=n, sigma2=sigma2, trials=6000, seed=11)
+    p_ml = rep.rate("ml_error")
+    assert rep.rate("angle_error") >= p_ml - oracles.three_sigma(p_ml, rep.trials)
 
 
 def test_translation_average_point_count():

@@ -26,7 +26,6 @@ from twinrelay.twoway import (
     recover_at_node,
     relay_decode_sum,
     run_session,
-    session_batch_record,
     session_rows,
     sigma2_eq_of_alpha,
 )
@@ -226,15 +225,6 @@ def test_random_pairs_large_codebook_noiseless():
         ua, ub = int(rng.integers(pair.size)), int(rng.integers(pair.size))
         tr = run_session(ua, ub, NOISELESS, pair, seed=13)
         assert not tr.error
-
-
-def test_session_batch_record_schema():
-    params = {"n": 1, "q": 4, "k": 1, "snr_db": 20.0, "power": 1.0, "mode": "index"}
-    spec = ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS)
-    report = run_trials(spec, trials=100, master_seed=2)
-    rec = session_batch_record(report)
-    assert set(rec) == {"seed", "snr_db", "n", "q", "k", "relay_errors", "end_errors", "trials"}
-    assert rec["trials"] == 100
 
 
 EXT_HAMMING_8_4 = [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
