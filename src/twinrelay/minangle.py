@@ -234,31 +234,30 @@ def check_distinct_directions(points: np.ndarray, tol: float = 1e-9) -> None:
 # Concentration of x1 + x2 on the shell
 # ---------------------------------------------------------------------------
 
-def ball_sample(rng: np.random.Generator, n: int, radius: float, count: int) -> np.ndarray:
-    """Uniform draws from the n-ball via direction + radial inverse CDF."""
-    g = rng.normal(size=(count, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    directions = g / norms
-    radii = radius * rng.random(count) ** (1.0 / n)
-    return directions * radii[:, None]
-
-
 def concentration_kernel(params: Mapping, rng: np.random.Generator,
                          count: int) -> Mapping[str, int]:
     """`count` batches of uniform ball pairs; counts sums falling off the shell.
 
-    Batches are drawn one after another, so memory stays at one batch.
+    By rotation invariance only three scalars per pair matter: the squared
+    radii s = nP * U^(2/n) of the two ball points, and the cosine c between
+    their directions, g / sqrt(g^2 + 2 * Gamma((n-1)/2)) for a standard
+    normal g (the first coordinate of a uniform direction; c = +-1 at n = 1).
+    Then |x1 + x2|^2 = s1 + s2 + 2 sqrt(s1 s2) c, in four draws of `batch`
+    scalars whatever n is.  Batches are drawn one after another, so memory
+    stays at one batch.
     """
     n = int(params["n"])
     power = float(params.get("power", 1.0))
     delta = float(params["delta"])
     batch = int(params.get("batch", CONC_BATCH))
     shell = ShellSpec(n=n, power=power, delta=delta)
-    radius = math.sqrt(n * power)
     off = 0
     for _ in range(count):
-        s = ball_sample(rng, n, radius, batch) + ball_sample(rng, n, radius, batch)
-        off += int(np.count_nonzero(~shell.contains_sq(np.einsum("ij,ij->i", s, s))))
+        s1, s2 = n * power * rng.random((2, batch)) ** (2.0 / n)
+        g = rng.standard_normal(batch)
+        cos = g / np.sqrt(g * g + 2.0 * rng.standard_gamma((n - 1) / 2.0, batch))
+        norm_sq = s1 + s2 + 2.0 * np.sqrt(s1 * s2) * cos
+        off += int(np.count_nonzero(~shell.contains_sq(norm_sq)))
     return {"off_shell": off, "samples": count * batch}
 
 

@@ -13,6 +13,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc
 
 getcontext().prec = 50
 
@@ -166,6 +167,43 @@ def concentration_1d_oracle(power: float, delta: float) -> float:
         inner, _ = quad(tri, -min(lo, 2 * a), min(lo, 2 * a),
                         points=[0.0], limit=200, epsabs=1e-13)
         inside -= inner
+    return 1.0 - inside
+
+
+def concentration_offshell_oracle(n: int, power: float, delta: float) -> float:
+    """Off-shell probability of u+v for u, v uniform in the radius-sqrt(nP) ball, n >= 2.
+
+    With r_i = R * t_i^(1/n) and t_i uniform on [0, 1], |u+v|^2 is
+    r1^2 + r2^2 + 2 r1 r2 c, where (1 + c)/2 ~ Beta((n-1)/2, (n-1)/2) is
+    independent of the radii.  The shell is a window of c for fixed radii,
+    whose probability is a difference of regularized incomplete Beta
+    functions; it is integrated over (t1, t2) by 2-D quadrature.
+    """
+    a = (n - 1) / 2.0
+    lo = n * (2.0 * power - delta)
+    hi = n * (2.0 * power + delta)
+
+    def window(t1: float, t2: float) -> float:
+        s1 = n * power * t1 ** (2.0 / n)
+        s2 = n * power * t2 ** (2.0 / n)
+        scale = 2.0 * math.sqrt(s1 * s2)
+        if scale == 0.0:
+            return float(lo <= s1 + s2 <= hi)
+        c_lo = min(max((lo - s1 - s2) / scale, -1.0), 1.0)
+        c_hi = min(max((hi - s1 - s2) / scale, -1.0), 1.0)
+        return float(betainc(a, a, (1.0 + c_hi) / 2.0) - betainc(a, a, (1.0 + c_lo) / 2.0))
+
+    def inner(t2: float) -> float:
+        # The window's ends reach c = -1 at r1 = r2 +- sqrt(edge) and c = 1 at
+        # r1 = sqrt(edge) - r2, for edge in (lo, hi).
+        radius = math.sqrt(n * power)
+        r2 = radius * t2 ** (1.0 / n)
+        ends = [r for e in (math.sqrt(lo), math.sqrt(hi)) for r in (r2 - e, r2 + e, e - r2)]
+        kinks = sorted((r / radius) ** n for r in ends if 0.0 < r < radius)
+        return quad(window, 0.0, 1.0, args=(t2,), points=kinks or None,
+                    limit=200, epsabs=1e-8)[0]
+
+    inside, _ = quad(inner, 0.0, 1.0, limit=200, epsabs=1e-7)
     return 1.0 - inside
 
 

@@ -198,6 +198,16 @@ def test_concentration_json_rows(tmp_path, capsys):
         assert row["ci_high"] == pytest.approx(hi, rel=1e-11)
 
 
+def test_concentration_large_dimension(tmp_path, capsys):
+    out = tmp_path / "conc.json"
+    code, _, _ = run_cli(capsys, "concentration", "--n-list", "1000000", "--samples", "1000",
+                         "--format", "json", "--out", str(out))
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 1 and rows[0]["n"] == 1_000_000
+    assert 0.0 <= rows[0]["fraction"] <= 1.0
+
+
 def test_concentration_bad_dims(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "concentration", "--n-list", "0,-3",
                          "--out", str(tmp_path / "x.csv"))

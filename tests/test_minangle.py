@@ -16,7 +16,6 @@ from twinrelay.minangle import (
     minangle_rows,
     ShellSpec,
     SumCodebook,
-    ball_sample,
     check_distinct_directions,
     concentration_exact,
     half_cell_codebook,
@@ -138,17 +137,6 @@ def test_direction_collision_detected():
     check_distinct_directions(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
 
 
-def test_ball_sampler_uniformity():
-    rng = generator(5)
-    pts = ball_sample(rng, 3, 2.0, 40_000)
-    norms = np.linalg.norm(pts, axis=1)
-    assert norms.max() <= 2.0
-    # P(|X| <= r) = (r/R)^n for the uniform ball
-    frac_half = float(np.mean(norms <= 1.0))
-    assert abs(frac_half - 0.125) < 3 * math.sqrt(0.125 * 0.875 / 40_000)
-    assert abs(float(np.mean(pts))) < 0.02
-
-
 def _concentration(n, power, delta, samples, seed):
     """Off-shell count, sample count and Wilson interval of `samples` ball pairs."""
     spec = ExperimentSpec("concentration",
@@ -163,6 +151,14 @@ def test_concentration_matches_1d_oracle():
     want = oracles.concentration_1d_oracle(power, delta)
     fraction, samples, _ = _concentration(n=1, power=power, delta=delta,
                                           samples=200_000, seed=6)
+    assert abs(fraction - want) < oracles.three_sigma(want, samples)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_concentration_matches_quadrature_oracle(n):
+    want = oracles.concentration_offshell_oracle(n, 1.0, 0.1)
+    fraction, samples, _ = _concentration(n=n, power=1.0, delta=0.1,
+                                          samples=200_000, seed=12)
     assert abs(fraction - want) < oracles.three_sigma(want, samples)
 
 
