@@ -180,6 +180,7 @@ def concentration_offshell_oracle(n: int, power: float, delta: float) -> float:
     functions; it is integrated over (t1, t2) by 2-D quadrature.
     """
     a = (n - 1) / 2.0
+    radius = math.sqrt(n * power)
     lo = n * (2.0 * power - delta)
     hi = n * (2.0 * power + delta)
 
@@ -196,7 +197,6 @@ def concentration_offshell_oracle(n: int, power: float, delta: float) -> float:
     def inner(t2: float) -> float:
         # The window's ends reach c = -1 at r1 = r2 +- sqrt(edge) and c = 1 at
         # r1 = sqrt(edge) - r2, for edge in (lo, hi).
-        radius = math.sqrt(n * power)
         r2 = radius * t2 ** (1.0 / n)
         ends = [r for e in (math.sqrt(lo), math.sqrt(hi)) for r in (r2 - e, r2 + e, e - r2)]
         kinks = sorted((r / radius) ** n for r in ends if 0.0 < r < radius)
