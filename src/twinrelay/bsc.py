@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from . import harness
 from .errors import GuardExceededError, ValidationError
-from .lattice import scan_rows
+from .lattice import ONE_HOT_GUARD, scan_rows
 from .rng import generator
 
 ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
@@ -72,6 +72,19 @@ class BinaryLinearCode:
         for sl in scan_rows(rows.shape[0], self.codewords.shape[0]):
             best[sl] = np.argmin(weights - 2 * rows[sl] @ self.codewords.T, axis=1)
         return self.messages[best].reshape(word.shape[:-1] + (self.k,))
+
+    @cached_property
+    def word_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cw, dec) over packed words, bit j of an integer being coordinate j:
+        cw[m] is the packed codeword of message index m, and dec[w] the
+        `ml_decode` message index of word w, for each of the 2^n words.  The
+        guard counts each word's n bits as well as its 2^k distances."""
+        if 2 ** self.n * (self.n + 2 ** self.k) > ONE_HOT_GUARD:
+            raise GuardExceededError(
+                f"decode table of 2^{self.n} words of {self.n} bits, each scanned "
+                f"against 2^{self.k} codewords, exceeds {ONE_HOT_GUARD} entries")
+        bits = 1 << np.arange(self.n)
+        return self.codewords @ bits, self.ml_decode(_all_bit_vectors(self.n)) @ bits[:self.k]
 
 
 def _all_bit_vectors(k: int) -> np.ndarray:
@@ -204,16 +217,16 @@ def draw_bsc(rng: np.random.Generator, count: int, code: BinaryLinearCode) -> Bs
 def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
              params: BscParams) -> dict[str, np.ndarray]:
     """Per-round relay, end and union errors of a block; `bsc_relay_roundtrip`
-    row by row."""
-    p = params.p_cross
-    y_relay = (code.encode(draws.u_a) ^ code.encode(draws.u_b)
-               ^ (draws.r_relay < p).astype(np.int64))
-    m_relay = code.ml_decode(y_relay)
-    relay_error = np.any(m_relay != (draws.u_a ^ draws.u_b), axis=1)
-    x_relay = code.encode(m_relay)
-    u_b_hat = code.ml_decode(x_relay ^ (draws.r_a < p).astype(np.int64)) ^ draws.u_a
-    u_a_hat = code.ml_decode(x_relay ^ (draws.r_b < p).astype(np.int64)) ^ draws.u_b
-    end_error = np.any(u_b_hat != draws.u_b, axis=1) | np.any(u_a_hat != draws.u_a, axis=1)
+    row by row, on packed words through `code.word_tables`."""
+    cw, dec = code.word_tables
+    bits = 1 << np.arange(code.n)
+    m_a, m_b = draws.u_a @ bits[:code.k], draws.u_b @ bits[:code.k]
+    f_relay, f_a, f_b = ((r < params.p_cross) @ bits
+                         for r in (draws.r_relay, draws.r_a, draws.r_b))
+    m_relay = dec[cw[m_a] ^ cw[m_b] ^ f_relay]
+    relay_error = m_relay != m_a ^ m_b
+    x = cw[m_relay]
+    end_error = (dec[x ^ f_a] ^ m_a != m_b) | (dec[x ^ f_b] ^ m_b != m_a)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
 

@@ -38,7 +38,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
-# Max entries n*q*size of the one-hot codebook matrix (256 MB of float32).
+# Max entries n*q*size of the one-hot codebook matrix (256 MB of float32);
+# bsc.BinaryLinearCode.word_tables bounds its table scan by it too.
 ONE_HOT_GUARD = 1 << 26
 # Elements of one scan array: the distances from 24 rows to the 4,096
 # points of the Golay [24,12] codebook, so batching keeps memory flat.

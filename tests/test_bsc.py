@@ -17,12 +17,17 @@ from twinrelay.bsc import (
     random_code,
 )
 from twinrelay.errors import GuardExceededError, ValidationError
-from twinrelay.harness import ExperimentSpec, run_trials
-from twinrelay.rng import generator
+from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
+from twinrelay.rng import TAG_TRIAL, generator
 
 
 def all_messages(k):
     return ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
+
+
+def tie_code42():
+    """A [4,2] code with 4 of its 16 words equidistant from two codewords."""
+    return BinaryLinearCode(generator=np.array([[1, 1, 1, 0], [1, 0, 1, 1]]))
 
 
 def test_hamming74_structure():
@@ -147,7 +152,7 @@ class _ReplayUniforms:
         return row
 
 
-@pytest.mark.parametrize("code", [hamming74(), random_code(10, 5, seed=4)])
+@pytest.mark.parametrize("code", [hamming74(), random_code(10, 5, seed=4), tie_code42()])
 def test_block_rows_replay_scalar_roundtrip(code):
     # each row of the block kernel is the scalar round trip on the same draws
     params = BscParams(0.1)
@@ -171,3 +176,63 @@ def test_ml_decode_rows_match_single_words():
     for idx in np.ndindex(3, 50):
         dists = np.count_nonzero(code.codewords != words[idx], axis=1)
         assert np.array_equal(batch[idx], code.messages[int(np.argmin(dists))])
+
+
+@pytest.mark.parametrize("code, ties", [
+    (hamming74(), 0),                                     # perfect: no ties
+    (BinaryLinearCode(generator=np.array([[1, 1]])), 2),  # [2,1] repetition
+    (tie_code42(), 4),
+    (random_code(10, 5, seed=4), 544),
+])
+def test_word_tables_exhaustive(code, ties):
+    # dec[w] is the ML message index of every packed word w, the lowest
+    # index winning a tie, and cw[m] the packed codeword of message m
+    cw, dec = code.word_tables
+    n_bits, k_bits = 1 << np.arange(code.n), 1 << np.arange(code.k)
+    assert dec.shape == (2 ** code.n,) and cw.shape == (2 ** code.k,)
+    seen = 0
+    for w, word in enumerate(all_messages(code.n)):
+        dists = np.count_nonzero(code.codewords != word, axis=1)
+        nearest = np.flatnonzero(dists == dists.min())
+        seen += len(nearest) > 1
+        assert dec[w] == nearest[0] == code.ml_decode(word) @ k_bits
+    assert seen == ties
+    for m, msg in enumerate(all_messages(code.k)):
+        assert cw[m] == code.encode(msg) @ n_bits
+
+
+@pytest.mark.parametrize("n, k", [(20, 10), (24, 1)])
+def test_word_tables_guard(n, k):
+    # [20,10]: 2^30 distances; [24,1]: 2^24 words of 24 bits (3.2 GB as
+    # int64) though only 2^25 distances.  Each code still serves ml_decode.
+    code = random_code(n, k, seed=0)
+    assert code.ml_decode(np.zeros(n, dtype=np.int64)).shape == (k,)
+    with pytest.raises(GuardExceededError):
+        code.word_tables
+
+
+def _bit_row_totals(draws, code, p):
+    """Block totals by `encode` and `ml_decode` on bit rows, as the kernel
+    counted them before it decoded packed words."""
+    y_relay = code.encode(draws.u_a) ^ code.encode(draws.u_b) ^ (draws.r_relay < p)
+    m_relay = code.ml_decode(y_relay)
+    relay_error = np.any(m_relay != (draws.u_a ^ draws.u_b), axis=1)
+    x_relay = code.encode(m_relay)
+    u_b_hat = code.ml_decode(x_relay ^ (draws.r_a < p)) ^ draws.u_a
+    u_a_hat = code.ml_decode(x_relay ^ (draws.r_b < p)) ^ draws.u_b
+    end_error = np.any(u_b_hat != draws.u_b, axis=1) | np.any(u_a_hat != draws.u_a, axis=1)
+    return {"relay_error": int(np.count_nonzero(relay_error)),
+            "end_error": int(np.count_nonzero(end_error)),
+            "union_error": int(np.count_nonzero(relay_error | end_error))}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.23, 0.49])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_totals_equal_bit_row_decoding(seed, p):
+    # full blocks on the harness's stream addresses count exactly what the
+    # bit-row ML decoder counts on the same draws
+    code = hamming74()
+    totals = bsc_kernel({"p": p, "code": "hamming74"}, generator(seed, TAG_TRIAL, 0), BLOCK)
+    want = _bit_row_totals(draw_bsc(generator(seed, TAG_TRIAL, 0), BLOCK, code), code, p)
+    assert totals == want
+    assert (want["union_error"] == 0) == (p == 0.0)
