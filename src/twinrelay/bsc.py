@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .errors import GuardExceededError, ValidationError
-from .lattice import ONE_HOT_GUARD, scan_rows
+from .lattice import ONE_HOT_GUARD, _enumerate_messages, scan_rows
 from .rng import generator
 
 ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
@@ -37,7 +37,7 @@ class BinaryLinearCode:
         self.generator = G
         if self.k > ML_GUARD_K:
             raise GuardExceededError(f"k={self.k} exceeds brute-force guard {ML_GUARD_K}")
-        msgs = _all_bit_vectors(self.k)
+        msgs = _enumerate_messages(2, self.k)
         self.codewords = msgs @ G % 2
         self.messages = msgs
         if len({row.tobytes() for row in self.codewords.astype(np.uint8)}) != 2 ** self.k:
@@ -84,12 +84,8 @@ class BinaryLinearCode:
                 f"decode table of 2^{self.n} words of {self.n} bits, each scanned "
                 f"against 2^{self.k} codewords, exceeds {ONE_HOT_GUARD} entries")
         bits = 1 << np.arange(self.n)
-        return self.codewords @ bits, self.ml_decode(_all_bit_vectors(self.n)) @ bits[:self.k]
-
-
-def _all_bit_vectors(k: int) -> np.ndarray:
-    idx = np.arange(2 ** k)
-    return (idx[:, None] >> np.arange(k)[None, :]) & 1
+        words = _enumerate_messages(2, self.n)
+        return self.codewords @ bits, self.ml_decode(words) @ bits[:self.k]
 
 
 def hamming74() -> BinaryLinearCode:

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ScheduleError, ValidationError
+from .errors import GuardExceededError, ScheduleError, ValidationError
 from .lattice import NestedLatticePair, dither, mod_coarse, modulo_diff, quantize_fine
 from .rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator
 from .twoway import encode_node
@@ -32,37 +32,57 @@ from .twoway import encode_node
 Packet = tuple[int, int]     # (direction, index): direction 1 leaves A, 2 leaves B
 Combo = dict[Packet, int]
 
+# Bound on slots x relays x (2 * packets + 1), which bounds the ledger
+# entries a schedule's records hold; the ledgers grow with packets squared.
+LEDGER_GUARD = 1 << 21
+
 
 def packet_label(packet: Packet) -> str:
     return f"x_{{{packet[0]},{packet[1]}}}"
 
 
+def _labels(combo: Combo) -> dict[str, int]:
+    return {packet_label(p): c for p, c in sorted(combo.items())}
+
+
 def _merge_combo(dst: Combo, src: Combo) -> None:
+    # Every coefficient is a sum of positive terms, so none cancels to zero.
     for key, coeff in src.items():
-        new = dst.get(key, 0) + coeff
-        if new:
-            dst[key] = new
-        else:
-            dst.pop(key, None)
+        dst[key] = dst.get(key, 0) + coeff
 
 
 @dataclass(frozen=True)
 class DecodeEvent:
     slot: int
     node: str                  # "A" or "B"
-    packet: Packet
+    packet: Packet             # read off with coefficient 1
     subtracted: Combo          # the known combination removed before reading off
-    coefficient: int = 1
 
 
 @dataclass(eq=False)
 class SlotRecord:
+    """The one record of a slot: the packet table and every export derive from
+    it.  A relay ledger is replaced, never mutated, so slots share ledgers."""
     slot: int
     transmitters: tuple[str, ...]
-    cells: dict[str, dict]
     decode_events: tuple[DecodeEvent, ...]
     injections: dict[str, Packet]          # endpoint -> packet sent this slot
     relay_states: dict[str, Combo]         # ledger after the slot, all relays
+
+
+def _chain(relays: int) -> list[str]:
+    """Nodes by chain position: A at 0, R_i at i, B at relays + 1."""
+    return ["A"] + [f"R{i}" for i in range(1, relays + 1)] + ["B"]
+
+
+def _walk(nodes: list[str], slot: int) -> tuple[list, list]:
+    """Split the chain for one slot into transmitters (position, node) and
+    listeners (position, node, neighbors).  Positions alternate by parity,
+    so every neighbor of a listener transmits."""
+    talk = [(pos, nodes[pos]) for pos in range(1 - slot % 2, len(nodes), 2)]
+    hear = [(pos, nodes[pos], nodes[max(pos - 1, 0):pos] + nodes[pos + 1:pos + 2])
+            for pos in range(slot % 2, len(nodes), 2)]
+    return talk, hear
 
 
 @dataclass(eq=False)
@@ -70,11 +90,14 @@ class HopSchedule:
     relays: int
     num_packets: int
     slots: list[SlotRecord]
-    decode_events: list[DecodeEvent]
 
     @property
     def nodes(self) -> list[str]:
-        return ["A"] + [f"R{i}" for i in range(1, self.relays + 1)] + ["B"]
+        return _chain(self.relays)
+
+    @property
+    def decode_events(self) -> list[DecodeEvent]:
+        return [ev for rec in self.slots for ev in rec.decode_events]
 
     def decode_slots(self, node: str) -> list[int]:
         return [ev.slot for ev in self.decode_events if ev.node == node]
@@ -88,51 +111,35 @@ class HopSchedule:
         return [b - a for a, b in zip(slots, slots[1:])]
 
 
-def _position(node: str, relays: int) -> int:
-    if node == "A":
-        return 0
-    if node == "B":
-        return relays + 1
-    return int(node[1:])
-
-
-def _neighbors(node: str, relays: int) -> list[str]:
-    pos = _position(node, relays)
-    nodes = ["A"] + [f"R{i}" for i in range(1, relays + 1)] + ["B"]
-    out = []
-    if pos > 0:
-        out.append(nodes[pos - 1])
-    if pos < relays + 1:
-        out.append(nodes[pos + 1])
-    return out
-
-
 def transmits(node: str, slot: int, relays: int) -> bool:
     """Half-duplex alternation: transmit when chain position + slot is odd."""
-    return (_position(node, relays) + slot) % 2 == 1
+    return (_chain(relays).index(node) + slot) % 2 == 1
 
 
 def build_schedule(relays: int, num_packets: int, max_slots: int | None = None) -> HopSchedule:
     """Symbolically run the chain until both ends decoded every packet.
 
-    Raises ScheduleError if a decode ever faces more than one unknown, a
-    unit coefficient is violated, or the horizon cap is hit.
+    Raises GuardExceededError if the ledgers could outgrow LEDGER_GUARD, and
+    ScheduleError if a decode ever faces more than one unknown, a unit
+    coefficient is violated, or the horizon cap is hit.
     """
     if relays < 1:
         raise ValidationError(f"need at least one relay, got {relays}")
     if num_packets < 1:
         raise ValidationError(f"need at least one packet, got {num_packets}")
     cap = max_slots if max_slots is not None else 2 * num_packets + 2 * relays + 8
+    if cap * relays * (2 * num_packets + 1) > LEDGER_GUARD:
+        raise GuardExceededError(
+            f"{relays} relays and {num_packets} packets over {cap} slots exceed "
+            f"the ledger guard {LEDGER_GUARD} (slots x relays x (2 x packets + 1))")
 
-    nodes = ["A"] + [f"R{i}" for i in range(1, relays + 1)] + ["B"]
-    states: dict[str, Combo] = {f"R{i}": {} for i in range(1, relays + 1)}
+    schedule = HopSchedule(relays=relays, num_packets=num_packets, slots=[])
+    nodes = schedule.nodes
+    states: dict[str, Combo] = {nd: {} for nd in nodes[1:-1]}
     sent = {"A": 0, "B": 0}
     decoded: dict[str, set[Packet]] = {"A": set(), "B": set()}
     own_dir = {"A": 1, "B": 2}
-    other_dir = {"A": 2, "B": 1}
 
-    slot_records: list[SlotRecord] = []
-    all_events: list[DecodeEvent] = []
     slot = 0
     while len(decoded["A"]) < num_packets or len(decoded["B"]) < num_packets:
         slot += 1
@@ -141,77 +148,68 @@ def build_schedule(relays: int, num_packets: int, max_slots: int | None = None) 
                 f"decode incomplete after {cap} slots: "
                 f"A has {len(decoded['A'])}, B has {len(decoded['B'])} of {num_packets}"
             )
-        txs = tuple(nd for nd in nodes if transmits(nd, slot, relays))
+        talk, hear = _walk(nodes, slot)
         signals: dict[str, Combo] = {}
         injections: dict[str, Packet] = {}
-        cells: dict[str, dict] = {}
-        for nd in txs:
-            if nd in ("A", "B"):
-                if sent[nd] < num_packets:
-                    sent[nd] += 1
-                    pkt = (own_dir[nd], sent[nd])
-                    injections[nd] = pkt
-                    signals[nd] = {pkt: 1}
-                    cells[nd] = {"role": "transmit", "packet": packet_label(pkt)}
-                else:
-                    signals[nd] = {}
-                    cells[nd] = {"role": "silent"}
+        for _, nd in talk:
+            if nd in states:
+                signals[nd] = states[nd]
+            elif sent[nd] < num_packets:
+                sent[nd] += 1
+                injections[nd] = (own_dir[nd], sent[nd])
+                signals[nd] = {injections[nd]: 1}
             else:
-                signals[nd] = dict(states[nd])
-                cells[nd] = {"role": "transmit"}
+                signals[nd] = {}
 
         events: list[DecodeEvent] = []
-        for nd in nodes:
-            if nd in txs:
-                continue
+        for _, nd, heard in hear:
             incoming: Combo = {}
-            for nb in _neighbors(nd, relays):
-                if nb in txs:
-                    _merge_combo(incoming, signals[nb])
-            if nd in ("A", "B"):
-                unknowns = [
-                    (pkt, coeff) for pkt, coeff in incoming.items()
-                    if pkt[0] == other_dir[nd] and pkt not in decoded[nd]
-                ]
-                if len(unknowns) > 1:
-                    raise ScheduleError(
-                        f"slot {slot}: node {nd} faces {len(unknowns)} unknowns"
-                    )
-                if len(unknowns) == 1:
-                    pkt, coeff = unknowns[0]
-                    if coeff != 1:
-                        raise ScheduleError(
-                            f"slot {slot}: unknown {packet_label(pkt)} at {nd} "
-                            f"has coefficient {coeff}, expected 1"
-                        )
-                    known = {p: c for p, c in incoming.items() if p != pkt}
-                    ev = DecodeEvent(slot=slot, node=nd, packet=pkt, subtracted=known)
-                    events.append(ev)
-                    decoded[nd].add(pkt)
-                    cells[nd] = {"role": "decode", "packet": packet_label(pkt)}
-                else:
-                    cells[nd] = {"role": "silent"}
-            else:
+            for nb in heard:
+                _merge_combo(incoming, signals[nb])
+            if nd in states:
                 states[nd] = incoming
-                cells[nd] = {
-                    "role": "state",
-                    "state": {packet_label(p): c for p, c in sorted(incoming.items())},
-                }
+                continue
+            unknowns = [(pkt, coeff) for pkt, coeff in incoming.items()
+                        if pkt[0] != own_dir[nd] and pkt not in decoded[nd]]
+            if len(unknowns) > 1:
+                raise ScheduleError(f"slot {slot}: node {nd} faces {len(unknowns)} unknowns")
+            if unknowns:
+                pkt, coeff = unknowns[0]
+                if coeff != 1:
+                    raise ScheduleError(
+                        f"slot {slot}: unknown {packet_label(pkt)} at {nd} "
+                        f"has coefficient {coeff}, expected 1"
+                    )
+                known = {p: c for p, c in incoming.items() if p != pkt}
+                events.append(DecodeEvent(slot=slot, node=nd, packet=pkt, subtracted=known))
+                decoded[nd].add(pkt)
 
-        all_events.extend(events)
-        slot_records.append(SlotRecord(
-            slot=slot, transmitters=txs, cells=cells, decode_events=tuple(events),
-            injections=injections,
-            relay_states={nd: dict(states[nd]) for nd in states},
+        schedule.slots.append(SlotRecord(
+            slot=slot, transmitters=tuple(nd for _, nd in talk),
+            decode_events=tuple(events), injections=injections, relay_states=dict(states),
         ))
 
-    return HopSchedule(relays=relays, num_packets=num_packets,
-                       slots=slot_records, decode_events=all_events)
+    return schedule
 
 
 # ---------------------------------------------------------------------------
 # Table rendering and JSON dumps
 # ---------------------------------------------------------------------------
+
+def _cell(rec: SlotRecord, node: str) -> dict:
+    """A node's packet-table cell, derived from its slot record."""
+    talking = node in rec.transmitters
+    if node in rec.relay_states:
+        return {"role": "transmit"} if talking else {
+            "role": "state", "state": _labels(rec.relay_states[node])}
+    if talking:
+        pkt = rec.injections.get(node)
+    else:
+        pkt = next((ev.packet for ev in rec.decode_events if ev.node == node), None)
+    if pkt is None:
+        return {"role": "silent"}
+    return {"role": "transmit" if talking else "decode", "packet": packet_label(pkt)}
+
 
 def render_table(schedule: HopSchedule, max_slot: int = 6) -> dict:
     """Per-slot, per-node cell table in the fixture's JSON shape."""
@@ -219,7 +217,7 @@ def render_table(schedule: HopSchedule, max_slot: int = 6) -> dict:
     for rec in schedule.slots:
         if rec.slot > max_slot:
             break
-        out[str(rec.slot)] = {node: rec.cells[node] for node in schedule.nodes}
+        out[str(rec.slot)] = {node: _cell(rec, node) for node in schedule.nodes}
     return {"relays": schedule.relays, "slots": out}
 
 
@@ -237,10 +235,7 @@ def schedule_json(schedule: HopSchedule) -> dict:
                 "slot": rec.slot,
                 "transmitters": list(rec.transmitters),
                 "injections": {nd: packet_label(p) for nd, p in rec.injections.items()},
-                "relay_states": {
-                    nd: {packet_label(p): c for p, c in sorted(combo.items())}
-                    for nd, combo in rec.relay_states.items()
-                },
+                "relay_states": {nd: _labels(combo) for nd, combo in rec.relay_states.items()},
                 "decodes": [
                     {"node": ev.node, "packet": packet_label(ev.packet)}
                     for ev in rec.decode_events
@@ -250,7 +245,7 @@ def schedule_json(schedule: HopSchedule) -> dict:
         ],
         "decode_events": [
             {"slot": ev.slot, "node": ev.node, "packet": packet_label(ev.packet),
-             "subtracted": {packet_label(p): c for p, c in sorted(ev.subtracted.items())}}
+             "subtracted": _labels(ev.subtracted)}
             for ev in schedule.decode_events
         ],
     }
@@ -266,9 +261,15 @@ class MultihopResult:
     mode: str
     hop_decodes: int = 0
     hop_errors: int = 0
-    end_decodes: int = 0
-    end_errors: int = 0
     recovered: list[tuple[int, str, Packet, bool]] = field(default_factory=list)
+
+    @property
+    def end_decodes(self) -> int:
+        return len(self.recovered)
+
+    @property
+    def end_errors(self) -> int:
+        return sum(not ok for *_, ok in self.recovered)
 
     def to_dict(self) -> dict:
         return {
@@ -287,10 +288,12 @@ class MultihopResult:
 
 
 def _combo_index(combo: Combo, truth: Mapping[Packet, int], pair: NestedLatticePair) -> int:
-    """Codebook index of a ledger combination: a digit-wise mod-q sum of messages."""
+    """Codebook index of a ledger combination: a digit-wise mod-q sum of messages.
+    Ledger coefficients double each slot beyond two relays, so each is taken
+    mod q before it meets int64 digits."""
     total = np.zeros(pair.k, dtype=np.int64)
     for pkt, coeff in combo.items():
-        total += coeff * pair.digits(truth[pkt])
+        total += coeff % pair.q * pair.digits(truth[pkt])
     return pair.index_of_digits(total)
 
 
@@ -333,56 +336,44 @@ def run_multihop(
             truth[(direction, idx)] = int(pkt_rng.integers(pair.size))
 
     result = MultihopResult(schedule=schedule, mode=mode)
-    states = {f"R{i}": 0 for i in range(1, schedule.relays + 1)}
+    nodes = schedule.nodes
+    states = {nd: 0 for nd in nodes[1:-1]}
 
     for rec in schedule.slots:
+        talk, hear = _walk(nodes, rec.slot)
         signals: dict[str, np.ndarray] = {}
         dithers: dict[str, np.ndarray] = {}
-        for nd in rec.transmitters:
-            pos = _position(nd, schedule.relays)
+        for pos, nd in talk:
             dithers[nd] = dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
                                  pair.coarse)
-            if nd in ("A", "B"):
+            if nd in states:
+                t = states[nd]
+            else:
                 pkt = rec.injections.get(nd)
                 t = truth[pkt] if pkt is not None else 0
-            else:
-                t = states[nd]
             signals[nd] = encode_node(t, dithers[nd], pair)
 
-        for nd in schedule.nodes:
-            if nd in rec.transmitters:
-                continue
-            tx_neighbors = [nb for nb in _neighbors(nd, schedule.relays) if nb in rec.transmitters]
-            if not tx_neighbors:
-                continue
-            y = np.zeros(pair.n)
-            dsum = np.zeros(pair.n)
-            for nb in tx_neighbors:
-                y += signals[nb]
-                dsum += dithers[nb]
+        for pos, nd, heard in hear:
+            y = sum(signals[nb] for nb in heard)
+            dsum = sum(dithers[nb] for nb in heard)
             if sigma2 > 0:
-                pos = _position(nd, schedule.relays)
                 noise = generator(seed, TAG_NOISE, rec.slot, pos)
                 y = y + noise.normal(0.0, math.sqrt(sigma2), size=pair.n)
-            m = len(tx_neighbors)
+            m = len(heard)
             alpha = 1.0 if sigma2 == 0 else m * power / (m * power + sigma2)
             decoded = quantize_fine(mod_coarse(alpha * y + dsum, pair.coarse), pair)
 
-            if nd in ("A", "B"):
-                for ev in rec.decode_events:
-                    if ev.node != nd:
-                        continue
-                    got = modulo_diff(decoded, _combo_index(ev.subtracted, truth, pair), pair)
-                    ok = got == truth[ev.packet]
-                    result.end_decodes += 1
-                    result.end_errors += 0 if ok else 1
-                    result.recovered.append((ev.slot, nd, ev.packet, ok))
-            else:
+            if nd in states:
                 result.hop_decodes += 1
                 if decoded != _combo_index(rec.relay_states[nd], truth, pair):
                     result.hop_errors += 1
                     # Error propagation is part of the model: keep the bad state.
                 states[nd] = decoded
+                continue
+            for ev in rec.decode_events:
+                if ev.node == nd:
+                    got = modulo_diff(decoded, _combo_index(ev.subtracted, truth, pair), pair)
+                    result.recovered.append((ev.slot, nd, ev.packet, got == truth[ev.packet]))
 
     return result
 

