@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, file determinism, stdout summaries."""
 
+import hashlib
 import json
 import os
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from twinrelay import harness
-from twinrelay.cli import main
+from twinrelay.cli import MULTIHOP_MODES, main
 
 
 def run_cli(capsys, *argv):
@@ -452,3 +453,73 @@ def test_rates_grid_guard_exit_1_no_file(tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error:") and "grid" in stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# The README's CLI lines with fixed seeds and trial/sample counts divided by
+# 100, each writing into the working directory.
+README_LINES = (
+    ["rates", "--snr-min", "-10", "--snr-max", "30", "--step", "0.5", "--out", "rates.csv"],
+    ["sim", "lattice", "--n", "1", "--q", "4", "--k", "1", "--snr-db", "20",
+     "--trials", "1000", "--seed", "7", "--out", "lat.json"],
+    ["sim", "bsc", "--p", "0.01", "--code", "hamming74", "--trials", "1000", "--seed", "7",
+     "--out", "bsc.json"],
+    ["sim", "minangle", "--dim", "3", "--power", "2", "--snr-db", "15", "--delta", "1.5",
+     "--trials", "200", "--seed", "7", "--out", "ma.json"],
+    ["sim", "anc-power", "--snr-db", "10", "--n", "16", "--trials", "1000", "--seed", "7",
+     "--out", "anc.json"],
+    ["multihop", "--relays", "3", "--packets", "6", "--mode", "symbolic", "--out", "hop.json"],
+    ["multihop", "--relays", "2", "--packets", "10", "--mode", "numeric-noiseless",
+     "--q", "8", "--n", "2", "--seed", "7", "--out", "hop2.json"],
+    ["concentration", "--n-list", "8,16,32,64", "--samples", "10000", "--seed", "7",
+     "--out", "conc.csv"],
+)
+
+# sha256 over every README line's stdout, output file and `.meta.json`
+# sidecar, with the numpy version dropped from the provenance.  It pins the
+# multihop config too, which is every flag the parser set.
+README_SHA256 = "ffe74e8f29056fe3cd2098017a2266115eedc7f04ea11430cf0368eb9836aabd"
+
+
+def _pinned_bytes(path) -> bytes:
+    if path.suffix != ".json":
+        return path.read_bytes()
+    doc = json.loads(path.read_text())
+    doc.pop("numpy")
+    return harness.canonical_dumps(doc).encode()
+
+
+def test_readme_lines_pinned_byte_for_byte(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for argv in README_LINES:
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        h.update(stdout.encode())
+        out = tmp_path / argv[argv.index("--out") + 1]
+        h.update(_pinned_bytes(out))
+        if out.suffix == ".csv":
+            h.update(_pinned_bytes(tmp_path / (out.name + ".meta.json")))
+    assert h.hexdigest() == README_SHA256
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["--help"], ("rates", "sim", "multihop", "concentration")),
+    (["sim", "--help"], ("lattice", "bsc", "minangle", "anc-power")),
+    (["multihop", "--help"], MULTIHOP_MODES),
+])
+def test_help_lists_every_name(capsys, argv, names):
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "{" + ",".join(names) + "}" in stdout
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["bogus"], ("rates", "sim", "multihop", "concentration")),
+    (["sim", "bogus"], ("lattice", "bsc", "minangle", "anc-power")),
+    (["multihop", "--mode", "bogus"], MULTIHOP_MODES),
+])
+def test_invalid_name_exit_2_lists_choices(capsys, argv, names):
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert "invalid choice: 'bogus'" in stderr
+    assert "(choose from " + ", ".join(f"'{name}'" for name in names) + ")" in stderr
