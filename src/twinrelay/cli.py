@@ -19,6 +19,7 @@ import contextlib
 import math
 import os
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -233,6 +234,42 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _level(parser: argparse.ArgumentParser, dest: str, builders: dict,
+           argv: Sequence[str], **kwargs) -> None:
+    """Subparsers `dest` over `builders`, name -> build(sub, name, argv).
+
+    argparse hands the rest of argv to the subparser that argv[0] names and
+    enters no other, so when argv[0] is one of the names only that one is
+    built, given the rest of argv.  Otherwise (help, a typo, no name) every
+    name is built, with every level below it, so help and choice errors read
+    as they do for the whole tree.  The metavar keeps the unbuilt names in
+    the usage line of an "unrecognized arguments" error.
+    """
+    named = argv[0] if argv and argv[0] in builders else None
+    sub = parser.add_subparsers(
+        dest=dest, required=True, **kwargs,
+        metavar=None if named is None else "{" + ",".join(builders) + "}")
+    for name, build in builders.items():
+        if named in (None, name):
+            build(sub, name, argv[1:] if named else ())
+
+
+def _rates_parser(sub, name: str, argv: Sequence[str]) -> None:
+    p = sub.add_parser(name, help="emit the closed-form rate curves")
+    p.add_argument("--snr-min", type=_finite_float, default=-10.0)
+    p.add_argument("--snr-max", type=_finite_float, default=30.0)
+    p.add_argument("--step", type=_finite_float, default=1.0)
+    p.add_argument("--out", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_rates)
+
+
+def _sim_parser(sub, name: str, argv: Sequence[str]) -> None:
+    p = sub.add_parser(name, help="run a Monte Carlo experiment")
+    p.set_defaults(func=cmd_sim)
+    _level(p, "scheme", SIM_SCHEMES, argv)
+
+
 def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
                    params) -> argparse.ArgumentParser:
     """A `sim` scheme's parser with the run flags every scheme shares; the
@@ -249,27 +286,8 @@ def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twinrelay",
-        description="Two-way relay exchange: rate curves and Monte Carlo experiments",
-    )
-    parser.add_argument("--version", action="version", version=f"twinrelay {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", help="emit the closed-form rate curves")
-    p.add_argument("--snr-min", type=_finite_float, default=-10.0)
-    p.add_argument("--snr-max", type=_finite_float, default=30.0)
-    p.add_argument("--step", type=_finite_float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("sim", help="run a Monte Carlo experiment")
-    p.set_defaults(func=cmd_sim)
-    schemes = p.add_subparsers(dest="scheme", required=True)
-
-    p = _scheme_parser(schemes, "lattice", LATTICE_ERROR_KEYS, lambda a: {
+def _lattice_parser(schemes, name: str, argv: Sequence[str]) -> None:
+    p = _scheme_parser(schemes, name, LATTICE_ERROR_KEYS, lambda a: {
         "n": a.n, "q": a.q, "k": a.k, "snr_db": a.snr_db, "power": DEFAULT_POWER,
         "mode": a.broadcast})
     p.add_argument("--n", type=int, default=1, help="block dimension")
@@ -278,12 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=_finite_float, default=None, help="default noiseless")
     p.add_argument("--broadcast", choices=("index", "direct"), default="index")
 
-    p = _scheme_parser(schemes, "bsc", BSC_ERROR_KEYS, lambda a: {"p": a.p, "code": a.code})
+
+def _bsc_parser(schemes, name: str, argv: Sequence[str]) -> None:
+    p = _scheme_parser(schemes, name, BSC_ERROR_KEYS, lambda a: {"p": a.p, "code": a.code})
     p.add_argument("--p", type=_finite_float, required=True,
                    help="BSC crossover probability")
     p.add_argument("--code", choices=("hamming74",), default="hamming74")
 
-    p = _scheme_parser(schemes, "minangle", MINANGLE_ERROR_KEYS, lambda a: {
+
+def _minangle_parser(schemes, name: str, argv: Sequence[str]) -> None:
+    p = _scheme_parser(schemes, name, MINANGLE_ERROR_KEYS, lambda a: {
         "n": a.dim, "gamma": a.gamma, "power": a.power,
         "sigma2": ChannelParams.from_snr_db(a.snr_db, a.power).sigma2,
         "delta": a.delta if a.delta is not None else 0.1 * a.power})
@@ -295,32 +317,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shell half-width, default 0.1 * power")
     p.add_argument("--snr-db", type=_finite_float, required=True)
 
-    p = _scheme_parser(schemes, "anc-power", (), lambda a: {
+
+def _anc_power_parser(schemes, name: str, argv: Sequence[str]) -> None:
+    p = _scheme_parser(schemes, name, (), lambda a: {
         "n": a.n, "power": DEFAULT_POWER,
         "sigma2": ChannelParams.from_snr_db(a.snr_db, DEFAULT_POWER).sigma2})
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--snr-db", type=_finite_float, required=True)
 
-    p = sub.add_parser("multihop", help="schedule and run the relay chain",
+
+def _multihop_parser(sub, name: str, argv: Sequence[str]) -> None:
+    p = sub.add_parser(name, help="schedule and run the relay chain",
                        usage=f"%(prog)s --mode {{{','.join(MULTIHOP_MODES)}}} ...")
     p.set_defaults(func=cmd_multihop)
-    modes = p.add_subparsers(dest="mode", required=True, title="modes (--mode)")
-    for mode in MULTIHOP_MODES:
-        p = modes.add_parser(mode, prog=f"twinrelay multihop --mode {mode}",
-                             allow_abbrev=False)
-        p.add_argument("--relays", type=int, required=True)
-        p.add_argument("--packets", type=int, required=True)
-        p.add_argument("--out", required=True)
-        if mode == "symbolic":
-            continue
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--q", type=int, default=8)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        if mode == "numeric-awgn":
-            p.add_argument("--snr-db", type=_finite_float, required=True)
+    _level(p, "mode", dict.fromkeys(MULTIHOP_MODES, _mode_parser), argv,
+           title="modes (--mode)")
 
-    p = sub.add_parser("concentration", help="off-shell fraction of ball-pair sums")
+
+def _mode_parser(modes, mode: str, argv: Sequence[str]) -> None:
+    p = modes.add_parser(mode, prog=f"twinrelay multihop --mode {mode}", allow_abbrev=False)
+    p.add_argument("--relays", type=int, required=True)
+    p.add_argument("--packets", type=int, required=True)
+    p.add_argument("--out", required=True)
+    if mode == "symbolic":
+        return
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--q", type=int, default=8)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    if mode == "numeric-awgn":
+        p.add_argument("--snr-db", type=_finite_float, required=True)
+
+
+def _concentration_parser(sub, name: str, argv: Sequence[str]) -> None:
+    p = sub.add_parser(name, help="off-shell fraction of ball-pair sums")
     p.add_argument("--n-list", default="8,16,32,64")
     p.add_argument("--power", type=_finite_float, default=1.0)
     p.add_argument("--delta", type=_finite_float, default=None, help="default 0.1 * power")
@@ -330,6 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_concentration)
+
+
+COMMANDS = {"rates": _rates_parser, "sim": _sim_parser, "multihop": _multihop_parser,
+            "concentration": _concentration_parser}
+SIM_SCHEMES = {"lattice": _lattice_parser, "bsc": _bsc_parser,
+               "minangle": _minangle_parser, "anc-power": _anc_power_parser}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for `argv` (after `_mode_first`): the command, scheme and
+    mode that argv names are built with their flags, and no other."""
+    parser = argparse.ArgumentParser(
+        prog="twinrelay",
+        description="Two-way relay exchange: rate curves and Monte Carlo experiments",
+    )
+    parser.add_argument("--version", action="version", version=f"twinrelay {__version__}")
+    _level(parser, "command", COMMANDS, argv)
     return parser
 
 
@@ -354,9 +401,9 @@ def _mode_first(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = _mode_first(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(_mode_first(sys.argv[1:] if argv is None else list(argv)))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse validation failure -> exit code 2
         return int(exc.code) if exc.code is not None else 2
     try:

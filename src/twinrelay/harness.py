@@ -23,7 +23,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import TwinrelayError, ValidationError
+from .errors import GuardExceededError, TwinrelayError, ValidationError
+from .lattice import ONE_HOT_GUARD
 from .rng import TAG_TRIAL, generator
 
 Z95 = 1.959963984540054
@@ -312,6 +313,9 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
     n = int(params.get("n", 16))
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
+    if count * n > ONE_HOT_GUARD:
+        raise GuardExceededError(
+            f"{count} x {n} anc-power block exceeds {ONE_HOT_GUARD} entries per array")
     power = float(params.get("power", 1.0))
     sigma2 = float(params["sigma2"])
     sigma = math.sqrt(power)

@@ -70,6 +70,8 @@ class CoarseLattice:
     @classmethod
     def for_power(cls, n: int, q: int, power: float) -> "CoarseLattice":
         """Pick gamma so the cube second moment equals `power`."""
+        if q < 2:  # before the division by q
+            raise ValidationError(f"modulus must be >= 2, got {q}")
         if power <= 0:
             raise ValidationError(f"power must be positive, got {power}")
         return cls(n=n, q=q, gamma=math.sqrt(12.0 * power) / q)

@@ -40,6 +40,8 @@ class ShellSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
+        if self.power <= 0:
+            raise ValidationError(f"power must be positive, got {self.power}")
         if not 0.0 < self.delta < 2.0 * self.power:
             raise ValidationError(
                 f"delta must lie in (0, 2P) = (0, {2 * self.power}), got {self.delta}"

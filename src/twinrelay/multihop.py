@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .errors import GuardExceededError, ScheduleError, ValidationError
-from .lattice import NestedLatticePair, dither, mod_coarse, modulo_diff, quantize_fine
+from .lattice import NestedLatticePair, dither, mod_coarse, modulo_diff, modulo_sum, quantize_fine
 from .rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator
 from .twoway import encode_node
 
@@ -287,16 +286,6 @@ class MultihopResult:
         }
 
 
-def _combo_index(combo: Combo, truth: Mapping[Packet, int], pair: NestedLatticePair) -> int:
-    """Codebook index of a ledger combination: a digit-wise mod-q sum of messages.
-    Ledger coefficients double each slot beyond two relays, so each is taken
-    mod q before it meets int64 digits."""
-    total = np.zeros(pair.k, dtype=np.int64)
-    for pkt, coeff in combo.items():
-        total += coeff % pair.q * pair.digits(truth[pkt])
-    return pair.index_of_digits(total)
-
-
 def run_multihop(
     schedule: HopSchedule,
     mode: str,
@@ -337,20 +326,24 @@ def run_multihop(
 
     result = MultihopResult(schedule=schedule, mode=mode)
     nodes = schedule.nodes
+    # A relay's decoded state and its ideal one: the mod-q sum of what its
+    # neighbors ideally sent, carried slot to slot.
     states = {nd: 0 for nd in nodes[1:-1]}
+    ideal = dict(states)
 
     for rec in schedule.slots:
         talk, hear = _walk(nodes, rec.slot)
         signals: dict[str, np.ndarray] = {}
         dithers: dict[str, np.ndarray] = {}
+        sent: dict[str, int] = {}   # ideal index each transmitter sends
         for pos, nd in talk:
             dithers[nd] = dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
                                  pair.coarse)
             if nd in states:
-                t = states[nd]
+                t, sent[nd] = states[nd], ideal[nd]
             else:
                 pkt = rec.injections.get(nd)
-                t = truth[pkt] if pkt is not None else 0
+                t = sent[nd] = truth[pkt] if pkt is not None else 0
             signals[nd] = encode_node(t, dithers[nd], pair)
 
         for pos, nd, heard in hear:
@@ -362,17 +355,21 @@ def run_multihop(
             m = len(heard)
             alpha = 1.0 if sigma2 == 0 else m * power / (m * power + sigma2)
             decoded = quantize_fine(mod_coarse(alpha * y + dsum, pair.coarse), pair)
+            incoming = sent[heard[0]]
+            for nb in heard[1:]:
+                incoming = modulo_sum(incoming, sent[nb], pair)
 
             if nd in states:
                 result.hop_decodes += 1
-                if decoded != _combo_index(rec.relay_states[nd], truth, pair):
+                if decoded != incoming:
                     result.hop_errors += 1
                     # Error propagation is part of the model: keep the bad state.
-                states[nd] = decoded
+                states[nd], ideal[nd] = decoded, incoming
                 continue
             for ev in rec.decode_events:
                 if ev.node == nd:
-                    got = modulo_diff(decoded, _combo_index(ev.subtracted, truth, pair), pair)
+                    known = modulo_diff(incoming, truth[ev.packet], pair)
+                    got = modulo_diff(decoded, known, pair)
                     result.recovered.append((ev.slot, nd, ev.packet, got == truth[ev.packet]))
 
     return result

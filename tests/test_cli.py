@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, file determinism, stdout summaries."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from twinrelay import harness
-from twinrelay.cli import MULTIHOP_MODES, main
+from twinrelay.cli import COMMANDS, MULTIHOP_MODES, SIM_SCHEMES, _mode_first, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -384,11 +385,22 @@ def test_non_finite_float_flag_exit_2_no_file(tmp_path, capsys, argv, flag, valu
     ["concentration", "--n-list", "8,1.5"],
     ["concentration", "--samples", "1500"],
     ["concentration", "--samples", "0"],
+    ["concentration", "--power", "-1"],
+    ["sim", "lattice", "--q", "0", "--snr-db", "10", "--trials", "100"],
+    ["multihop", "--relays", "2", "--packets", "4", "--mode", "numeric-noiseless", "--q", "0"],
 ])
 def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
     code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))
     assert code == 2
     assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_anc_power_block_guard_exit_1_no_file(tmp_path, capsys):
+    code, _, stderr = run_cli(capsys, "sim", "anc-power", "--snr-db", "10", "--n", "100000000",
+                              "--trials", "10", "--out", str(tmp_path / "a.json"))
+    assert code == 1
+    assert stderr.startswith("error:") and "exceeds" in stderr and "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -523,3 +535,32 @@ def test_invalid_name_exit_2_lists_choices(capsys, argv, names):
     assert code == 2
     assert "invalid choice: 'bogus'" in stderr
     assert "(choose from " + ", ".join(f"'{name}'" for name in names) + ")" in stderr
+
+
+def test_unrecognized_argument_usage_lists_every_command(capsys):
+    code, _, stderr = run_cli(capsys, "rates", "--bogus", "1", "--out", "x.csv")
+    assert code == 2
+    assert stderr.startswith("usage: twinrelay [-h] [--version] "
+                             "{rates,sim,multihop,concentration} ...\n")
+    assert "unrecognized arguments: --bogus 1" in stderr
+
+
+def _names(parser: argparse.ArgumentParser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("argv", README_LINES, ids=lambda argv: argv[0])
+def test_parser_builds_only_the_named_path(argv):
+    argv = _mode_first(argv)
+    commands = _names(build_parser(argv))
+    assert list(commands) == [argv[0]]
+    if argv[0] in ("sim", "multihop"):
+        assert list(_names(commands[argv[0]])) == [argv[1]]
+
+
+def test_parser_without_a_name_builds_every_path():
+    commands = _names(build_parser(["--help"]))
+    assert list(commands) == list(COMMANDS)
+    assert list(_names(commands["sim"])) == list(SIM_SCHEMES)
+    assert list(_names(commands["multihop"])) == list(MULTIHOP_MODES)

@@ -121,6 +121,12 @@ def test_encode_message_row_is_read_only():
         pair.codebook_coords[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("q", [0, 1, -2])
+def test_coarse_for_power_checks_modulus_first(q):
+    with pytest.raises(ValidationError, match="modulus must be >= 2"):
+        CoarseLattice.for_power(n=2, q=q, power=1.0)
+
+
 def test_encode_index_out_of_range():
     with pytest.raises(ValidationError):
         encode_message(4, pair_q4())

@@ -33,6 +33,9 @@ def test_shellspec_radii():
     assert spec.r_outer == pytest.approx(math.sqrt(10.0))
     with pytest.raises(ValidationError):
         ShellSpec(n=4, power=1.0, delta=2.0)
+    for power in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="power must be positive"):
+            ShellSpec(n=4, power=power, delta=0.1)
 
 
 def test_projection_examples():
