@@ -147,16 +147,13 @@ def bsc_relay_roundtrip(
     u_b: np.ndarray,
     code: BinaryLinearCode,
     params: BscParams,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> BscRoundtrip:
     """Uplink XOR decode at the relay, broadcast, XOR-cancel at the ends.
 
     The relay re-encodes its decoded XOR message for the downlink; both
-    downlink legs see independent flips from the same stream.  `rng` may
-    be a Generator or a plain integer seed.
+    downlink legs see independent flips from the same stream.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = generator(int(rng))
     u_a = np.asarray(u_a, dtype=np.int64) % 2
     u_b = np.asarray(u_b, dtype=np.int64) % 2
     x1 = code.encode(u_a)

@@ -71,6 +71,22 @@ def _write_json(path: str, obj: dict) -> None:
     _write_text(path, harness.canonical_dumps(obj) + "\n")
 
 
+def _write_table(path: str, fmt: str, provenance: dict, key: str, rows: list[dict],
+                 columns: Sequence[str] | None = None) -> None:
+    """Write row dicts as CSV, the `columns` (default every key) with floats
+    at 12 significant digits and the provenance in a `.meta.json` sidecar,
+    or as JSON, the rows under `key` inside the provenance."""
+    if fmt == "json":
+        _write_json(path, {**provenance, key: rows})
+        return
+    columns = columns or list(rows[0])
+    lines = [",".join(columns)] + [
+        ",".join(f"{r[c]:.12g}" if isinstance(r[c], float) else str(r[c]) for c in columns)
+        for r in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+    _write_json(path + ".meta.json", provenance)
+
+
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
@@ -79,21 +95,14 @@ def cmd_rates(args: argparse.Namespace) -> int:
     grid = rates.GridSpec(args.snr_min, args.snr_max, args.step)
     config = {"subcommand": "rates", "snr_min": args.snr_min, "snr_max": args.snr_max,
               "step": args.step, "format": args.format, "out": args.out}
-    curve = rates.rate_curve(grid)
-    lo, hi = rates.crossover_window()
-    if args.format == "csv":
-        _write_text(args.out, rates.curve_csv(curve))
-        _write_json(args.out + ".meta.json", _provenance(config))
-    else:
-        rows = [
-            {"snr_db": p.snr_db, "upper": p.upper, "lattice": p.lattice, "jd": p.jd,
+    rows = [{"snr_db": p.snr_db, "upper": p.upper, "lattice": p.lattice, "jd": p.jd,
              "envelope": p.envelope, "anc": p.anc, "purenc": p.pure_nc,
              "beta_star": p.beta_star}
-            for p in curve.points
-        ]
-        _write_json(args.out, {**_provenance(config), "points": rows})
+            for p in rates.rate_curve(grid)]
+    lo, hi = rates.crossover_window()
+    _write_table(args.out, args.format, _provenance(config), "points", rows)
     print(f"crossover_db: {lo:.3f} {hi:.3f}")
-    print(f"wrote {len(curve.points)} grid points to {args.out}")
+    print(f"wrote {len(rows)} grid points to {args.out}")
     return 0
 
 
@@ -206,13 +215,8 @@ def cmd_concentration(args: argparse.Namespace) -> int:
         lo, hi = harness.wilson_interval(off, samples)
         rows.append({"n": n, "fraction": off / samples, "ci_low": lo, "ci_high": hi,
                      "samples": samples})
-    if args.format == "csv":
-        lines = ["n,fraction,ci_low,ci_high"] + [
-            f"{r['n']},{r['fraction']:.12g},{r['ci_low']:.12g},{r['ci_high']:.12g}" for r in rows]
-        _write_text(args.out, "\n".join(lines) + "\n")
-        _write_json(args.out + ".meta.json", _provenance(config, seed=args.seed))
-    else:
-        _write_json(args.out, {**_provenance(config, seed=args.seed), "rows": rows})
+    _write_table(args.out, args.format, _provenance(config, seed=args.seed), "rows", rows,
+                 columns=("n", "fraction", "ci_low", "ci_high"))
     for r in rows:
         print(f"n={r['n']}: off_shell_fraction={r['fraction']:.6g} "
               f"ci95=[{r['ci_low']:.6g},{r['ci_high']:.6g}]")

@@ -92,15 +92,20 @@ class BallCodebook:
         radius = math.sqrt(n * self.power)
         # Bounding-box sweep: every coordinate of an in-ball point satisfies
         # |gamma*m + s_i| <= radius, so the integer ranges below are complete.
+        # The count stops growing past the guard; an empty range still zeroes it.
+        box_guard = 20 * BALL_GUARD
         ranges = []
         box_count = 1
         for i in range(n):
-            lo = math.ceil((-radius - s[i]) / self.gamma)
-            hi = math.floor((radius - s[i]) / self.gamma)
+            lo, hi = (-radius - s[i]) / self.gamma, (radius - s[i]) / self.gamma
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                box_count = box_guard + 1
+                break
+            lo, hi = math.ceil(lo), math.floor(hi)
             ranges.append(range(lo, hi + 1))
-            box_count *= max(0, hi - lo + 1)
-        if box_count > 20 * BALL_GUARD:
-            raise GuardExceededError(f"bounding box of {box_count} points is too large")
+            box_count = min(box_count * max(0, hi - lo + 1), box_guard + 1)
+        if box_count > box_guard:
+            raise GuardExceededError(f"bounding box has more than {box_guard} points")
         units = np.array([m for m in product(*ranges)], dtype=np.int64).reshape(-1, n)
         pts = self.gamma * units + s
         keep = np.einsum("ij,ij->i", pts, pts) <= n * self.power + 1e-12
@@ -219,15 +224,25 @@ def nearest_sum(y: np.ndarray, sum_points: np.ndarray) -> np.ndarray:
 
 
 def check_distinct_directions(points: np.ndarray, tol: float = 1e-9) -> None:
-    """Abort if two distinct candidates share a direction (angle decoding ambiguous)."""
+    """Abort if two distinct candidates share a direction (angle decoding ambiguous).
+
+    The Gram matrix of the unit directions, diagonal zeroed, is scanned in
+    row chunks; the pair reported is its first maximum in row-major order.
+    """
     pts = np.asarray(points, dtype=float)
     unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    gram = unit @ unit.T
-    np.fill_diagonal(gram, 0.0)
-    i, j = np.unravel_index(int(np.argmax(gram)), gram.shape)
-    if gram[i, j] >= 1.0 - tol:
+    cos, i, j = -np.inf, 0, 0
+    for sl in scan_rows(unit.shape[0], unit.shape[0]):
+        gram = unit[sl] @ unit.T
+        rows = np.arange(gram.shape[0])
+        gram[rows, sl.start + rows] = 0.0
+        k = int(np.argmax(gram))
+        if gram.flat[k] > cos:
+            cos, (i, j) = gram.flat[k], divmod(k, gram.shape[1])
+            i += sl.start
+    if cos >= 1.0 - tol:
         raise DirectionCollisionError(
-            f"sum points {i} and {j} are collinear (cos = {gram[i, j]:.12f}); "
+            f"sum points {i} and {j} are collinear (cos = {cos:.12f}); "
             "choose different translations or a thinner shell"
         )
 
@@ -241,25 +256,28 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
     """`count` batches of uniform ball pairs; counts sums falling off the shell.
 
     By rotation invariance only three scalars per pair matter: the squared
-    radii s = nP * U^(2/n) of the two ball points, and the cosine c between
-    their directions, g / sqrt(g^2 + 2 * Gamma((n-1)/2)) for a standard
-    normal g (the first coordinate of a uniform direction; c = +-1 at n = 1).
-    Then |x1 + x2|^2 = s1 + s2 + 2 sqrt(s1 s2) c, in four draws of `batch`
-    scalars whatever n is.  Batches are drawn one after another, so memory
-    stays at one batch.
+    radii s = U^(2/n) of the two ball points in units of nP, and the cosine
+    c between their directions, g / sqrt(g^2 + 2 * Gamma((n-1)/2)) for a
+    standard normal g (the first coordinate of a uniform direction; c = +-1
+    at n = 1).  Then |x1 + x2|^2 / nP = s1 + s2 + 2 sqrt(s1 s2) c, in four
+    draws of `batch` scalars whatever n is, and the shell is
+    [2 - delta/P, 2 + delta/P] in the same units, so no power under- or
+    overflows.  Batches are drawn one after another, so memory stays at one
+    batch.
     """
     n = int(params["n"])
     power = float(params.get("power", 1.0))
     delta = float(params["delta"])
     batch = int(params.get("batch", CONC_BATCH))
-    shell = ShellSpec(n=n, power=power, delta=delta)
+    ShellSpec(n=n, power=power, delta=delta)  # validates the arguments
+    lo, hi = 2.0 - delta / power, 2.0 + delta / power
     off = 0
     for _ in range(count):
-        s1, s2 = n * power * rng.random((2, batch)) ** (2.0 / n)
+        s1, s2 = rng.random((2, batch)) ** (2.0 / n)
         g = rng.standard_normal(batch)
         cos = g / np.sqrt(g * g + 2.0 * rng.standard_gamma((n - 1) / 2.0, batch))
         norm_sq = s1 + s2 + 2.0 * np.sqrt(s1 * s2) * cos
-        off += int(np.count_nonzero(~shell.contains_sq(norm_sq)))
+        off += int(np.count_nonzero((norm_sq < lo) | (norm_sq > hi)))
     return {"off_shell": off, "samples": count * batch}
 
 

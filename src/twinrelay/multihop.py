@@ -24,9 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceededError, ScheduleError, ValidationError
-from .lattice import NestedLatticePair, dither, mod_coarse, modulo_diff, modulo_sum, quantize_fine
+from .lattice import NestedLatticePair, dither, modulo_diff, modulo_sum
+# Not called here since listeners decode through `relay_decode_sum`; kept as a
+# module attribute because perfbench's tracer wraps `multihop.quantize_fine`.
+from .lattice import quantize_fine  # noqa: F401
 from .rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator
-from .twoway import encode_node
+from .twoway import ChannelParams, encode_node, relay_decode_sum
 
 Packet = tuple[int, int]     # (direction, index): direction 1 leaves A, 2 leaves B
 Combo = dict[Packet, int]
@@ -108,11 +111,6 @@ class HopSchedule:
     def steady_state_periods(self, node: str) -> list[int]:
         slots = self.decode_slots(node)
         return [b - a for a, b in zip(slots, slots[1:])]
-
-
-def transmits(node: str, slot: int, relays: int) -> bool:
-    """Half-duplex alternation: transmit when chain position + slot is odd."""
-    return (_chain(relays).index(node) + slot) % 2 == 1
 
 
 def build_schedule(relays: int, num_packets: int, max_slots: int | None = None) -> HopSchedule:
@@ -298,8 +296,8 @@ def run_multihop(
     mode: "symbolic" | "numeric-noiseless" | "numeric-awgn".  Numeric modes
     need a nested pair; packets map to uniformly drawn codebook indices.
     Every scheduled transmitter sends its (possibly zero) state through a
-    fresh dither; each listener applies the m-input MMSE scaling
-    m*P/(m*P + sigma2) before the modulo fold and fine quantization.
+    fresh dither; each listener decodes the modulo sum of the m signals it
+    hears with `relay_decode_sum`, the receiver of the two-way relay.
 
     Relay decode errors propagate (a bad state keeps flowing downstream).
     End-node cancellation uses the true values of previously decoded
@@ -317,7 +315,7 @@ def run_multihop(
     elif sigma2 <= 0:
         raise ValidationError("numeric-awgn needs sigma2 > 0, a finite SNR")
 
-    power = pair.coarse.second_moment
+    channel = ChannelParams(power=pair.coarse.second_moment, sigma2=sigma2)
     pkt_rng = generator(seed, TAG_PACKET)
     truth: dict[Packet, int] = {}
     for direction in (1, 2):
@@ -348,13 +346,10 @@ def run_multihop(
 
         for pos, nd, heard in hear:
             y = sum(signals[nb] for nb in heard)
-            dsum = sum(dithers[nb] for nb in heard)
             if sigma2 > 0:
                 noise = generator(seed, TAG_NOISE, rec.slot, pos)
                 y = y + noise.normal(0.0, math.sqrt(sigma2), size=pair.n)
-            m = len(heard)
-            alpha = 1.0 if sigma2 == 0 else m * power / (m * power + sigma2)
-            decoded = quantize_fine(mod_coarse(alpha * y + dsum, pair.coarse), pair)
+            decoded = relay_decode_sum(y, [dithers[nb] for nb in heard], channel, pair)
             incoming = sent[heard[0]]
             for nb in heard[1:]:
                 incoming = modulo_sum(incoming, sent[nb], pair)

@@ -1,4 +1,4 @@
-"""Closed-form exchange rates, the time-sharing envelope, and the rate-curve CSV.
+"""Closed-form exchange rates, the time-sharing envelope, and the rate curve.
 
 All rates are in bits per transmitter per channel use of each phase, as
 functions of the linear uplink/downlink SNR.  The envelope concavifies
@@ -143,27 +143,5 @@ class GridSpec:
         return [self.snr_db_min + i * self.step_db for i in range(count)]
 
 
-@dataclass(frozen=True)
-class RateCurve:
-    grid: GridSpec
-    points: tuple[RatePoint, ...]
-
-
-CSV_HEADER = "snr_db,upper,lattice,jd,envelope,anc,purenc,beta_star"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def rate_curve(grid: GridSpec) -> RateCurve:
-    return RateCurve(grid=grid, points=tuple(rate_point(db) for db in grid.points()))
-
-
-def curve_csv(curve: RateCurve) -> str:
-    lines = [CSV_HEADER]
-    for p in curve.points:
-        lines.append(",".join(_fmt(v) for v in (
-            p.snr_db, p.upper, p.lattice, p.jd, p.envelope, p.anc, p.pure_nc, p.beta_star,
-        )))
-    return "\n".join(lines) + "\n"
+def rate_curve(grid: GridSpec) -> tuple[RatePoint, ...]:
+    return tuple(rate_point(db) for db in grid.points())

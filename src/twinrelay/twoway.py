@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -72,18 +72,13 @@ class ChannelParams:
     def snr(self) -> float:
         return math.inf if self.sigma2 == 0 else self.power / self.sigma2
 
-    @property
-    def snr_db(self) -> float:
-        return math.inf if self.sigma2 == 0 else 10.0 * math.log10(self.snr)
-
-    @property
-    def alpha_opt(self) -> float:
-        """MMSE scaling 2P/(2P + sigma2); equals 1 in the noiseless limit."""
-        return 2.0 * self.power / (2.0 * self.power + self.sigma2)
+    def alpha(self, m: int) -> float:
+        """MMSE scaling mP/(mP + sigma2) for a sum of m signals; 1 when noiseless."""
+        return m * self.power / (m * self.power + self.sigma2)
 
     @property
     def sigma2_eq(self) -> float:
-        """Equivalent-noise variance 2*P*sigma2/(2P + sigma2) at alpha_opt."""
+        """Equivalent-noise variance 2*P*sigma2/(2P + sigma2) at alpha(2)."""
         return 2.0 * self.power * self.sigma2 / (2.0 * self.power + self.sigma2)
 
 
@@ -131,16 +126,21 @@ def encode_node(u, d: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
 
 
 def relay_decode_sum(
-    y_relay: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
+    y: np.ndarray,
+    dithers: Sequence[np.ndarray],
     params: ChannelParams,
     pair: NestedLatticePair,
 ):
-    """Estimate the index of (t1 + t2) mod coarse from each relay observation row."""
-    pre = mod_coarse(params.alpha_opt * np.asarray(y_relay, dtype=float)
-                     + d1 + d2, pair.coarse)
-    return quantize_fine(pre, pair)
+    """Index of the modulo sum of the m codewords heard, from each observation row.
+
+    `dithers` holds the dither rows of the m signals in `y`.  The receiver
+    scales by alpha(m), adds the dithers back one at a time, folds mod the
+    coarse lattice and quantizes to the fine lattice.
+    """
+    pre = params.alpha(len(dithers)) * np.asarray(y, dtype=float)
+    for d in dithers:
+        pre = pre + d
+    return quantize_fine(mod_coarse(pre, pair.coarse), pair)
 
 
 def recover_at_node(t_hat, own, pair: NestedLatticePair):
@@ -195,7 +195,7 @@ def _session_core(
     if sigma > 0:
         y_relay = y_relay + noise_rng.normal(0.0, sigma, size=pair.n)
 
-    t_hat = relay_decode_sum(y_relay, d1, d2, params, pair)
+    t_hat = relay_decode_sum(y_relay, (d1, d2), params, pair)
     relay_error = t_hat != modulo_sum(u_a, u_b, pair)
 
     broadcast_failed = False
@@ -285,7 +285,7 @@ def session_rows(
     y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
     if draws.z_relay is not None:
         y_relay = y_relay + draws.z_relay
-    t_hat = relay_decode_sum(y_relay, draws.d1, draws.d2, params, pair)
+    t_hat = relay_decode_sum(y_relay, (draws.d1, draws.d2), params, pair)
     relay_error = t_hat != modulo_sum(draws.u_a, draws.u_b, pair)
 
     if mode is BroadcastMode.INDEX_FORWARD_IDEAL:

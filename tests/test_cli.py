@@ -4,12 +4,14 @@ import argparse
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from twinrelay import harness
 from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
+from twinrelay.rates import GridSpec, rate_curve, rate_upper
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,30 @@ def test_rates_csv(tmp_path, capsys):
     meta = json.loads((tmp_path / "rates.csv.meta.json").read_text())
     assert meta["tool"]["name"] == "twinrelay"
     assert meta["config"]["step"] == 0.5
+
+
+def test_curve_csv_contract(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    argv = ("rates", "--snr-min", "-10", "--snr-max", "30", "--step", "1", "--out", str(out))
+    assert run_cli(capsys, *argv)[0] == 0
+    text = out.read_text()
+    lines = text.strip().split("\n")
+    assert lines[0] == "snr_db,upper,lattice,jd,envelope,anc,purenc,beta_star"
+    assert len(lines) == 1 + 41
+    for line, point in zip(lines[1:], rate_curve(GridSpec(-10.0, 30.0, 1.0))):
+        cols = line.split(",")
+        assert float(cols[2]) <= float(cols[1]) + 1e-12  # lattice <= upper
+        assert float(cols[0]) == pytest.approx(point.snr_db, abs=1e-9)
+    # deterministic: a second rendering is byte-identical
+    assert run_cli(capsys, *argv)[0] == 0
+    assert out.read_text() == text
+
+
+def test_curve_csv_12_sig_digits(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    run_cli(capsys, "rates", "--snr-min", "0", "--snr-max", "1", "--step", "1", "--out", str(out))
+    row = out.read_text().strip().split("\n")[1].split(",")
+    assert row[1] == f"{rate_upper(1.0):.12g}"
 
 
 def test_rates_rerun_byte_identical(tmp_path, capsys):
@@ -399,12 +425,51 @@ def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_anc_power_block_guard_exit_1_no_file(tmp_path, capsys):
-    code, _, stderr = run_cli(capsys, "sim", "anc-power", "--snr-db", "10", "--n", "100000000",
-                              "--trials", "10", "--out", str(tmp_path / "a.json"))
+@pytest.mark.parametrize("argv,phrase", [
+    (["sim", "anc-power", "--snr-db", "10", "--n", "100000000"], "exceeds"),
+    # sqrt(nP) overflows, or the box of the ball codebook has ~300-digit sides
+    (["sim", "minangle", "--power", "1e308", "--snr-db", "10"], "more than 2000000 points"),
+    (["sim", "minangle", "--gamma", "1e-300", "--snr-db", "10"], "more than 2000000 points"),
+    (["sim", "minangle", "--power", "1e200", "--snr-db", "10"], "more than 2000000 points"),
+], ids=["anc-power-block", "minangle-power-1e308", "minangle-gamma-1e-300",
+        "minangle-power-1e200"])
+def test_guard_exit_1_short_error_line_no_file(tmp_path, capsys, argv, phrase):
+    code, _, stderr = run_cli(capsys, *argv, "--trials", "10",
+                              "--out", str(tmp_path / "a.json"))
     assert code == 1
-    assert stderr.startswith("error:") and "exceeds" in stderr and "Traceback" not in stderr
+    assert stderr.startswith("error:") and phrase in stderr
+    assert stderr.count("\n") == 1 and len(stderr) < 300
     assert list(tmp_path.iterdir()) == []
+
+
+EXTREME_INPUTS = [
+    ["sim", "minangle", "--power", "1e308", "--snr-db", "10", "--trials", "10"],
+    ["sim", "minangle", "--gamma", "1e-300", "--snr-db", "10", "--trials", "10"],
+    ["sim", "minangle", "--power", "1e200", "--snr-db", "10", "--trials", "10"],
+    ["concentration", "--power", "1e-300", "--samples", "10000"],
+    ["concentration", "--power", "1e300", "--samples", "10000"],
+    ["sim", "lattice", "--snr-db=-1000", "--trials", "100"],
+    ["sim", "anc-power", "--snr-db=-400", "--trials", "100"],
+    ["rates", "--snr-min=-1000", "--snr-max=-900", "--step", "10"],
+    ["multihop", "--mode", "numeric-awgn", "--relays", "2", "--packets", "3",
+     "--snr-db", "400"],
+    ["concentration", "--n-list", "99999999999999999999", "--samples", "1000"],
+    ["sim", "lattice", "--n", "30", "--q", "2", "--k", "15", "--trials", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_INPUTS, ids=[" ".join(a) for a in EXTREME_INPUTS])
+def test_extreme_input_exits_cleanly(tmp_path, capsys, argv):
+    """No input makes the CLI raise, print a traceback or warn: it exits 0, 1
+    or 2, and a failure leaves no file and ends on one short `error:` line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code in (0, 1, 2)
+    if code:
+        assert list(tmp_path.iterdir()) == []
+        last = stderr.strip().splitlines()[-1]
+        assert last.startswith("error:") and len(last) < 300
 
 
 def test_rates_grid_above_db_bound_exit_2_no_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Shell projection, angle decoding, and concentration experiments."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +142,17 @@ def test_direction_collision_detected():
     check_distinct_directions(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
 
 
+def test_check_distinct_directions_memory_stays_in_row_chunks():
+    pts = generator(5).standard_normal((6000, 5))
+    tracemalloc.start()
+    try:
+        check_distinct_directions(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20  # the whole Gram matrix would be 288 MB
+
+
 def _concentration(n, power, delta, samples, seed):
     """Off-shell count, sample count and Wilson interval of `samples` ball pairs."""
     spec = ExperimentSpec("concentration",
@@ -169,6 +182,16 @@ def test_concentration_decreases_with_dimension():
     _, _, (lo8, _) = _concentration(n=8, power=1.0, delta=0.1, samples=100_000, seed=7)
     _, _, (_, hi64) = _concentration(n=64, power=1.0, delta=0.1, samples=100_000, seed=7)
     assert hi64 < lo8
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_concentration_counts_do_not_depend_on_power(n):
+    """The shell test is scale-free, and the kernel runs in units of nP."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fractions = {_concentration(n=n, power=p, delta=0.1 * p, samples=100_000,
+                                    seed=2108)[0] for p in (1.0, 1e-300, 1e300)}
+    assert len(fractions) == 1
 
 
 def test_concentration_nested_shells():

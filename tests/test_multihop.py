@@ -16,7 +16,6 @@ from twinrelay.multihop import (
     run_multihop,
     schedule_json,
     table_json,
-    transmits,
 )
 from twinrelay.rates import rate_anc, rate_lattice
 
@@ -63,9 +62,9 @@ def test_half_duplex_disjoint():
 
 def test_two_relay_slot_parity():
     # with two relays: A and R2 open, then R1 and B
-    assert transmits("A", 1, 2) and transmits("R2", 1, 2)
-    assert not transmits("R1", 1, 2) and not transmits("B", 1, 2)
-    assert transmits("R1", 2, 2) and transmits("B", 2, 2)
+    slots = build_schedule(2, 1).slots
+    assert slots[0].transmitters == ("A", "R2")
+    assert slots[1].transmitters == ("R1", "B")
 
 
 def test_throughput_one_decode_per_two_slots():

@@ -1,4 +1,4 @@
-"""Closed-form rates, the time-sharing envelope, and CSV emission."""
+"""Closed-form rates, the time-sharing envelope, and the rate grid."""
 
 import math
 
@@ -8,15 +8,12 @@ import pytest
 import oracles
 from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.rates import (
-    CSV_HEADER,
     GRID_GUARD,
     SNR_DB_MAX,
     GridSpec,
     crossover_window,
-    curve_csv,
     envelope,
     rate_anc,
-    rate_curve,
     rate_joint_decoding,
     rate_lattice,
     rate_point,
@@ -166,25 +163,3 @@ def test_rate_point_ordering():
     p = rate_point(12.0)
     assert p.lattice <= p.upper
     assert p.envelope >= max(p.lattice, p.jd)
-
-
-def test_curve_csv_contract():
-    grid = GridSpec(-10.0, 30.0, 1.0)
-    curve = rate_curve(grid)
-    text = curve_csv(curve)
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 41
-    for line, point in zip(lines[1:], curve.points):
-        cols = line.split(",")
-        assert float(cols[2]) <= float(cols[1]) + 1e-12  # lattice <= upper
-        assert float(cols[0]) == pytest.approx(point.snr_db, abs=1e-9)
-    # deterministic: a second rendering is byte-identical
-    assert curve_csv(rate_curve(grid)) == text
-
-
-def test_curve_csv_12_sig_digits():
-    curve = rate_curve(GridSpec(0.0, 1.0, 1.0))
-    text = curve_csv(curve)
-    row = text.strip().split("\n")[1].split(",")
-    assert row[1] == f"{rate_upper(1.0):.12g}"

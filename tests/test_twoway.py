@@ -35,7 +35,7 @@ NOISELESS = ChannelParams(power=1.0, sigma2=0.0)
 
 def test_channel_params_closed_forms():
     ch = ChannelParams(power=1.0, sigma2=1.0)
-    assert ch.alpha_opt == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert ch.alpha(2) == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert ch.sigma2_eq == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert ch.snr == 1.0
 
@@ -43,10 +43,10 @@ def test_channel_params_closed_forms():
 def test_channel_params_invariants():
     for snr_db in (-10.0, 0.0, 17.0):
         ch = ChannelParams.from_snr_db(snr_db)
-        assert 0.0 < ch.alpha_opt < 1.0
+        assert 0.0 < ch.alpha(2) < 1.0
         assert ch.sigma2_eq < ch.sigma2
         assert ch.sigma2_eq < 2.0 * ch.power
-    assert ChannelParams.from_snr_db(None).alpha_opt == 1.0
+    assert ChannelParams.from_snr_db(None).alpha(2) == 1.0
 
 
 def test_channel_params_validation():
@@ -61,7 +61,7 @@ def test_channel_params_validation():
 
 def test_mmse_grid_never_beats_alpha_opt():
     ch = ChannelParams(power=1.3, sigma2=0.4)
-    best = sigma2_eq_of_alpha(ch.alpha_opt, ch)
+    best = sigma2_eq_of_alpha(ch.alpha(2), ch)
     alphas = np.arange(0.0, 1.0 + 1e-12, 1e-4)
     values = alphas ** 2 * ch.sigma2 + (1 - alphas) ** 2 * 2 * ch.power
     assert values.min() >= best - 1e-9
@@ -82,7 +82,7 @@ def test_relay_decode_noiseless_collapses_to_modulo_sum():
     for ua in range(pair.size):
         for ub in range(pair.size):
             y = encode_node(ua, d1, pair) + encode_node(ub, d2, pair)
-            assert relay_decode_sum(y, d1, d2, NOISELESS, pair) == modulo_sum(ua, ub, pair)
+            assert relay_decode_sum(y, (d1, d2), NOISELESS, pair) == modulo_sum(ua, ub, pair)
 
 
 def test_relay_sees_only_the_sum():
@@ -95,7 +95,7 @@ def test_relay_sees_only_the_sum():
         for ub in range(pair.size):
             s = modulo_sum(ua, ub, pair)
             y = encode_node(ua, d1, pair) + encode_node(ub, d2, pair)
-            decoded = relay_decode_sum(y, d1, d2, NOISELESS, pair)
+            decoded = relay_decode_sum(y, (d1, d2), NOISELESS, pair)
             by_sum.setdefault(s, set()).add(decoded)
     for sum_index, decodes in by_sum.items():
         assert decodes == {sum_index}
