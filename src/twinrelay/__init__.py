@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .lattice import (  # noqa: F401
     CoarseLattice,
-    LatticeDiagnostics,
     NestedLatticePair,
-    diagnostics,
     dither,
     encode_message,
     make_pair,

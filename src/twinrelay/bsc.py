@@ -28,7 +28,6 @@ ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
 @dataclass(eq=False)
 class BinaryLinearCode:
     generator: np.ndarray
-    parity_check: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         G = np.asarray(self.generator, dtype=np.int64) % 2
@@ -91,9 +90,7 @@ class BinaryLinearCode:
 def hamming74() -> BinaryLinearCode:
     """The [7,4] Hamming code in systematic form."""
     P = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]])
-    G = np.hstack([np.eye(4, dtype=np.int64), P])
-    H = np.hstack([P.T, np.eye(3, dtype=np.int64)])
-    return BinaryLinearCode(generator=G, parity_check=H)
+    return BinaryLinearCode(generator=np.hstack([np.eye(4, dtype=np.int64), P]))
 
 
 def random_code(n: int, k: int, seed: int) -> BinaryLinearCode:
@@ -227,9 +224,9 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
 def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
     """Error totals of `count` rounds.
 
-    params: p, and code ("hamming74", the only code).
+    params (both required): p, and code ("hamming74", the only code).
     """
-    name = str(params.get("code", "hamming74"))
+    name = str(params["code"])
     if name != "hamming74":
         raise ValidationError(f"unknown code {name!r}; known: hamming74")
     code = _cached_hamming74()

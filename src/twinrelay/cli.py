@@ -128,9 +128,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if args.codebook is not None:
         payload["codebook"] = args.codebook(spec.params)
     if spec.error_keys:
-        lo, hi = report.interval(spec.error_keys[0])
         summary = (f"{spec.error_keys[0]}={report.estimate:.6g} "
-                   f"ci95=[{lo:.6g},{hi:.6g}] trials={report.trials}")
+                   f"ci95=[{report.ci_low:.6g},{report.ci_high:.6g}] trials={report.trials}")
     else:
         key = next(iter(sorted(report.counts)))
         summary = f"mean {key}={report.counts[key] / report.trials:.6g} trials={report.trials}"

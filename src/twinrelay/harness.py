@@ -5,8 +5,8 @@ runs `count` trials on one generator.  Trials are grouped in fixed blocks
 of BLOCK: block b holds trials [BLOCK*b, BLOCK*(b+1)) and draws from the
 stream (master seed, TAG_TRIAL, b).  Workers receive whole blocks, so
 aggregate counts are identical for any worker count or scheduling order.
-Reports carry Wilson 95% intervals for the binary error classes and
-serialize to a canonical JSON form that is byte-stable across reruns
+A report carries the Wilson 95% interval of its primary error key and
+serializes to a canonical JSON form that is byte-stable across reruns
 (wall time is reported separately).
 """
 
@@ -54,11 +54,11 @@ def anc_relay(y_relay: np.ndarray, power: float, sigma2: float) -> np.ndarray:
 # Confidence intervals
 # ---------------------------------------------------------------------------
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("trials must be positive for an interval")
-    p = successes / trials
+    p, z = successes / trials, Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -163,9 +163,6 @@ class TrialReport:
 
     def rate(self, key: str) -> float:
         return self.counts.get(key, 0.0) / self.trials
-
-    def interval(self, key: str) -> tuple[float, float]:
-        return wilson_interval(int(self.counts.get(key, 0)), self.trials)
 
     def to_dict(self) -> dict:
         """The report without its wall time."""
@@ -310,13 +307,13 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
     Totals the relay output energy per dimension, so the batch mean checks
     the power renormalization contract E||x_R||^2/n = P.
     """
-    n = int(params.get("n", 16))
+    n = int(params["n"])
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
     if count * n > ONE_HOT_GUARD:
         raise GuardExceededError(
             f"{count} x {n} anc-power block exceeds {ONE_HOT_GUARD} entries per array")
-    power = float(params.get("power", 1.0))
+    power = float(params["power"])
     sigma2 = float(params["sigma2"])
     sigma = math.sqrt(power)
     x1 = rng.normal(0.0, sigma, size=(count, n))

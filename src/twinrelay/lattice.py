@@ -86,10 +86,6 @@ class CoarseLattice:
         """Per-dimension second moment (gamma*q)^2 / 12 of the cube."""
         return self.cell ** 2 / 12.0
 
-    @property
-    def volume(self) -> float:
-        return self.cell ** self.n
-
     def check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n:
@@ -460,49 +456,3 @@ def modulo_diff(a, b, pair: NestedLatticePair):
     """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot."""
     return pair.index_of_digits(pair.digits(a) - pair.digits(b))
 
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticeDiagnostics:
-    second_moment: float          # exact, coarse cube
-    volume: float                 # exact, coarse cube
-    normalized_second_moment: float
-    covering_radius_est: float    # Monte Carlo lower estimate, fine lattice
-    effective_radius: float       # same-volume ball radius, fine lattice
-
-
-def _unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def diagnostics(
-    pair: NestedLatticePair, samples: int = 2000, seed: int = 0
-) -> LatticeDiagnostics:
-    """Exact cube statistics plus sampled covering radius of the fine lattice.
-
-    The covering-radius estimate is the max distance from `samples` uniform
-    points in the coarse cell to their nearest fine point, a lower bound
-    that tightens as samples grow.
-    """
-    coarse = pair.coarse
-    sigma2 = coarse.second_moment
-    vol = coarse.volume
-    nsm = sigma2 / vol ** (2.0 / coarse.n)
-    rng = generator(seed)
-    half = coarse.cell / 2.0
-    pts = rng.uniform(-half, half, size=(samples, coarse.n))
-    worst = 0.0
-    for sl in scan_rows(samples, pair.size * coarse.n):
-        worst = max(worst, float(wrapped_sq_distances(pts[sl], pair).min(axis=-1).max()))
-    fine_volume = vol / pair.size
-    r_eff = (fine_volume / _unit_ball_volume(coarse.n)) ** (1.0 / coarse.n)
-    return LatticeDiagnostics(
-        second_moment=sigma2,
-        volume=vol,
-        normalized_second_moment=nsm,
-        covering_radius_est=math.sqrt(worst),
-        effective_radius=r_eff,
-    )

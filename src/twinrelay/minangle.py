@@ -51,14 +51,6 @@ class ShellSpec:
     def r_inner(self) -> float:
         return math.sqrt(self.n * (2.0 * self.power - self.delta))
 
-    @property
-    def r_target(self) -> float:
-        return math.sqrt(self.n * 2.0 * self.power)
-
-    @property
-    def r_outer(self) -> float:
-        return math.sqrt(self.n * (2.0 * self.power + self.delta))
-
     def contains_sq(self, norm_sq) -> np.ndarray:
         lo = self.n * (2.0 * self.power - self.delta)
         hi = self.n * (2.0 * self.power + self.delta)
@@ -223,11 +215,13 @@ def nearest_sum(y: np.ndarray, sum_points: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_distinct_directions(points: np.ndarray, tol: float = 1e-9) -> None:
+def check_distinct_directions(points: np.ndarray) -> None:
     """Abort if two distinct candidates share a direction (angle decoding ambiguous).
 
-    The Gram matrix of the unit directions, diagonal zeroed, is scanned in
-    row chunks; the pair reported is its first maximum in row-major order.
+    Two directions are shared when the cosine between them is at least
+    1 - 1e-9.  The Gram matrix of the unit directions, diagonal zeroed, is
+    scanned in row chunks; the pair reported is its first maximum in
+    row-major order.
     """
     pts = np.asarray(points, dtype=float)
     unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -240,7 +234,7 @@ def check_distinct_directions(points: np.ndarray, tol: float = 1e-9) -> None:
         if gram.flat[k] > cos:
             cos, (i, j) = gram.flat[k], divmod(k, gram.shape[1])
             i += sl.start
-    if cos >= 1.0 - tol:
+    if cos >= 1.0 - 1e-9:
         raise DirectionCollisionError(
             f"sum points {i} and {j} are collinear (cos = {cos:.12f}); "
             "choose different translations or a thinner shell"
@@ -266,9 +260,9 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
     batch.
     """
     n = int(params["n"])
-    power = float(params.get("power", 1.0))
+    power = float(params["power"])
     delta = float(params["delta"])
-    batch = int(params.get("batch", CONC_BATCH))
+    batch = int(params["batch"])
     ShellSpec(n=n, power=power, delta=delta)  # validates the arguments
     lo, hi = 2.0 - delta / power, 2.0 + delta / power
     off = 0
@@ -314,7 +308,7 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float):
 
 def decoder_instance(params: Mapping):
     """The cached `_decoder_instance` of a `minangle` experiment's params."""
-    return _decoder_instance(int(params["n"]), float(params.get("gamma", 1.0)),
+    return _decoder_instance(int(params["n"]), float(params["gamma"]),
                              float(params["power"]), float(params["delta"]))
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import harness
+from . import harness, rates
 from .errors import ValidationError
 from .lattice import (
     NestedLatticePair,
@@ -149,10 +149,9 @@ def recover_at_node(t_hat, own, pair: NestedLatticePair):
 
 
 def index_broadcast_ok(params: ChannelParams, pair: NestedLatticePair) -> bool:
-    """Ideal downlink code: reliable iff the codebook rate clears the
-    point-to-point capacity (1/2) log2(1 + snr)."""
-    capacity = math.inf if params.sigma2 == 0 else 0.5 * math.log2(1.0 + params.snr)
-    return pair.rate < capacity
+    """Ideal downlink code: reliable iff the codebook rate is below the
+    point-to-point capacity `rates.rate_upper(snr)`, infinite when noiseless."""
+    return pair.rate < rates.rate_upper(params.snr)
 
 
 def run_session(
@@ -318,21 +317,19 @@ def _cached_pair(n: int, q: int, k: int, power: float, gen_rows: tuple | None) -
 def pair_from_params(params: Mapping) -> NestedLatticePair:
     gen = params.get("generator")
     gen_rows = tuple(tuple(int(v) for v in row) for row in gen) if gen is not None else None
-    return _cached_pair(
-        int(params["n"]), int(params["q"]), int(params.get("k", 1)),
-        float(params.get("power", 1.0)), gen_rows,
-    )
+    return _cached_pair(int(params["n"]), int(params["q"]), int(params["k"]),
+                        float(params["power"]), gen_rows)
 
 
 def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
     """Error totals of `count` exchange rounds; messages, dithers and noise from `rng`.
 
-    params: n, q, k, snr_db (None for noiseless), power, mode ("index"|"direct"),
-    optional generator rows.
+    params (all required): n, q, k, snr_db (None for noiseless), power and
+    mode ("index"|"direct"); only the generator rows are optional.
     """
     pair = pair_from_params(params)
-    ch = ChannelParams.from_snr_db(params.get("snr_db"), float(params.get("power", 1.0)))
-    mode = BroadcastMode(params.get("mode", "index"))
+    ch = ChannelParams.from_snr_db(params["snr_db"], float(params["power"]))
+    mode = BroadcastMode(params["mode"])
     rows = session_rows(draw_sessions(rng, count, ch, pair, mode), ch, pair, mode)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 

@@ -33,8 +33,11 @@ def tie_code42():
 def test_hamming74_structure():
     code = hamming74()
     assert (code.n, code.k) == (7, 4)
-    # parity check annihilates every codeword
-    assert np.all(code.codewords @ code.parity_check.T % 2 == 0)
+    # the parity check [P^T | I] of the systematic generator [I | P]
+    # annihilates every codeword
+    parity = code.generator[:, 4:]
+    H = np.hstack([parity.T, np.eye(3, dtype=np.int64)])
+    assert np.all(code.codewords @ H.T % 2 == 0)
     weights = code.codewords.sum(axis=1)
     assert sorted(set(int(w) for w in weights if w > 0))[0] == 3  # d_min = 3
 

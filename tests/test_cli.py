@@ -12,6 +12,7 @@ import pytest
 from twinrelay import harness
 from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
 from twinrelay.rates import GridSpec, rate_curve, rate_upper
+from twinrelay.rng import generator
 
 
 def run_cli(capsys, *argv):
@@ -618,3 +619,19 @@ def test_parser_builds_only_the_named_path(argv):
     if argv[0] in ("sim", "multihop"):
         assert list(_names(commands[argv[0]])) == [argv[1]]
 
+
+@pytest.mark.parametrize("argv", [argv for argv in README_LINES if argv[0] == "sim"] + [None],
+                         ids=lambda argv: argv[1] if argv else "concentration")
+def test_kernel_refuses_params_missing_a_cli_key(argv):
+    # the CLI writes every key a kernel reads, so the flags' defaults are the
+    # only defaults; None stands for the params `cmd_concentration` builds
+    if argv is None:
+        name, params = "concentration", {"n": 8, "power": 1.0, "delta": 0.1, "batch": 1000}
+    else:
+        args = build_parser(argv).parse_args(argv)
+        name, params = args.scheme, args.params(args)
+    kernel = harness.get_experiment(name)
+    kernel(params, generator(0), 4)
+    for key in params:
+        with pytest.raises(KeyError):
+            kernel({k: v for k, v in params.items() if k != key}, generator(0), 4)

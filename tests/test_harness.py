@@ -165,8 +165,7 @@ def test_run_trials_target_ci_stopping():
     # after two, so a 0.0075 target stops after more than one check
     report = run_trials(SYNTH, trials=None, master_seed=5, target_ci=0.0075,
                         max_trials=50_000, block=BLOCK)
-    lo, hi = report.interval("hit")
-    assert (hi - lo) / 2 <= 0.0075
+    assert (report.ci_high - report.ci_low) / 2 <= 0.0075
     assert report.trials % BLOCK == 0
     assert report.trials > BLOCK
     # stopping point is a function of the counts only, not the worker count

@@ -12,7 +12,6 @@ from twinrelay.lattice import (
     CoarseLattice,
     NestedLatticePair,
     centered_units,
-    diagnostics,
     dither,
     encode_message,
     make_pair,
@@ -262,25 +261,6 @@ def test_dithered_codeword_power():
     est = total / samples
     sem = np.sqrt(0.8 / (samples * 4))  # var of U^2 per component is 0.8 P^2
     assert abs(est - 1.0) < 3.0 * sem
-
-
-def test_diagnostics_values():
-    pair = make_pair(n=2, q=4, k=1, power=1.0)
-    diag = diagnostics(pair, samples=500, seed=1)
-    assert diag.second_moment == pytest.approx(1.0, abs=1e-12)
-    assert diag.volume == pytest.approx(pair.coarse.cell ** 2, abs=1e-12)
-    assert diag.normalized_second_moment == pytest.approx(1.0 / 12.0, abs=1e-12)
-    assert diag.covering_radius_est >= diag.effective_radius * 0.5
-    assert diag.covering_radius_est <= pair.coarse.cell  # inside one cell
-
-
-def test_diagnostics_nsm_scale_invariant():
-    for gamma in (0.3, 1.0, 2.7):
-        pair = NestedLatticePair(
-            coarse=CoarseLattice(n=3, q=5, gamma=gamma), generator_matrix=[[1, 1, 2]]
-        )
-        diag = diagnostics(pair, samples=50, seed=0)
-        assert diag.normalized_second_moment == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_enumeration_guard():

@@ -31,8 +31,6 @@ from twinrelay.rng import generator
 def test_shellspec_radii():
     spec = ShellSpec(n=4, power=1.0, delta=0.5)
     assert spec.r_inner == pytest.approx(math.sqrt(4 * 1.5))
-    assert spec.r_target == pytest.approx(math.sqrt(8.0))
-    assert spec.r_outer == pytest.approx(math.sqrt(10.0))
     with pytest.raises(ValidationError):
         ShellSpec(n=4, power=1.0, delta=2.0)
     for power in (0.0, -1.0):

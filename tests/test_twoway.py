@@ -178,6 +178,17 @@ def test_index_forward_fails_above_capacity():
     assert tr.broadcast_failed and tr.error
 
 
+def test_index_forward_rule_is_strict_at_capacity():
+    # snr 15 gives capacity (1/2) log2(16) = 2.0 exactly, the rate of the
+    # pair, and the rule is rate < capacity; a little less noise clears it
+    pair = make_pair(n=1, q=4, k=1, power=15.0)
+    assert pair.rate == 2.0
+    at = run_session(0, 0, ChannelParams(power=15.0, sigma2=1.0), pair, seed=1)
+    assert at.broadcast_failed
+    below = run_session(0, 0, ChannelParams(power=15.0, sigma2=0.99), pair, seed=1)
+    assert not below.broadcast_failed
+
+
 def test_relay_error_rate_matches_wrapped_noise_oracle():
     params = {"n": 1, "q": 4, "k": 1, "snr_db": 16.0, "power": 1.0, "mode": "index"}
     spec = ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS)
@@ -196,9 +207,8 @@ def test_relay_error_monotone_in_snr():
             LATTICE_ERROR_KEYS,
         )
         report = run_trials(spec, trials=20_000, master_seed=17)
-        lo, hi = report.interval("relay_error")
         rates.append(report.rate("relay_error"))
-        halves.append((hi - lo) / 2)
+        halves.append((report.ci_high - report.ci_low) / 2)
     for i in range(len(grid) - 1):
         assert rates[i + 1] <= rates[i] + halves[i] + halves[i + 1]
 
