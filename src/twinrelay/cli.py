@@ -33,14 +33,6 @@ DEFAULT_POWER = 1.0
 MULTIHOP_MODES = ("symbolic", "numeric-noiseless", "numeric-awgn")
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("TWINRELAY_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _provenance(config: dict, seed: int | None = None) -> dict:
     out = {"tool": {"name": "twinrelay", "version": __version__},
            "numpy": np.__version__,
@@ -71,7 +63,7 @@ def _write_json(path: str, obj: dict) -> None:
     _write_text(path, harness.canonical_dumps(obj) + "\n")
 
 
-def _write_table(path: str, fmt: str, provenance: dict, key: str, rows: list[dict],
+def _write_table(path: str, fmt: str, provenance: dict, key: str, rows: Sequence[dict],
                  columns: Sequence[str] | None = None) -> None:
     """Write row dicts as CSV, the `columns` (default every key) with floats
     at 12 significant digits and the provenance in a `.meta.json` sidecar,
@@ -95,10 +87,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     grid = rates.GridSpec(args.snr_min, args.snr_max, args.step)
     config = {"subcommand": "rates", "snr_min": args.snr_min, "snr_max": args.snr_max,
               "step": args.step, "format": args.format, "out": args.out}
-    rows = [{"snr_db": p.snr_db, "upper": p.upper, "lattice": p.lattice, "jd": p.jd,
-             "envelope": p.envelope, "anc": p.anc, "purenc": p.pure_nc,
-             "beta_star": p.beta_star}
-            for p in rates.rate_curve(grid)]
+    rows = rates.rate_curve(grid)
     lo, hi = rates.crossover_window()
     _write_table(args.out, args.format, _provenance(config), "points", rows)
     print(f"crossover_db: {lo:.3f} {hi:.3f}")
@@ -112,7 +101,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 def _minangle_codebook(params: dict) -> dict:
     sums = minangle.decoder_instance(params)[1]
-    return {"M1": sums.m1, "M2": sums.m2, "Msum_on_shell": int(sums.on_shell.sum())}
+    return {"M1": sums.m, "M2": sums.m, "Msum_on_shell": int(sums.on_shell.sum())}
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -132,7 +121,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
                    f"ci95=[{report.ci_low:.6g},{report.ci_high:.6g}] trials={report.trials}")
     else:
         key = next(iter(sorted(report.counts)))
-        summary = f"mean {key}={report.counts[key] / report.trials:.6g} trials={report.trials}"
+        summary = f"mean {key}={report.rate(key):.6g} trials={report.trials}"
     _write_json(args.out, payload)
     print(f"{args.scheme}: {summary}")
     print(f"wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
@@ -159,13 +148,12 @@ def cmd_multihop(args: argparse.Namespace) -> int:
             ok = multihop.table_json(schedule) == fixture
             print(f"table1: {'PASS' if ok else 'FAIL'}")
             payload["table1"] = "PASS" if ok else "FAIL"
-        result = multihop.run_multihop(schedule, "symbolic")
+        result = multihop.run_multihop(schedule)
     else:
         pair = pair_from_params({"n": args.n, "q": args.q, "k": args.k,
                                  "power": DEFAULT_POWER})
         sigma2 = ChannelParams.from_snr_db(getattr(args, "snr_db", None), DEFAULT_POWER).sigma2
-        result = multihop.run_multihop(schedule, args.mode, pair=pair,
-                                       sigma2=sigma2, seed=args.seed)
+        result = multihop.run_multihop(schedule, pair=pair, sigma2=sigma2, seed=args.seed)
     payload["result"] = result.to_dict()
     _write_json(args.out, payload)
     periods = {nd: schedule.steady_state_periods(nd) for nd in ("A", "B")}
@@ -283,7 +271,7 @@ def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
                    help="stop when the primary 95%% half-width drops below this")
     p.add_argument("--max-trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(params=params, error_keys=error_keys, codebook=None)
     return p
@@ -359,7 +347,7 @@ def _concentration_parser(sub, name: str, argv: Sequence[str]) -> None:
     p.add_argument("--delta", type=_finite_float, default=None, help="default 0.1 * power")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_concentration)

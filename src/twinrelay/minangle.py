@@ -124,42 +124,36 @@ def half_cell_codebook(n: int, gamma: float, power: float) -> BallCodebook:
 
 @dataclass(eq=False)
 class SumCodebook:
-    """All pairwise sums of two ball codebooks, partitioned by shell membership."""
+    """All pairwise sums x_i + x_j of one ball codebook with itself (both
+    transmitters use the same lattice), partitioned by shell membership."""
 
     shell: ShellSpec
     sum_units: np.ndarray        # distinct sums, integer units
     sum_points: np.ndarray       # distinct sums, coordinates
     pair_counts: np.ndarray      # pairs mapping to each distinct sum
     on_shell: np.ndarray         # bool per distinct sum
-    pair_to_sum: np.ndarray      # (m1, m2) row of each pair's sum in sum_units
-    m1: int
-    m2: int
+    pair_to_sum: np.ndarray      # (m, m) row of each pair's sum in sum_units
+    m: int                       # codebook size
 
     @classmethod
-    def from_codebooks(
-        cls, cb1: BallCodebook, cb2: BallCodebook, shell: ShellSpec
-    ) -> "SumCodebook":
-        if cb1.n != cb2.n:
-            raise ValidationError("codebook dimensions differ")
-        total = cb1.size * cb2.size
+    def from_codebook(cls, cb: BallCodebook, shell: ShellSpec) -> "SumCodebook":
+        total = cb.size * cb.size
         if total > PAIR_GUARD:
             raise GuardExceededError(f"{total} pairs exceed guard {PAIR_GUARD}")
-        combined = (cb1.units[:, None, :] + cb2.units[None, :, :]).reshape(total, cb1.n)
+        combined = (cb.units[:, None, :] + cb.units[None, :, :]).reshape(total, cb.n)
         uniq, inverse, counts = np.unique(
             combined, axis=0, return_inverse=True, return_counts=True)
-        offset = cb1.translation + cb2.translation
-        pts = cb1.gamma * uniq + offset
+        pts = cb.gamma * uniq + 2.0 * cb.translation
         norms = np.einsum("ij,ij->i", pts, pts)
         return cls(
             shell=shell, sum_units=uniq, sum_points=pts,
             pair_counts=counts, on_shell=shell.contains_sq(norms),
-            pair_to_sum=inverse.reshape(cb1.size, cb2.size),
-            m1=cb1.size, m2=cb2.size,
+            pair_to_sum=inverse.reshape(cb.size, cb.size), m=cb.size,
         )
 
     @property
     def pairs_total(self) -> int:
-        return self.m1 * self.m2
+        return self.m * self.m
 
     @property
     def pairs_on_shell(self) -> int:
@@ -278,10 +272,11 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
 harness.register_experiment("concentration", concentration_kernel)
 
 
-def concentration_exact(cb1: BallCodebook, cb2: BallCodebook, delta: float) -> float:
-    """Exact off-shell pair fraction for enumerated codebooks."""
-    shell = ShellSpec(n=cb1.n, power=cb1.power, delta=delta)
-    sums = SumCodebook.from_codebooks(cb1, cb2, shell)
+def concentration_exact(cb: BallCodebook, delta: float) -> float:
+    """Exact off-shell fraction of the pairs of codebook `cb` with itself,
+    for the shell of half-width `delta`."""
+    shell = ShellSpec(n=cb.n, power=cb.power, delta=delta)
+    sums = SumCodebook.from_codebook(cb, shell)
     return sums.pairs_off_shell / sums.pairs_total
 
 
@@ -295,7 +290,7 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float):
     and each sum's row among them (-1 off the shell)."""
     shell = ShellSpec(n=n, power=power, delta=delta)
     cb = half_cell_codebook(n, gamma, power)
-    sums = SumCodebook.from_codebooks(cb, cb, shell)
+    sums = SumCodebook.from_codebook(cb, shell)
     shell_pts = sums.shell_points()
     if shell_pts.shape[0] == 0:
         raise ValidationError("no sum points on the shell; widen delta")

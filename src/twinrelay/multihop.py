@@ -286,15 +286,16 @@ class MultihopResult:
 
 def run_multihop(
     schedule: HopSchedule,
-    mode: str,
     pair: NestedLatticePair | None = None,
     sigma2: float = 0.0,
     seed: int = 0,
 ) -> MultihopResult:
     """Execute a schedule symbolically or numerically.
 
-    mode: "symbolic" | "numeric-noiseless" | "numeric-awgn".  Numeric modes
-    need a nested pair; packets map to uniformly drawn codebook indices.
+    The arguments choose the mode: with no nested pair the run is
+    "symbolic"; with one it is "numeric-awgn" when sigma2 > 0 and
+    "numeric-noiseless" when sigma2 = 0.  Packets map to uniformly drawn
+    codebook indices.
     Every scheduled transmitter sends its (possibly zero) state through a
     fresh dither; each listener decodes the modulo sum of the m signals it
     hears with `relay_decode_sum`, the receiver of the two-way relay.
@@ -304,16 +305,8 @@ def run_multihop(
     packets, so each end error counts a fresh decode failure rather than
     compounding earlier ones.
     """
-    if mode == "symbolic":
-        return MultihopResult(schedule=schedule, mode=mode)
-    if mode not in ("numeric-noiseless", "numeric-awgn"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if pair is None:
-        raise ValidationError("numeric modes need a nested lattice pair")
-    if mode == "numeric-noiseless":
-        sigma2 = 0.0
-    elif sigma2 <= 0:
-        raise ValidationError("numeric-awgn needs sigma2 > 0, a finite SNR")
+        return MultihopResult(schedule=schedule, mode="symbolic")
 
     channel = ChannelParams(power=pair.coarse.second_moment, sigma2=sigma2)
     pkt_rng = generator(seed, TAG_PACKET)
@@ -322,7 +315,8 @@ def run_multihop(
         for idx in range(1, schedule.num_packets + 1):
             truth[(direction, idx)] = int(pkt_rng.integers(pair.size))
 
-    result = MultihopResult(schedule=schedule, mode=mode)
+    result = MultihopResult(
+        schedule=schedule, mode="numeric-awgn" if sigma2 > 0 else "numeric-noiseless")
     nodes = schedule.nodes
     # A relay's decoded state and its ideal one: the mod-q sum of what its
     # neighbors ideally sent, carried slot to slot.

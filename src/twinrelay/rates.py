@@ -97,28 +97,14 @@ def envelope(snr: float) -> tuple[float, float]:
     return rate_joint_decoding(s_lo) + slope * (s - s_lo), beta
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    snr: float
-    snr_db: float
-    upper: float
-    lattice: float
-    jd: float
-    anc: float
-    pure_nc: float
-    envelope: float
-    beta_star: float
-
-
-def rate_point(snr_db: float) -> RatePoint:
+def rate_point(snr_db: float) -> dict[str, float]:
+    """The rate-table row at `snr_db`, keyed by the table's columns in order:
+    snr_db, upper, lattice, jd, envelope, anc, purenc, beta_star."""
     snr = 10.0 ** (snr_db / 10.0)
     env, beta = envelope(snr)
-    return RatePoint(
-        snr=snr, snr_db=snr_db,
-        upper=rate_upper(snr), lattice=rate_lattice(snr),
-        jd=rate_joint_decoding(snr), anc=rate_anc(snr),
-        pure_nc=rate_pure_nc(snr), envelope=env, beta_star=beta,
-    )
+    return {"snr_db": snr_db, "upper": rate_upper(snr), "lattice": rate_lattice(snr),
+            "jd": rate_joint_decoding(snr), "envelope": env, "anc": rate_anc(snr),
+            "purenc": rate_pure_nc(snr), "beta_star": beta}
 
 
 @dataclass(frozen=True)
@@ -143,5 +129,6 @@ class GridSpec:
         return [self.snr_db_min + i * self.step_db for i in range(count)]
 
 
-def rate_curve(grid: GridSpec) -> tuple[RatePoint, ...]:
+def rate_curve(grid: GridSpec) -> tuple[dict[str, float], ...]:
+    """The `rate_point` row of every grid point."""
     return tuple(rate_point(db) for db in grid.points())

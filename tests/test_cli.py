@@ -11,7 +11,7 @@ import pytest
 
 from twinrelay import harness
 from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
-from twinrelay.rates import GridSpec, rate_curve, rate_upper
+from twinrelay.rates import GridSpec, rate_curve, rate_point, rate_upper
 from twinrelay.rng import generator
 
 
@@ -43,11 +43,12 @@ def test_curve_csv_contract(tmp_path, capsys):
     text = out.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "snr_db,upper,lattice,jd,envelope,anc,purenc,beta_star"
+    assert lines[0] == ",".join(rate_point(0.0))
     assert len(lines) == 1 + 41
     for line, point in zip(lines[1:], rate_curve(GridSpec(-10.0, 30.0, 1.0))):
         cols = line.split(",")
         assert float(cols[2]) <= float(cols[1]) + 1e-12  # lattice <= upper
-        assert float(cols[0]) == pytest.approx(point.snr_db, abs=1e-9)
+        assert float(cols[0]) == pytest.approx(point["snr_db"], abs=1e-9)
     # deterministic: a second rendering is byte-identical
     assert run_cli(capsys, *argv)[0] == 0
     assert out.read_text() == text
@@ -299,6 +300,16 @@ def _exit_in_worker(params, rng, count):
     if os.getpid() != _PARENT_PID:
         os._exit(3)
     return {"relay_error": 0, "end_error": 0, "union_error": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "bsc", "--p", "0.1", "--out", "bsc.json"],
+    ["concentration", "--out", "conc.csv"],
+])
+def test_workers_default_is_one_whatever_the_environment(monkeypatch, argv):
+    # the flag is the worker count's one source: no environment variable feeds it
+    monkeypatch.setenv("TWINRELAY_WORKERS", "4")
+    assert build_parser(argv).parse_args(argv).workers == 1
 
 
 def test_sim_broken_pool_exit_1_no_file(tmp_path, capsys, monkeypatch):

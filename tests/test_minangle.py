@@ -77,7 +77,7 @@ def test_decode_matches_distance_ml_at_equal_norms():
     rng = np.random.default_rng(2)
     spec = ShellSpec(n=2, power=2.0, delta=0.4)
     cb = half_cell_codebook(2, 1.0, 2.0)
-    sums = SumCodebook.from_codebooks(cb, cb, spec)
+    sums = SumCodebook.from_codebook(cb, spec)
     shell = sums.shell_points()
     projected = np.array([project_to_shell(p, spec) for p in shell])
     sigma = math.sqrt(2.0 / 10 ** 1.5)
@@ -113,7 +113,7 @@ def test_ball_codebook_rejects_empty_dimension():
 def test_pair_accounting():
     spec = ShellSpec(n=3, power=2.0, delta=1.0)
     cb = half_cell_codebook(3, 1.0, 2.0)
-    sums = SumCodebook.from_codebooks(cb, cb, spec)
+    sums = SumCodebook.from_codebook(cb, spec)
     assert sums.pairs_total == cb.size ** 2
     assert sums.pairs_on_shell + sums.pairs_off_shell == sums.pairs_total
     assert sums.pair_counts.sum() == sums.pairs_total
@@ -121,15 +121,15 @@ def test_pair_accounting():
 
 def test_pair_to_sum_maps_every_pair_to_its_sum():
     spec = ShellSpec(n=3, power=2.0, delta=1.0)
-    cb1 = half_cell_codebook(3, 1.0, 2.0)
-    cb2 = BallCodebook(gamma=1.0, translation=np.array([0.25, 0.5, 0.1]), power=1.5)
-    assert cb1.size != cb2.size  # a transposed map would not fit
-    sums = SumCodebook.from_codebooks(cb1, cb2, spec)
-    assert sums.pair_to_sum.shape == (cb1.size, cb2.size)
-    for i in range(cb1.size):
-        for j in range(cb2.size):
+    cb = BallCodebook(gamma=1.0, translation=np.array([0.25, 0.5, 0.1]), power=1.5)
+    sums = SumCodebook.from_codebook(cb, spec)
+    assert sums.pair_to_sum.shape == (cb.size, cb.size)
+    for i in range(cb.size):
+        for j in range(cb.size):
             assert np.array_equal(sums.sum_units[sums.pair_to_sum[i, j]],
-                                  cb1.units[i] + cb2.units[j])
+                                  cb.units[i] + cb.units[j])
+            assert np.allclose(sums.sum_points[sums.pair_to_sum[i, j]],
+                               cb.points[i] + cb.points[j], rtol=0.0, atol=1e-12)
     assert np.array_equal(np.bincount(sums.pair_to_sum.ravel()), sums.pair_counts)
 
 
@@ -200,7 +200,7 @@ def test_concentration_nested_shells():
 
 def test_concentration_exact_mode():
     cb = half_cell_codebook(2, 1.0, 2.0)
-    frac = concentration_exact(cb, cb, delta=1.0)
+    frac = concentration_exact(cb, delta=1.0)
     spec = ShellSpec(n=2, power=2.0, delta=1.0)
     sums = (cb.points[:, None, :] + cb.points[None, :, :]).reshape(-1, 2)
     norms = np.einsum("ij,ij->i", sums, sums)

@@ -105,10 +105,8 @@ def test_outputs_pinned_byte_for_byte():
             schedule = build_schedule(L, P)
             h.update(_canonical(schedule_json(schedule)))
             h.update(table_json(schedule, max_slot=10**6).encode())
-            for mode, pair, sigma2 in (("numeric-noiseless", noiseless, 0.0),
-                                       ("numeric-awgn", awgn, 0.2)):
-                result = run_multihop(schedule, mode, pair=pair, sigma2=sigma2,
-                                      seed=100 * L + P)
+            for pair, sigma2 in ((noiseless, 0.0), (awgn, 0.2)):
+                result = run_multihop(schedule, pair=pair, sigma2=sigma2, seed=100 * L + P)
                 h.update(_canonical(result.to_dict()))
     assert h.hexdigest() == OUTPUTS_SHA256
 
@@ -136,7 +134,7 @@ def test_ledger_guard_admits_400_packets_over_3_relays():
 def test_numeric_noiseless_recovers_everything():
     pair = make_pair(n=2, q=8, k=1, power=1.0)
     schedule = build_schedule(3, 20)
-    result = run_multihop(schedule, "numeric-noiseless", pair=pair, seed=5)
+    result = run_multihop(schedule, pair=pair, seed=5)
     assert result.end_decodes == 40
     assert result.end_errors == 0
     assert result.hop_errors == 0
@@ -150,7 +148,7 @@ def test_numeric_modes_survive_coefficients_beyond_int64():
     schedule = build_schedule(3, 70)
     for q in (5, 8):
         pair = make_pair(n=2, q=q, k=1, power=1.0)
-        result = run_multihop(schedule, "numeric-noiseless", pair=pair, seed=1)
+        result = run_multihop(schedule, pair=pair, seed=1)
         assert result.end_decodes == 140
         assert result.end_errors == 0 and result.hop_errors == 0
 
@@ -158,7 +156,7 @@ def test_numeric_modes_survive_coefficients_beyond_int64():
 def test_numeric_noiseless_various_sizes():
     for L in (1, 2, 4):
         pair = make_pair(n=3, q=5, k=2, power=1.0)
-        result = run_multihop(build_schedule(L, 6), "numeric-noiseless", pair=pair, seed=2)
+        result = run_multihop(build_schedule(L, 6), pair=pair, seed=2)
         assert result.end_errors == 0
 
 
@@ -169,23 +167,22 @@ def test_numeric_awgn_error_grows_with_hops():
     for L in (1, 3):
         errs = decs = 0
         for rep in range(300):
-            res = run_multihop(build_schedule(L, 4), "numeric-awgn", pair=pair,
-                               sigma2=sigma2, seed=1000 * L + rep)
+            res = run_multihop(build_schedule(L, 4), pair=pair, sigma2=sigma2,
+                               seed=1000 * L + rep)
             errs += res.end_errors
             decs += res.end_decodes
         rates[L] = errs / decs
     assert rates[3] >= rates[1] - 0.01
 
 
-def test_numeric_mode_validation():
+def test_mode_follows_pair_and_sigma2():
     schedule = build_schedule(1, 2)
-    with pytest.raises(ValidationError):
-        run_multihop(schedule, "numeric-noiseless")
-    with pytest.raises(ValidationError):
-        run_multihop(schedule, "bogus")
     pair = make_pair(n=1, q=4, k=1, power=1.0)
-    with pytest.raises(ValidationError):
-        run_multihop(schedule, "numeric-awgn", pair=pair, sigma2=0.0)
+    assert run_multihop(schedule).mode == "symbolic"
+    assert run_multihop(schedule, pair=pair).mode == "numeric-noiseless"
+    assert run_multihop(schedule, pair=pair, sigma2=0.1).mode == "numeric-awgn"
+    with pytest.raises(ValidationError, match="noise variance"):
+        run_multihop(schedule, pair=pair, sigma2=-0.1)
 
 
 def test_schedule_json_shape():

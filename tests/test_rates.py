@@ -151,7 +151,7 @@ def test_grid_validation():
 def test_grid_db_range_bound():
     # every rate stays finite up to SNR_DB_MAX; above it the grid is refused
     top = rate_point(SNR_DB_MAX)
-    assert all(math.isfinite(v) for v in vars(top).values())
+    assert all(math.isfinite(v) for v in top.values())
     assert GridSpec(SNR_DB_MAX - 10.0, SNR_DB_MAX, 10.0).points()[-1] == SNR_DB_MAX
     for lo, hi, step in ((3000.0, 3100.0, 10.0), (0.0, SNR_DB_MAX + 0.5, 0.5),
                          (-1e6, 1e6, 1e3)):
@@ -161,5 +161,5 @@ def test_grid_db_range_bound():
 
 def test_rate_point_ordering():
     p = rate_point(12.0)
-    assert p.lattice <= p.upper
-    assert p.envelope >= max(p.lattice, p.jd)
+    assert p["lattice"] <= p["upper"]
+    assert p["envelope"] >= max(p["lattice"], p["jd"])
