@@ -5,7 +5,9 @@ observes codeword1 XOR codeword2 XOR noise.  Linearity makes the XOR of
 two codewords another codeword of the same code, so the relay can run a
 plain single-codeword decoder and forward the result; each end node then
 XOR-cancels its own part.  This is the group-structure mechanism the
-lattice scheme lifts to the reals.
+lattice scheme lifts to the reals.  The harness kernel runs a block of
+rounds at once on packed words (`bsc_rows`); `bsc_row`, the same round on
+one row of a block's draws, is the scalar reference it is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from . import harness
 from .errors import GuardExceededError, ValidationError
 from .lattice import ONE_HOT_GUARD, _enumerate_messages, scan_rows
-from .rng import generator
 
 ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
 
@@ -93,14 +94,6 @@ def hamming74() -> BinaryLinearCode:
     return BinaryLinearCode(generator=np.hstack([np.eye(4, dtype=np.int64), P]))
 
 
-def random_code(n: int, k: int, seed: int) -> BinaryLinearCode:
-    """Systematic [I_k | A] code with random parity part; always rank k."""
-    if not 1 <= k <= min(n, ML_GUARD_K):
-        raise ValidationError(f"need 1 <= k <= min(n, {ML_GUARD_K})")
-    A = generator(seed).integers(0, 2, size=(k, n - k))
-    return BinaryLinearCode(generator=np.hstack([np.eye(k, dtype=np.int64), A]))
-
-
 @dataclass(frozen=True)
 class BscParams:
     p_cross: float
@@ -139,42 +132,6 @@ class BscRoundtrip:
         return self.end_error_a or self.end_error_b
 
 
-def bsc_relay_roundtrip(
-    u_a: np.ndarray,
-    u_b: np.ndarray,
-    code: BinaryLinearCode,
-    params: BscParams,
-    rng: np.random.Generator,
-) -> BscRoundtrip:
-    """Uplink XOR decode at the relay, broadcast, XOR-cancel at the ends.
-
-    The relay re-encodes its decoded XOR message for the downlink; both
-    downlink legs see independent flips from the same stream.
-    """
-    u_a = np.asarray(u_a, dtype=np.int64) % 2
-    u_b = np.asarray(u_b, dtype=np.int64) % 2
-    x1 = code.encode(u_a)
-    x2 = code.encode(u_b)
-    flips = rng.random(code.n) < params.p_cross
-    y_relay = x1 ^ x2 ^ flips.astype(np.int64)
-
-    m_relay = code.ml_decode(y_relay)
-    relay_error = bool(np.any(m_relay != (u_a ^ u_b)))
-
-    x_relay = code.encode(m_relay)
-    y_a = x_relay ^ (rng.random(code.n) < params.p_cross).astype(np.int64)
-    y_b = x_relay ^ (rng.random(code.n) < params.p_cross).astype(np.int64)
-
-    u_b_hat = code.ml_decode(y_a) ^ u_a
-    u_a_hat = code.ml_decode(y_b) ^ u_b
-    return BscRoundtrip(
-        u_a=u_a, u_b=u_b, relay_decoded=m_relay, relay_error=relay_error,
-        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
-        end_error_a=bool(np.any(u_b_hat != u_b)),
-        end_error_b=bool(np.any(u_a_hat != u_a)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Harness experiment
 # ---------------------------------------------------------------------------
@@ -206,8 +163,8 @@ def draw_bsc(rng: np.random.Generator, count: int, code: BinaryLinearCode) -> Bs
 
 def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
              params: BscParams) -> dict[str, np.ndarray]:
-    """Per-round relay, end and union errors of a block; `bsc_relay_roundtrip`
-    row by row, on packed words through `code.word_tables`."""
+    """Per-round relay, end and union errors of a block; `bsc_row` row by row,
+    on packed words through `code.word_tables`."""
     cw, dec = code.word_tables
     bits = 1 << np.arange(code.n)
     m_a, m_b = draws.u_a @ bits[:code.k], draws.u_b @ bits[:code.k]
@@ -219,6 +176,28 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
     end_error = (dec[x ^ f_a] ^ m_a != m_b) | (dec[x ^ f_b] ^ m_b != m_a)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
+
+
+def bsc_row(draws: BscDraws, i: int, code: BinaryLinearCode,
+            params: BscParams) -> BscRoundtrip:
+    """The scalar reference round on row i of a block's draws; `bsc_rows` is
+    its block form.  Uplink XOR decode at the relay, broadcast, XOR-cancel at
+    the ends; the relay re-encodes its decoded XOR message for the downlink,
+    and a coordinate flips where its uniform is below p."""
+    u_a, u_b = draws.u_a[i], draws.u_b[i]
+    f_relay, f_a, f_b = (r[i] < params.p_cross for r in (draws.r_relay, draws.r_a, draws.r_b))
+    m_relay = code.ml_decode(code.encode(u_a) ^ code.encode(u_b) ^ f_relay)
+    relay_error = bool(np.any(m_relay != (u_a ^ u_b)))
+
+    x_relay = code.encode(m_relay)
+    u_b_hat = code.ml_decode(x_relay ^ f_a) ^ u_a
+    u_a_hat = code.ml_decode(x_relay ^ f_b) ^ u_b
+    return BscRoundtrip(
+        u_a=u_a, u_b=u_b, relay_decoded=m_relay, relay_error=relay_error,
+        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
+        end_error_a=bool(np.any(u_b_hat != u_b)),
+        end_error_b=bool(np.any(u_a_hat != u_a)),
+    )
 
 
 def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:

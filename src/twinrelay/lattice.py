@@ -293,12 +293,11 @@ def make_pair(
     k: int,
     power: float = 1.0,
     generator_matrix: Sequence[Sequence[int]] | None = None,
-    seed: int | None = None,
 ) -> NestedLatticePair:
     """Convenience constructor from plain parameters."""
     coarse = CoarseLattice.for_power(n, q, power)
     if generator_matrix is None:
-        generator_matrix = systematic_generator(n, k, q, seed=seed)
+        generator_matrix = systematic_generator(n, k, q)
     return NestedLatticePair(coarse=coarse, generator_matrix=np.asarray(generator_matrix))
 
 

@@ -11,8 +11,9 @@ ideally coded index, or retransmitted through AWGN and lattice-decoded),
 and each node cancels its own point mod the coarse lattice to recover the
 other message.  Codewords are handled as message indices throughout;
 coordinates appear only where a signal is formed.  The harness kernel runs
-a block of rounds at once on index arrays (`session_rows`); `run_session`
-and `_session_core` are the one-round reference it is tested against.
+a block of rounds at once on index arrays (`session_rows`); `session_row`,
+the same exchange on one row of a block's draws, is the one-round reference
+it is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .lattice import (
     modulo_sum,
     quantize_fine,
 )
-from .rng import TAG_DITHER, TAG_NOISE, derive_seed, generator
 
 
 @dataclass(frozen=True)
@@ -154,92 +154,6 @@ def index_broadcast_ok(params: ChannelParams, pair: NestedLatticePair) -> bool:
     return pair.rate < rates.rate_upper(params.snr)
 
 
-def run_session(
-    u_a: int,
-    u_b: int,
-    params: ChannelParams,
-    pair: NestedLatticePair,
-    mode: BroadcastMode = BroadcastMode.INDEX_FORWARD_IDEAL,
-    seed: int = 0,
-    session: int = 0,
-) -> ExchangeTranscript:
-    """One full exchange round with seed-derived dithers and noise.
-
-    Dither streams derive from (seed, session, node id), modeling dithers
-    known at every node through seed sharing.  Errors are recorded in the
-    transcript, never raised.
-    """
-    d1 = dither(generator(derive_seed(seed, session, TAG_DITHER, 1)), pair.coarse)
-    d2 = dither(generator(derive_seed(seed, session, TAG_DITHER, 2)), pair.coarse)
-    noise_rng = generator(seed, session, TAG_NOISE)
-    return _session_core(u_a, u_b, params, pair, mode, d1, d2, noise_rng)
-
-
-def _session_core(
-    u_a: int,
-    u_b: int,
-    params: ChannelParams,
-    pair: NestedLatticePair,
-    mode: BroadcastMode,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    noise_rng: np.random.Generator,
-) -> ExchangeTranscript:
-    """The scalar reference exchange; `session_rows` is its block form."""
-    x1 = encode_node(u_a, d1, pair)
-    x2 = encode_node(u_b, d2, pair)
-
-    sigma = math.sqrt(params.sigma2)
-    y_relay = x1 + x2
-    if sigma > 0:
-        y_relay = y_relay + noise_rng.normal(0.0, sigma, size=pair.n)
-
-    t_hat = relay_decode_sum(y_relay, (d1, d2), params, pair)
-    relay_error = t_hat != modulo_sum(u_a, u_b, pair)
-
-    broadcast_failed = False
-    if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
-        if index_broadcast_ok(params, pair):
-            t_at_a = t_hat
-            t_at_b = t_hat
-        else:
-            broadcast_failed = True
-            t_at_a = None
-            t_at_b = None
-    else:
-        # Relay retransmits the sum point; each node lattice-decodes it and
-        # then cancels its own point.
-        t_at_a = _direct_downlink(t_hat, sigma, pair, noise_rng)
-        t_at_b = _direct_downlink(t_hat, sigma, pair, noise_rng)
-
-    if t_at_a is None or t_at_b is None:
-        u_b_hat = u_a_hat = None
-        end_a = end_b = True
-    else:
-        u_b_hat = recover_at_node(t_at_a, u_a, pair)
-        u_a_hat = recover_at_node(t_at_b, u_b, pair)
-        end_a = u_b_hat != u_b
-        end_b = u_a_hat != u_a
-
-    return ExchangeTranscript(
-        u_a=u_a, u_b=u_b, d1=d1, d2=d2, x1=x1, x2=x2,
-        y_relay=y_relay, relay_decoded=t_hat,
-        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
-        relay_error=relay_error, broadcast_failed=broadcast_failed,
-        end_error_a=end_a, end_error_b=end_b,
-    )
-
-
-def _direct_downlink(
-    t_hat: int, sigma: float, pair: NestedLatticePair,
-    noise_rng: np.random.Generator,
-) -> int:
-    y = encode_message(t_hat, pair)
-    if sigma > 0:
-        y = y + noise_rng.normal(0.0, sigma, size=pair.n)
-    return quantize_fine(mod_coarse(y, pair.coarse), pair)
-
-
 @dataclass(eq=False)
 class SessionDraws:
     """The random inputs of a block of exchange rounds, one row per round.
@@ -261,7 +175,11 @@ def draw_sessions(
     rng: np.random.Generator, count: int, params: ChannelParams,
     pair: NestedLatticePair, mode: BroadcastMode,
 ) -> SessionDraws:
-    """Messages, dithers and noise for `count` rounds, each kind drawn as one array."""
+    """Messages, dithers and noise for `count` rounds, each kind drawn as one array.
+
+    Every node reads the same rows, which models dithers known at every node
+    through seed sharing.
+    """
     u_a = rng.integers(pair.size, size=count)
     u_b = rng.integers(pair.size, size=count)
     d1 = dither(rng, pair.coarse, count)
@@ -276,11 +194,71 @@ def draw_sessions(
     return SessionDraws(u_a, u_b, d1, d2, z_relay, z_a, z_b)
 
 
+def session_row(
+    draws: SessionDraws, i: int, params: ChannelParams, pair: NestedLatticePair,
+    mode: BroadcastMode,
+) -> ExchangeTranscript:
+    """The scalar reference exchange on row i of a block's draws; `session_rows`
+    is its block form.  Errors are recorded in the transcript, never raised."""
+    u_a, u_b = int(draws.u_a[i]), int(draws.u_b[i])
+    d1, d2 = draws.d1[i], draws.d2[i]
+    z_relay, z_a, z_b = (None if z is None else z[i]
+                         for z in (draws.z_relay, draws.z_a, draws.z_b))
+    x1 = encode_node(u_a, d1, pair)
+    x2 = encode_node(u_b, d2, pair)
+
+    y_relay = x1 + x2
+    if z_relay is not None:
+        y_relay = y_relay + z_relay
+
+    t_hat = relay_decode_sum(y_relay, (d1, d2), params, pair)
+    relay_error = t_hat != modulo_sum(u_a, u_b, pair)
+
+    broadcast_failed = False
+    if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
+        if index_broadcast_ok(params, pair):
+            t_at_a = t_hat
+            t_at_b = t_hat
+        else:
+            broadcast_failed = True
+            t_at_a = None
+            t_at_b = None
+    else:
+        # Relay retransmits the sum point; each node lattice-decodes it and
+        # then cancels its own point.
+        t_at_a = _direct_downlink(t_hat, z_a, pair)
+        t_at_b = _direct_downlink(t_hat, z_b, pair)
+
+    if t_at_a is None or t_at_b is None:
+        u_b_hat = u_a_hat = None
+        end_a = end_b = True
+    else:
+        u_b_hat = recover_at_node(t_at_a, u_a, pair)
+        u_a_hat = recover_at_node(t_at_b, u_b, pair)
+        end_a = u_b_hat != u_b
+        end_b = u_a_hat != u_a
+
+    return ExchangeTranscript(
+        u_a=u_a, u_b=u_b, d1=d1, d2=d2, x1=x1, x2=x2,
+        y_relay=y_relay, relay_decoded=t_hat,
+        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
+        relay_error=relay_error, broadcast_failed=broadcast_failed,
+        end_error_a=end_a, end_error_b=end_b,
+    )
+
+
+def _direct_downlink(t_hat: int, z: np.ndarray | None, pair: NestedLatticePair) -> int:
+    y = encode_message(t_hat, pair)
+    if z is not None:
+        y = y + z
+    return quantize_fine(mod_coarse(y, pair.coarse), pair)
+
+
 def session_rows(
     draws: SessionDraws, params: ChannelParams, pair: NestedLatticePair,
     mode: BroadcastMode,
 ) -> dict[str, np.ndarray]:
-    """Per-round relay, end and union errors of a block; `_session_core` row by row."""
+    """Per-round relay, end and union errors of a block; `session_row` row by row."""
     y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
     if draws.z_relay is not None:
         y_relay = y_relay + draws.z_relay

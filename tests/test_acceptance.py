@@ -27,11 +27,13 @@ from twinrelay.rates import (
     rate_lattice,
     rate_upper,
 )
+from twinrelay.rng import generator
 from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
     BroadcastMode,
     ChannelParams,
-    run_session,
+    draw_sessions,
+    session_row,
 )
 
 TABLE1 = os.path.join(
@@ -165,11 +167,12 @@ def test_criterion_05_noiseless_end_to_end(shared_reports):
     pair = make_pair(n=2, q=5, k=2, power=1.0)
     assert pair.size ** 2 == 625
     noiseless = ChannelParams(power=1.0, sigma2=0.0)
-    for ua in range(pair.size):
-        for ub in range(pair.size):
-            tr = run_session(ua, ub, noiseless, pair,
-                             mode=BroadcastMode.INDEX_FORWARD_IDEAL, seed=1605)
-            assert not tr.error and not tr.relay_error
+    mode = BroadcastMode.INDEX_FORWARD_IDEAL
+    draws = draw_sessions(generator(1605), 625, noiseless, pair, mode)
+    draws.u_a[:], draws.u_b[:] = np.divmod(np.arange(625), pair.size)
+    for i in range(625):
+        tr = session_row(draws, i, noiseless, pair, mode)
+        assert not tr.error and not tr.relay_error
     rep = shared_reports["c5_random_pairs"]
     assert rep.trials == 1000
     assert rep.counts["end_error"] == 0
@@ -250,16 +253,15 @@ def test_criterion_08_bsc_relay_vs_oracle(shared_reports):
     bound = oracles.three_sigma(p_true, rep.trials)
     assert abs(p_hat - p_true) < bound
     # exhaustive exactness at p = 0
-    from twinrelay.bsc import BscParams, bsc_relay_roundtrip, hamming74
-    from twinrelay.rng import generator
+    from twinrelay.bsc import BscParams, bsc_row, draw_bsc, hamming74
 
     code = hamming74()
     msgs = ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1).astype(np.int64)
-    rng = generator(1801)
-    for ua in msgs:
-        for ub in msgs:
-            out = bsc_relay_roundtrip(ua, ub, code, BscParams(0.0), rng)
-            assert not out.relay_error and not out.error
+    draws = draw_bsc(generator(1801), 256, code)
+    draws.u_a[:], draws.u_b[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
+    for i in range(256):
+        out = bsc_row(draws, i, code, BscParams(0.0))
+        assert not out.relay_error and not out.error
     print(f"criterion 08 binary relay: PASS (sim {p_hat:.6f} vs exact {p_true:.6f}; "
           "256 noiseless pairs exact)")
 

@@ -10,19 +10,24 @@ from twinrelay.bsc import (
     BscParams,
     bsc_exchange_rate_bound,
     bsc_kernel,
-    bsc_relay_roundtrip,
+    bsc_row,
     bsc_rows,
     draw_bsc,
     hamming74,
-    random_code,
 )
 from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
+from twinrelay.lattice import systematic_generator
 from twinrelay.rng import TAG_TRIAL, generator
 
 
 def all_messages(k):
     return ((np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
+
+
+def systematic_code(n, k, seed):
+    """A binary [I_k | A] code whose parity part A is drawn from generator(seed)."""
+    return BinaryLinearCode(generator=systematic_generator(n, k, 2, seed=seed))
 
 
 def tie_code42():
@@ -43,7 +48,7 @@ def test_hamming74_structure():
 
 
 def test_linearity_xor_closure():
-    for code in (hamming74(), random_code(10, 5, seed=4)):
+    for code in (hamming74(), systematic_code(10, 5, seed=4)):
         seen = {row.tobytes() for row in code.codewords.astype(np.uint8)}
         for a in code.codewords:
             for b in code.codewords:
@@ -53,20 +58,21 @@ def test_linearity_xor_closure():
 def test_noiseless_roundtrip_exhaustive():
     code = hamming74()
     params = BscParams(0.0)
-    rng = generator(0)
-    for ua in all_messages(4)[:16]:
-        for ub in all_messages(4)[:16]:
-            out = bsc_relay_roundtrip(ua, ub, code, params, rng)
-            assert not out.relay_error and not out.error
-            assert np.array_equal(out.u_b_hat_at_a, ub)
-            assert np.array_equal(out.u_a_hat_at_b, ua)
+    draws = draw_bsc(generator(0), 256, code)
+    msgs = all_messages(4)
+    draws.u_a[:], draws.u_b[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
+    for i in range(256):
+        out = bsc_row(draws, i, code, params)
+        assert not out.relay_error and not out.error
+        assert np.array_equal(out.u_b_hat_at_a, draws.u_b[i])
+        assert np.array_equal(out.u_a_hat_at_b, draws.u_a[i])
 
 
 def test_equal_messages_decode_zero_codeword():
     code = hamming74()
-    rng = generator(1)
-    u = np.array([1, 0, 1, 1])
-    out = bsc_relay_roundtrip(u, u, code, BscParams(0.0), rng)
+    draws = draw_bsc(generator(1), 1, code)
+    draws.u_a[:] = draws.u_b[:] = [1, 0, 1, 1]
+    out = bsc_row(draws, 0, code, BscParams(0.0))
     assert np.all(out.relay_decoded == 0)
 
 
@@ -142,28 +148,14 @@ def test_trial_fn_keys():
     assert max(out["relay_error"], out["end_error"]) <= out["union_error"]
 
 
-class _ReplayUniforms:
-    """Stands in for the stream of `bsc_relay_roundtrip`: hands out
-    pre-drawn uniform rows in call order."""
-
-    def __init__(self, *rows):
-        self._rows = iter(rows)
-
-    def random(self, size):
-        row = next(self._rows)
-        assert row.shape == (size,)
-        return row
-
-
-@pytest.mark.parametrize("code", [hamming74(), random_code(10, 5, seed=4), tie_code42()])
+@pytest.mark.parametrize("code", [hamming74(), systematic_code(10, 5, seed=4), tie_code42()])
 def test_block_rows_replay_scalar_roundtrip(code):
     # each row of the block kernel is the scalar round trip on the same draws
     params = BscParams(0.1)
     draws = draw_bsc(generator(31), 400, code)
     rows = bsc_rows(draws, code, params)
     for i in range(400):
-        out = bsc_relay_roundtrip(draws.u_a[i], draws.u_b[i], code, params,
-                                  _ReplayUniforms(draws.r_relay[i], draws.r_a[i], draws.r_b[i]))
+        out = bsc_row(draws, i, code, params)
         assert rows["relay_error"][i] == out.relay_error
         assert rows["end_error"][i] == out.error
         assert rows["union_error"][i] == (out.relay_error or out.error)
@@ -172,7 +164,7 @@ def test_block_rows_replay_scalar_roundtrip(code):
 
 
 def test_ml_decode_rows_match_single_words():
-    code = random_code(12, 6, seed=2)
+    code = systematic_code(12, 6, seed=2)
     words = generator(3).integers(0, 2, size=(3, 50, 12))
     batch = code.ml_decode(words)
     assert batch.shape == (3, 50, 6)
@@ -185,7 +177,7 @@ def test_ml_decode_rows_match_single_words():
     (hamming74(), 0),                                     # perfect: no ties
     (BinaryLinearCode(generator=np.array([[1, 1]])), 2),  # [2,1] repetition
     (tie_code42(), 4),
-    (random_code(10, 5, seed=4), 544),
+    (systematic_code(10, 5, seed=4), 544),
 ])
 def test_word_tables_exhaustive(code, ties):
     # dec[w] is the ML message index of every packed word w, the lowest
@@ -208,7 +200,7 @@ def test_word_tables_exhaustive(code, ties):
 def test_word_tables_guard(n, k):
     # [20,10]: 2^30 distances; [24,1]: 2^24 words of 24 bits (3.2 GB as
     # int64) though only 2^25 distances.  Each code still serves ml_decode.
-    code = random_code(n, k, seed=0)
+    code = systematic_code(n, k, seed=0)
     assert code.ml_decode(np.zeros(n, dtype=np.int64)).shape == (k,)
     with pytest.raises(GuardExceededError):
         code.word_tables
@@ -239,3 +231,22 @@ def test_kernel_totals_equal_bit_row_decoding(seed, p):
     want = _bit_row_totals(draw_bsc(generator(seed, TAG_TRIAL, 0), BLOCK, code), code, p)
     assert totals == want
     assert (want["union_error"] == 0) == (p == 0.0)
+
+
+def test_report_trials_replay_through_bsc_row_across_blocks():
+    # trial t of a report is row t % BLOCK of the block t // BLOCK drawn from
+    # (seed, TAG_TRIAL, t // BLOCK)
+    params = {"p": 0.1, "code": "hamming74"}
+    report = run_trials(ExperimentSpec("bsc", params, BSC_ERROR_KEYS),
+                        trials=BLOCK + 37, master_seed=7)
+    code, bp = hamming74(), BscParams(0.1)
+    want = dict.fromkeys(BSC_ERROR_KEYS, 0)
+    for b, count in enumerate((BLOCK, 37)):
+        draws = draw_bsc(generator(7, TAG_TRIAL, b), count, code)
+        for i in range(count):
+            out = bsc_row(draws, i, code, bp)
+            want["relay_error"] += out.relay_error
+            want["end_error"] += out.error
+            want["union_error"] += out.relay_error or out.error
+    assert report.counts == want
+    assert 0 < want["relay_error"] < want["end_error"] < BLOCK

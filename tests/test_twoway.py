@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from twinrelay.errors import ValidationError
-from twinrelay.harness import ExperimentSpec, run_trials
+from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
 from twinrelay.lattice import (
     dither,
     encode_message,
@@ -15,22 +15,36 @@ from twinrelay.lattice import (
     mod_units_exact,
     modulo_sum,
 )
-from twinrelay.rng import TAG_DITHER, derive_seed, generator
+from twinrelay.rng import TAG_TRIAL, generator
 from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
     BroadcastMode,
     ChannelParams,
-    _session_core,
     draw_sessions,
     encode_node,
+    pair_from_params,
     recover_at_node,
     relay_decode_sum,
-    run_session,
+    session_row,
     session_rows,
     sigma2_eq_of_alpha,
 )
 
 NOISELESS = ChannelParams(power=1.0, sigma2=0.0)
+INDEX = BroadcastMode.INDEX_FORWARD_IDEAL
+
+
+def _session_draws(u_a, u_b, params, pair, mode, seed):
+    """One block drawn from generator(seed), its message rows set to u_a, u_b."""
+    draws = draw_sessions(generator(seed), len(u_a), params, pair, mode)
+    draws.u_a[:], draws.u_b[:] = u_a, u_b
+    return draws
+
+
+def _one_session(u_a, u_b, params, pair, mode=INDEX, seed=0):
+    """`session_row` on a one-row block whose messages are u_a, u_b."""
+    return session_row(_session_draws([u_a], [u_b], params, pair, mode, seed), 0,
+                       params, pair, mode)
 
 
 def test_channel_params_closed_forms():
@@ -139,32 +153,30 @@ def test_recover_inverts_modulo_sum_exhaustive():
                                   BroadcastMode.DIRECT_LATTICE_RELAY])
 def test_noiseless_session_exhaustive(mode):
     pair = make_pair(n=2, q=5, k=1, power=1.0)
-    for ua in range(pair.size):
-        for ub in range(pair.size):
-            tr = run_session(ua, ub, NOISELESS, pair, mode=mode, seed=5)
-            assert not tr.relay_error
-            assert not tr.error
-            assert tr.u_b_hat_at_a == ub and tr.u_a_hat_at_b == ua
+    u_a, u_b = np.divmod(np.arange(pair.size ** 2), pair.size)
+    draws = _session_draws(u_a, u_b, NOISELESS, pair, mode, seed=5)
+    for i in range(pair.size ** 2):
+        tr = session_row(draws, i, NOISELESS, pair, mode)
+        assert not tr.relay_error
+        assert not tr.error
+        assert tr.u_b_hat_at_a == u_b[i] and tr.u_a_hat_at_b == u_a[i]
 
 
 def test_session_transcript_shape():
     pair = make_pair(n=2, q=4, k=1, power=1.0)
-    tr = run_session(1, 2, ChannelParams.from_snr_db(25.0), pair, seed=9)
+    tr = _one_session(1, 2, ChannelParams.from_snr_db(25.0), pair, seed=9)
     half = pair.coarse.cell / 2
     for x in (tr.x1, tr.x2):
         assert np.all(x >= -half) and np.all(x < half)
     assert isinstance(tr.relay_decoded, int) and 0 <= tr.relay_decoded < pair.size
-    # dithers come from the streams derive_seed(seed, session, TAG_DITHER, node)
-    for node, d in ((1, tr.d1), (2, tr.d2)):
-        want = dither(generator(derive_seed(9, 0, TAG_DITHER, node)), pair.coarse)
-        assert np.array_equal(d, want)
     assert not np.array_equal(tr.d1, tr.d2)
 
 
 def test_session_determinism():
     pair = make_pair(n=2, q=4, k=1, power=1.0)
-    a = run_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
-    b = run_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
+    # the same draws give the same transcript
+    a = _one_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
+    b = _one_session(1, 3, ChannelParams.from_snr_db(6.0), pair, seed=42)
     assert np.array_equal(a.y_relay, b.y_relay)
     assert a.relay_decoded == b.relay_decoded
 
@@ -172,8 +184,7 @@ def test_session_determinism():
 def test_index_forward_fails_above_capacity():
     # rate 2 bits/dim with capacity ~0.5 -> guaranteed-failure flag
     pair = make_pair(n=1, q=4, k=1, power=1.0)
-    tr = run_session(0, 0, ChannelParams.from_snr_db(0.0), pair,
-                     mode=BroadcastMode.INDEX_FORWARD_IDEAL, seed=1)
+    tr = _one_session(0, 0, ChannelParams.from_snr_db(0.0), pair, seed=1)
     assert pair.rate > 0.5 * np.log2(2.0)
     assert tr.broadcast_failed and tr.error
 
@@ -183,9 +194,9 @@ def test_index_forward_rule_is_strict_at_capacity():
     # pair, and the rule is rate < capacity; a little less noise clears it
     pair = make_pair(n=1, q=4, k=1, power=15.0)
     assert pair.rate == 2.0
-    at = run_session(0, 0, ChannelParams(power=15.0, sigma2=1.0), pair, seed=1)
+    at = _one_session(0, 0, ChannelParams(power=15.0, sigma2=1.0), pair, seed=1)
     assert at.broadcast_failed
-    below = run_session(0, 0, ChannelParams(power=15.0, sigma2=0.99), pair, seed=1)
+    below = _one_session(0, 0, ChannelParams(power=15.0, sigma2=0.99), pair, seed=1)
     assert not below.broadcast_failed
 
 
@@ -231,10 +242,10 @@ def test_negative_control_rate_above_capacity():
 def test_random_pairs_large_codebook_noiseless():
     pair = make_pair(n=4, q=16, k=2, power=1.0)
     rng = np.random.default_rng(77)
-    for _ in range(200):
-        ua, ub = int(rng.integers(pair.size)), int(rng.integers(pair.size))
-        tr = run_session(ua, ub, NOISELESS, pair, seed=13)
-        assert not tr.error
+    u_a, u_b = rng.integers(pair.size, size=(2, 200))
+    draws = _session_draws(u_a, u_b, NOISELESS, pair, INDEX, seed=13)
+    for i in range(200):
+        assert not session_row(draws, i, NOISELESS, pair, INDEX).error
 
 
 EXT_HAMMING_8_4 = [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
@@ -250,19 +261,6 @@ def _golay_24_12():
         row[shift:shift + 12] = poly
         rows.append(row + [sum(row) % 2])
     return rows
-
-
-class _ReplayNoise:
-    """Stands in for the noise stream of `_session_core`: hands out the
-    block's pre-drawn noise rows in call order (relay, then each downlink)."""
-
-    def __init__(self, *rows):
-        self._rows = iter(row for row in rows if row is not None)
-
-    def normal(self, loc, scale, size):
-        row = next(self._rows)
-        assert loc == 0.0 and row.shape == (size,)
-        return row
 
 
 REPLAY_CASES = {
@@ -285,17 +283,14 @@ REPLAY_CASES = {
 @pytest.mark.parametrize("pair_args,snr_db,mode,count,noisy", REPLAY_CASES.values(),
                          ids=REPLAY_CASES.keys())
 def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, noisy):
-    # each row of the block kernel is `_session_core` on the same draws
+    # each row of the block kernel is `session_row` on the same draws
     pair = make_pair(power=1.0, **pair_args)
     ch = ChannelParams.from_snr_db(snr_db)
     mode = BroadcastMode(mode)
     draws = draw_sessions(generator(41, count), count, ch, pair, mode)
     rows = session_rows(draws, ch, pair, mode)
     for i in range(count):
-        tr = _session_core(
-            int(draws.u_a[i]), int(draws.u_b[i]), ch, pair, mode, draws.d1[i], draws.d2[i],
-            _ReplayNoise(*(z if z is None else z[i]
-                           for z in (draws.z_relay, draws.z_a, draws.z_b))))
+        tr = session_row(draws, i, ch, pair, mode)
         assert rows["relay_error"][i] == tr.relay_error, f"row {i}"
         assert rows["end_error"][i] == tr.error, f"row {i}"
         assert rows["union_error"][i] == (tr.relay_error or tr.error), f"row {i}"
@@ -304,3 +299,24 @@ def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, no
         assert 0 < np.count_nonzero(rows["end_error"]) < count
     if snr_db is None:
         assert not rows["relay_error"].any() and not rows["end_error"].any()
+
+
+def test_report_trials_replay_through_session_row_across_blocks():
+    # trial t of a report is row t % BLOCK of the block t // BLOCK drawn from
+    # (seed, TAG_TRIAL, t // BLOCK); the full n=1 code in direct mode at
+    # 12 dB reads every noise row, the downlink ones included
+    params = {"n": 1, "q": 4, "k": 1, "snr_db": 12.0, "power": 1.0, "mode": "direct"}
+    report = run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
+                        trials=BLOCK + 37, master_seed=7)
+    pair, ch = pair_from_params(params), ChannelParams.from_snr_db(12.0)
+    mode = BroadcastMode.DIRECT_LATTICE_RELAY
+    want = dict.fromkeys(LATTICE_ERROR_KEYS, 0)
+    for b, count in enumerate((BLOCK, 37)):
+        draws = draw_sessions(generator(7, TAG_TRIAL, b), count, ch, pair, mode)
+        for i in range(count):
+            tr = session_row(draws, i, ch, pair, mode)
+            want["relay_error"] += tr.relay_error
+            want["end_error"] += tr.error
+            want["union_error"] += tr.relay_error or tr.error
+    assert report.counts == want
+    assert 0 < want["relay_error"] < want["end_error"] < BLOCK
