@@ -13,8 +13,7 @@ the integer whose base-q digits (least significant first) are the message
 u, with codebook row u*G folded into [-q/2, q/2) in units of gamma.  By
 linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
 difference of two codewords are digit-wise mod-q sums and differences of
-their messages, exact with zero tolerance.  A parallel exact-rational
-path (`mod_units_exact`) covers non-integer vectors via Fractions.
+their messages, exact with zero tolerance.
 `quantize_fine` scores rows against the whole codebook as one float32
 product of a separable cost table with a one-hot codebook matrix, exact
 against the `wrapped_sq_distances` argmin (see `_nearest`).
@@ -27,15 +26,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError, ValidationError
 from .rng import generator
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
 # Max entries n*q*size of the one-hot codebook matrix (256 MB of float32);
@@ -116,22 +112,6 @@ def centered_units(u: np.ndarray, q: int) -> np.ndarray:
     return (u + q // 2) % q - q // 2
 
 
-def mod_units_exact(values: Iterable, q: int) -> tuple[Fraction, ...]:
-    """Exact-rational fold into [-q/2, q/2), for zero-tolerance algebra.
-
-    Accepts ints or Fractions (coordinates measured in units of gamma);
-    returns Fractions.  Mirrors `mod_coarse` without any floating point.
-    """
-    from fractions import Fraction  # only the exact-algebra checks need it
-
-    out = []
-    half = Fraction(1, 2)
-    for v in values:
-        f = Fraction(v)
-        out.append(f - q * math.floor(f / q + half))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Dither
 # ---------------------------------------------------------------------------
@@ -208,10 +188,6 @@ class NestedLatticePair:
         self.codebook_units.flags.writeable = False
 
     @cached_property
-    def _index_of(self) -> dict[tuple[int, ...], int]:
-        return {tuple(int(c) for c in row): i for i, row in enumerate(self.codebook_units)}
-
-    @cached_property
     def _levels(self) -> np.ndarray:
         """gamma * v for the residues 0..q-1, v their centered units."""
         return self.coarse.gamma * centered_units(np.arange(self.q), self.q).astype(float)
@@ -254,9 +230,6 @@ class NestedLatticePair:
     def rate(self) -> float:
         """Coding rate (k/n) log2 q in bits per dimension."""
         return self.k / self.n * math.log2(self.q)
-
-    def index_of_units(self, units: Sequence[int]) -> int:
-        return self._index_of[tuple(int(u) for u in units)]
 
     def digits(self, index) -> np.ndarray:
         """Base-q message digits of codebook indices, shape (..., k), least
@@ -432,7 +405,8 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
     A single row (shape (n,)) returns an int.  A full code (k = n) rounds
     each coordinate; any other code scores row chunks as one
     single-threaded float32 product each (see `_nearest`), with the same
-    argmin as `wrapped_sq_distances`.
+    argmin as `wrapped_sq_distances`.  A chunk's (rows, n*q) cost table and
+    its (rows, size) scores both stay within SCAN_WORKSET elements.
     """
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:
@@ -441,7 +415,7 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
     rows = x.reshape(-1, pair.n)
     out = np.empty(rows.shape[0], dtype=np.int64)
     with _one_blas_thread():
-        for sl in scan_rows(rows.shape[0], pair.size):
+        for sl in scan_rows(rows.shape[0], max(pair.size, pair.n * pair.q)):
             out[sl] = _nearest(rows[sl], pair)
     return _index(out.reshape(x.shape[:-1]))
 

@@ -1,13 +1,13 @@
-"""Ball-intersection codebooks, shell projection, and minimum-angle decoding.
+"""Ball-intersection codebooks and minimum-angle decoding.
 
 Codewords are points of a translated scaled integer lattice inside the
 closed ball of radius sqrt(n*P).  The receiver cares only about the sum
 x1 + x2, which for large n concentrates on a thin shell around radius
-sqrt(2*n*P); the minimum-angle decoder projects candidates onto that
-shell and picks the one at the smallest angle to the received vector,
-discarding radial information.  Off-shell sums are counted as automatic
-decoder losses, mirroring the union-bound accounting that motivates the
-decoder, and are also reported separately.
+sqrt(2*n*P); the minimum-angle decoder picks the on-shell sum at the
+smallest angle to the received vector, discarding radial information, so
+it needs no projection onto the shell.  Off-shell sums are counted as
+automatic decoder losses, mirroring the union-bound accounting that
+motivates the decoder, and are also reported separately.
 """
 
 from __future__ import annotations
@@ -47,20 +47,11 @@ class ShellSpec:
                 f"delta must lie in (0, 2P) = (0, {2 * self.power}), got {self.delta}"
             )
 
-    @property
-    def r_inner(self) -> float:
-        return math.sqrt(self.n * (2.0 * self.power - self.delta))
-
     def contains_sq(self, norm_sq) -> np.ndarray:
         lo = self.n * (2.0 * self.power - self.delta)
         hi = self.n * (2.0 * self.power + self.delta)
         arr = np.asarray(norm_sq)
         return (arr >= lo) & (arr <= hi)
-
-
-def sin_theta(power: float, sigma2: float, delta: float = 0.0) -> float:
-    """Asymptotic sine of the noise cone half-angle: sqrt(s2/(2P - delta + s2))."""
-    return math.sqrt(sigma2 / (2.0 * power - delta + sigma2))
 
 
 @dataclass(eq=False)
@@ -127,10 +118,8 @@ class SumCodebook:
     """All pairwise sums x_i + x_j of one ball codebook with itself (both
     transmitters use the same lattice), partitioned by shell membership."""
 
-    shell: ShellSpec
     sum_units: np.ndarray        # distinct sums, integer units
     sum_points: np.ndarray       # distinct sums, coordinates
-    pair_counts: np.ndarray      # pairs mapping to each distinct sum
     on_shell: np.ndarray         # bool per distinct sum
     pair_to_sum: np.ndarray      # (m, m) row of each pair's sum in sum_units
     m: int                       # codebook size
@@ -141,39 +130,16 @@ class SumCodebook:
         if total > PAIR_GUARD:
             raise GuardExceededError(f"{total} pairs exceed guard {PAIR_GUARD}")
         combined = (cb.units[:, None, :] + cb.units[None, :, :]).reshape(total, cb.n)
-        uniq, inverse, counts = np.unique(
-            combined, axis=0, return_inverse=True, return_counts=True)
+        uniq, inverse = np.unique(combined, axis=0, return_inverse=True)
         pts = cb.gamma * uniq + 2.0 * cb.translation
         norms = np.einsum("ij,ij->i", pts, pts)
         return cls(
-            shell=shell, sum_units=uniq, sum_points=pts,
-            pair_counts=counts, on_shell=shell.contains_sq(norms),
+            sum_units=uniq, sum_points=pts, on_shell=shell.contains_sq(norms),
             pair_to_sum=inverse.reshape(cb.size, cb.size), m=cb.size,
         )
 
-    @property
-    def pairs_total(self) -> int:
-        return self.m * self.m
-
-    @property
-    def pairs_on_shell(self) -> int:
-        return int(self.pair_counts[self.on_shell].sum())
-
-    @property
-    def pairs_off_shell(self) -> int:
-        return int(self.pair_counts[~self.on_shell].sum())
-
     def shell_points(self) -> np.ndarray:
         return self.sum_points[self.on_shell]
-
-
-def project_to_shell(x: np.ndarray, spec: ShellSpec) -> np.ndarray:
-    """Scale x onto the inner shell sphere of radius sqrt(n(2P - delta))."""
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        raise ValidationError("cannot project the zero vector")
-    return (spec.r_inner / norm) * x
 
 
 def min_angle_decode(y: np.ndarray, points: np.ndarray):
@@ -270,14 +236,6 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
 
 
 harness.register_experiment("concentration", concentration_kernel)
-
-
-def concentration_exact(cb: BallCodebook, delta: float) -> float:
-    """Exact off-shell fraction of the pairs of codebook `cb` with itself,
-    for the shell of half-width `delta`."""
-    shell = ShellSpec(n=cb.n, power=cb.power, delta=delta)
-    sums = SumCodebook.from_codebook(cb, shell)
-    return sums.pairs_off_shell / sums.pairs_total
 
 
 # ---------------------------------------------------------------------------

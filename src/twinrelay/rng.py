@@ -6,7 +6,7 @@ stream is addressed by a 64-bit master seed plus an integer path
 derived from (master, *path) with a splitmix64 chain.  Streams are
 stateless functions of their address, so any worker can materialize any
 stream without coordination and aggregate results are independent of
-scheduling.  Reference draws are pinned by ``data/rng_vectors.json``.
+scheduling.  Reference draws are pinned by ``tests/data/rng_vectors.json``.
 """
 
 from __future__ import annotations

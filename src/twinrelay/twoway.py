@@ -76,16 +76,6 @@ class ChannelParams:
         """MMSE scaling mP/(mP + sigma2) for a sum of m signals; 1 when noiseless."""
         return m * self.power / (m * self.power + self.sigma2)
 
-    @property
-    def sigma2_eq(self) -> float:
-        """Equivalent-noise variance 2*P*sigma2/(2P + sigma2) at alpha(2)."""
-        return 2.0 * self.power * self.sigma2 / (2.0 * self.power + self.sigma2)
-
-
-def sigma2_eq_of_alpha(alpha: float, params: ChannelParams) -> float:
-    """Equivalent-noise variance alpha^2*sigma2 + (1-alpha)^2*2P for any scaling."""
-    return alpha ** 2 * params.sigma2 + (1.0 - alpha) ** 2 * 2.0 * params.power
-
 
 class BroadcastMode(Enum):
     DIRECT_LATTICE_RELAY = "direct"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,6 +60,31 @@ def binary_entropy_hp(p) -> float:
         return 0.0
     q = 1 - p
     return float(-(p * p.ln() + q * q.ln()) / Decimal(2).ln())
+
+
+# ---------------------------------------------------------------------------
+# Exact lattice arithmetic
+# ---------------------------------------------------------------------------
+
+def mod_units_exact(values, q: int) -> tuple[Fraction, ...]:
+    """Exact-rational fold into [-q/2, q/2), for zero-tolerance algebra.
+
+    Accepts ints or Fractions (coordinates measured in units of gamma);
+    returns Fractions.  Mirrors `lattice.mod_coarse` without any floating
+    point.
+    """
+    half = Fraction(1, 2)
+    return tuple(f - q * math.floor(f / q + half) for f in map(Fraction, values))
+
+
+@lru_cache(maxsize=64)
+def _index_of(pair) -> dict[tuple[int, ...], int]:
+    return {tuple(int(c) for c in row): i for i, row in enumerate(pair.codebook_units)}
+
+
+def index_of_units(pair, units) -> int:
+    """Codebook index of a row of units, by exhaustive lookup over the codebook."""
+    return _index_of(pair)[tuple(int(u) for u in units)]
 
 
 # ---------------------------------------------------------------------------

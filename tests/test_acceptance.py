@@ -156,7 +156,7 @@ def test_criterion_04_mod_sum_uniformity():
         for a in range(pair.size):
             sums = centered_units(pair.codebook_units[a][None, :] + pair.codebook_units, q)
             for row in sums:
-                counts[pair.index_of_units(row)] += 1
+                counts[oracles.index_of_units(pair, row)] += 1
         assert np.all(counts == pair.size), f"nonuniform mod-sum at q={q} k={k} n={n}"
     print(f"criterion 04 exact mod-sum uniformity: PASS ({len(combos)} codebooks, "
           "zero tolerance)")

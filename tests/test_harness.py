@@ -21,9 +21,7 @@ from twinrelay.harness import (
 )
 from twinrelay.rng import TAG_TRIAL, derive_seed, generator, philox_key
 
-VECTORS = os.path.join(
-    os.path.dirname(__file__), "..", "src", "twinrelay", "data", "rng_vectors.json"
-)
+VECTORS = os.path.join(os.path.dirname(__file__), "data", "rng_vectors.json")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Lattice arithmetic: folds, codebooks, dithers, exact group structure."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from oracles import index_of_units, mod_units_exact
 from twinrelay import lattice
 from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.lattice import (
@@ -16,7 +18,6 @@ from twinrelay.lattice import (
     encode_message,
     make_pair,
     mod_coarse,
-    mod_units_exact,
     modulo_diff,
     modulo_sum,
     quantize_fine,
@@ -135,7 +136,7 @@ def test_encode_decode_roundtrip_exhaustive():
     pair = make_pair(n=3, q=5, k=2, power=1.0)
     for i in range(pair.size):
         units = np.rint(encode_message(i, pair) / pair.coarse.gamma).astype(np.int64)
-        assert pair.index_of_units(units) == i
+        assert index_of_units(pair, units) == i
         assert quantize_fine(encode_message(i, pair), pair) == i
 
 
@@ -220,7 +221,7 @@ def test_mod_sum_uniformity_exhaustive(q, k, n):
     for a in range(pair.size):
         sums = centered_units(units[a][None, :] + units, q)
         for row in sums:
-            counts[pair.index_of_units(row)] += 1
+            counts[index_of_units(pair, row)] += 1
     assert np.all(counts == pair.size)
 
 
@@ -413,6 +414,25 @@ def test_quantizer_huge_power_needs_no_candidates(monkeypatch, pair_args):
     monkeypatch.setattr(lattice, "_sq_distances", spy)
     assert np.array_equal(quantize_fine(x, pair), want)
     assert spy.calls == []
+
+
+def test_quantizer_chunks_bound_the_cost_table():
+    # a long k = 1 code: the (rows, n*q) cost table, not the five-column
+    # scores, sets the chunk, so a call's heap peak stays near SCAN_WORKSET
+    # float64s; as one chunk, the cost table of this block alone is 82 MB
+    pair = make_pair(n=500, q=5, k=1, power=1.0)
+    cell = pair.coarse.cell
+    x = generator(37).uniform(-cell / 2, cell / 2, size=(4096, pair.n))
+    tracemalloc.start()
+    try:
+        got = quantize_fine(x, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    sample = np.arange(0, 4096, 97)
+    assert np.array_equal(got[sample],
+                          np.argmin(wrapped_sq_distances(x[sample], pair), axis=1))
 
 
 def test_quantizer_restores_blas_thread_count(monkeypatch):

@@ -1,4 +1,4 @@
-"""Shell projection, angle decoding, and concentration experiments."""
+"""Ball and sum codebooks, angle decoding, and concentration experiments."""
 
 import math
 import tracemalloc
@@ -19,44 +19,18 @@ from twinrelay.minangle import (
     ShellSpec,
     SumCodebook,
     check_distinct_directions,
-    concentration_exact,
     half_cell_codebook,
     min_angle_decode,
-    project_to_shell,
-    sin_theta,
 )
 from twinrelay.rng import generator
 
 
 def test_shellspec_radii():
-    spec = ShellSpec(n=4, power=1.0, delta=0.5)
-    assert spec.r_inner == pytest.approx(math.sqrt(4 * 1.5))
     with pytest.raises(ValidationError):
         ShellSpec(n=4, power=1.0, delta=2.0)
     for power in (0.0, -1.0):
         with pytest.raises(ValidationError, match="power must be positive"):
             ShellSpec(n=4, power=power, delta=0.1)
-
-
-def test_projection_examples():
-    spec = ShellSpec(n=2, power=1.0, delta=1e-12)
-    # target radius 2 at delta ~ 0
-    out = project_to_shell(np.array([2.0, 0.0]), spec)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-5)
-    out = project_to_shell(np.array([4.0, 0.0]), spec)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-5)
-    with pytest.raises(ValidationError):
-        project_to_shell(np.zeros(2), spec)
-
-
-def test_projection_norm_and_idempotence():
-    rng = np.random.default_rng(0)
-    spec = ShellSpec(n=5, power=2.0, delta=0.3)
-    for _ in range(100):
-        x = rng.normal(size=5)
-        p = project_to_shell(x, spec)
-        assert np.linalg.norm(p) ** 2 == pytest.approx(5 * (4.0 - 0.3), rel=1e-12)
-        assert np.allclose(project_to_shell(p, spec), p, atol=1e-12)
 
 
 def test_decode_exact_match_and_scale_invariance():
@@ -73,13 +47,14 @@ def test_decode_exact_match_and_scale_invariance():
 
 def test_decode_matches_distance_ml_at_equal_norms():
     # condition for angle/distance equivalence: candidates share one norm,
-    # which holds exactly after projection
+    # which holds exactly after scaling each onto the inner shell radius
     rng = np.random.default_rng(2)
     spec = ShellSpec(n=2, power=2.0, delta=0.4)
     cb = half_cell_codebook(2, 1.0, 2.0)
     sums = SumCodebook.from_codebook(cb, spec)
     shell = sums.shell_points()
-    projected = np.array([project_to_shell(p, spec) for p in shell])
+    r_inner = math.sqrt(spec.n * (2.0 * spec.power - spec.delta))
+    projected = r_inner * shell / np.linalg.norm(shell, axis=1, keepdims=True)
     sigma = math.sqrt(2.0 / 10 ** 1.5)
     for _ in range(200):
         true = rng.integers(shell.shape[0])
@@ -114,9 +89,13 @@ def test_pair_accounting():
     spec = ShellSpec(n=3, power=2.0, delta=1.0)
     cb = half_cell_codebook(3, 1.0, 2.0)
     sums = SumCodebook.from_codebook(cb, spec)
-    assert sums.pairs_total == cb.size ** 2
-    assert sums.pairs_on_shell + sums.pairs_off_shell == sums.pairs_total
-    assert sums.pair_counts.sum() == sums.pairs_total
+    pair_counts = np.bincount(sums.pair_to_sum.ravel())
+    assert pair_counts.shape == sums.on_shell.shape
+    assert pair_counts.sum() == cb.size ** 2
+    # the on-shell pairs are exactly the pairs whose coordinate sum is on the shell
+    pair_sums = (cb.points[:, None, :] + cb.points[None, :, :]).reshape(-1, 3)
+    norms = np.einsum("ij,ij->i", pair_sums, pair_sums)
+    assert pair_counts[sums.on_shell].sum() == np.count_nonzero(spec.contains_sq(norms))
 
 
 def test_pair_to_sum_maps_every_pair_to_its_sum():
@@ -130,7 +109,8 @@ def test_pair_to_sum_maps_every_pair_to_its_sum():
                                   cb.units[i] + cb.units[j])
             assert np.allclose(sums.sum_points[sums.pair_to_sum[i, j]],
                                cb.points[i] + cb.points[j], rtol=0.0, atol=1e-12)
-    assert np.array_equal(np.bincount(sums.pair_to_sum.ravel()), sums.pair_counts)
+    assert np.all(np.bincount(sums.pair_to_sum.ravel(),
+                              minlength=len(sums.sum_units)) > 0)
 
 
 def test_direction_collision_detected():
@@ -196,21 +176,6 @@ def test_concentration_nested_shells():
     wide, _, _ = _concentration(n=6, power=1.0, delta=1.9, samples=50_000, seed=8)
     thin, _, _ = _concentration(n=6, power=1.0, delta=0.1, samples=50_000, seed=8)
     assert wide < thin
-
-
-def test_concentration_exact_mode():
-    cb = half_cell_codebook(2, 1.0, 2.0)
-    frac = concentration_exact(cb, delta=1.0)
-    spec = ShellSpec(n=2, power=2.0, delta=1.0)
-    sums = (cb.points[:, None, :] + cb.points[None, :, :]).reshape(-1, 2)
-    norms = np.einsum("ij,ij->i", sums, sums)
-    want = float(np.mean(~spec.contains_sq(norms)))
-    assert frac == pytest.approx(want, abs=1e-12)
-
-
-def test_sin_theta_value():
-    assert sin_theta(power=1.0, sigma2=1.0, delta=0.0) == pytest.approx(
-        math.sqrt(1.0 / 3.0), abs=1e-15)
 
 
 def _minangle_report(n, sigma2, trials, seed):

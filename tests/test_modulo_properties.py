@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import index_of_units
 from twinrelay.lattice import (
     CoarseLattice,
     NestedLatticePair,
@@ -45,7 +46,7 @@ def pair_and_indices(draw):
 def test_modulo_sum_matches_units_route(case):
     pair, a, b = case
     units = pair.codebook_units
-    want = pair.index_of_units(centered_units(units[a] + units[b], pair.q))
+    want = index_of_units(pair, centered_units(units[a] + units[b], pair.q))
     assert modulo_sum(a, b, pair) == want
 
 

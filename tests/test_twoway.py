@@ -12,7 +12,6 @@ from twinrelay.lattice import (
     dither,
     encode_message,
     make_pair,
-    mod_units_exact,
     modulo_sum,
 )
 from twinrelay.rng import TAG_TRIAL, generator
@@ -27,7 +26,6 @@ from twinrelay.twoway import (
     relay_decode_sum,
     session_row,
     session_rows,
-    sigma2_eq_of_alpha,
 )
 
 NOISELESS = ChannelParams(power=1.0, sigma2=0.0)
@@ -50,7 +48,6 @@ def _one_session(u_a, u_b, params, pair, mode=INDEX, seed=0):
 def test_channel_params_closed_forms():
     ch = ChannelParams(power=1.0, sigma2=1.0)
     assert ch.alpha(2) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert ch.sigma2_eq == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert ch.snr == 1.0
 
 
@@ -58,8 +55,6 @@ def test_channel_params_invariants():
     for snr_db in (-10.0, 0.0, 17.0):
         ch = ChannelParams.from_snr_db(snr_db)
         assert 0.0 < ch.alpha(2) < 1.0
-        assert ch.sigma2_eq < ch.sigma2
-        assert ch.sigma2_eq < 2.0 * ch.power
     assert ChannelParams.from_snr_db(None).alpha(2) == 1.0
 
 
@@ -74,12 +69,15 @@ def test_channel_params_validation():
 
 
 def test_mmse_grid_never_beats_alpha_opt():
+    # equivalent noise alpha^2*sigma2 + (1-alpha)^2*2P: alpha(2) minimises
+    # it, to the closed form 2*P*sigma2/(2P + sigma2)
     ch = ChannelParams(power=1.3, sigma2=0.4)
-    best = sigma2_eq_of_alpha(ch.alpha(2), ch)
     alphas = np.arange(0.0, 1.0 + 1e-12, 1e-4)
     values = alphas ** 2 * ch.sigma2 + (1 - alphas) ** 2 * 2 * ch.power
+    best = ch.alpha(2) ** 2 * ch.sigma2 + (1 - ch.alpha(2)) ** 2 * 2 * ch.power
     assert values.min() >= best - 1e-9
-    assert best == pytest.approx(ch.sigma2_eq, abs=1e-15)
+    assert best == pytest.approx(2 * ch.power * ch.sigma2 / (2 * ch.power + ch.sigma2),
+                                 abs=1e-15)
 
 
 def test_encode_node_examples():
@@ -125,10 +123,10 @@ def test_algebraic_collapse_exact_rational():
         t2 = [Fraction(int(rng.integers(q)))]
         d1 = [Fraction(int(rng.integers(-1000, 1000)), 256)]
         d2 = [Fraction(int(rng.integers(-1000, 1000)), 256)]
-        x1 = mod_units_exact([t1[0] - d1[0]], q)
-        x2 = mod_units_exact([t2[0] - d2[0]], q)
-        lhs = mod_units_exact([x1[0] + x2[0] + d1[0] + d2[0]], q)
-        rhs = mod_units_exact([t1[0] + t2[0]], q)
+        x1 = oracles.mod_units_exact([t1[0] - d1[0]], q)
+        x2 = oracles.mod_units_exact([t2[0] - d2[0]], q)
+        lhs = oracles.mod_units_exact([x1[0] + x2[0] + d1[0] + d2[0]], q)
+        rhs = oracles.mod_units_exact([t1[0] + t2[0]], q)
         assert lhs == rhs
     assert units.shape == (q,)
 
