@@ -100,8 +100,9 @@ def cmd_rates(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _minangle_codebook(params: dict) -> dict:
-    sums = minangle.decoder_instance(params)[1]
-    return {"M1": sums.m, "M2": sums.m, "Msum_on_shell": int(sums.on_shell.sum())}
+    sums = minangle.decoder_instance(params)
+    m = sums.codebook.size
+    return {"M1": m, "M2": m, "Msum_on_shell": int(sums.shell_points.shape[0])}
 
 
 def cmd_sim(args: argparse.Namespace) -> int:

@@ -118,28 +118,34 @@ class SumCodebook:
     """All pairwise sums x_i + x_j of one ball codebook with itself (both
     transmitters use the same lattice), partitioned by shell membership."""
 
-    sum_units: np.ndarray        # distinct sums, integer units
+    codebook: BallCodebook
+    sum_units: np.ndarray        # distinct sums, integer units, in lexicographic order
     sum_points: np.ndarray       # distinct sums, coordinates
     on_shell: np.ndarray         # bool per distinct sum
     pair_to_sum: np.ndarray      # (m, m) row of each pair's sum in sum_units
-    m: int                       # codebook size
+    shell_points: np.ndarray     # the on-shell sum points
+    shell_row: np.ndarray        # row of each sum in shell_points, -1 off the shell
 
     @classmethod
     def from_codebook(cls, cb: BallCodebook, shell: ShellSpec) -> "SumCodebook":
         total = cb.size * cb.size
         if total > PAIR_GUARD:
             raise GuardExceededError(f"{total} pairs exceed guard {PAIR_GUARD}")
-        combined = (cb.units[:, None, :] + cb.units[None, :, :]).reshape(total, cb.n)
-        uniq, inverse = np.unique(combined, axis=0, return_inverse=True)
-        pts = cb.gamma * uniq + 2.0 * cb.translation
-        norms = np.einsum("ij,ij->i", pts, pts)
+        # Each codeword's row-major index in the box of pair sums.  The index
+        # is linear, so a pair's is the sum of its codewords', and it orders
+        # the sums lexicographically.
+        lo = cb.units.min(axis=0)
+        box = tuple(2 * (cb.units.max(axis=0) - lo) + 1)
+        key = np.ravel_multi_index(tuple((cb.units - lo).T), box)
+        uniq, inverse = np.unique(key[:, None] + key[None, :], return_inverse=True)
+        units = np.stack(np.unravel_index(uniq, box), axis=1) + 2 * lo
+        pts = cb.gamma * units + 2.0 * cb.translation
+        on_shell = shell.contains_sq(np.einsum("ij,ij->i", pts, pts))
         return cls(
-            sum_units=uniq, sum_points=pts, on_shell=shell.contains_sq(norms),
-            pair_to_sum=inverse.reshape(cb.size, cb.size), m=cb.size,
+            codebook=cb, sum_units=units, sum_points=pts, on_shell=on_shell,
+            pair_to_sum=inverse.reshape(cb.size, cb.size), shell_points=pts[on_shell],
+            shell_row=np.where(on_shell, np.cumsum(on_shell) - 1, -1),
         )
-
-    def shell_points(self) -> np.ndarray:
-        return self.sum_points[self.on_shell]
 
 
 def min_angle_decode(y: np.ndarray, points: np.ndarray):
@@ -175,29 +181,26 @@ def nearest_sum(y: np.ndarray, sum_points: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_distinct_directions(points: np.ndarray) -> None:
-    """Abort if two distinct candidates share a direction (angle decoding ambiguous).
+def check_distinct_directions(units: np.ndarray) -> None:
+    """Abort if two rows of nonzero integer vectors (S, n) share a direction
+    (angle decoding ambiguous).
 
-    Two directions are shared when the cosine between them is at least
-    1 - 1e-9.  The Gram matrix of the unit directions, diagonal zeroed, is
-    scanned in row chunks; the pair reported is its first maximum in
-    row-major order.
+    Two rows share a direction exactly when they are equal once each is
+    divided by the gcd of its entries.  The pair reported is the first row
+    whose direction an earlier row has, and that earlier row.
     """
-    pts = np.asarray(points, dtype=float)
-    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    cos, i, j = -np.inf, 0, 0
-    for sl in scan_rows(unit.shape[0], unit.shape[0]):
-        gram = unit[sl] @ unit.T
-        rows = np.arange(gram.shape[0])
-        gram[rows, sl.start + rows] = 0.0
-        k = int(np.argmax(gram))
-        if gram.flat[k] > cos:
-            cos, (i, j) = gram.flat[k], divmod(k, gram.shape[1])
-            i += sl.start
-    if cos >= 1.0 - 1e-9:
+    primitive = units // np.gcd.reduce(units, axis=1, keepdims=True)
+    _, first, inverse = np.unique(primitive, axis=0, return_index=True,
+                                  return_inverse=True)
+    earlier = first[inverse.ravel()]
+    repeats = np.flatnonzero(earlier != np.arange(units.shape[0]))
+    if repeats.size:
+        j = int(repeats[0])
+        i = int(earlier[j])
         raise DirectionCollisionError(
-            f"sum points {i} and {j} are collinear (cos = {cos:.12f}); "
-            "choose different translations or a thinner shell"
+            f"sum points {i} and {j} (gamma * {units[i].tolist()} and gamma * "
+            f"{units[j].tolist()}) share a direction, so angle decoding is "
+            "ambiguous; choose a thinner shell (--delta) or another --gamma"
         )
 
 
@@ -243,23 +246,18 @@ harness.register_experiment("concentration", concentration_kernel)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _decoder_instance(n: int, gamma: float, power: float, delta: float):
-    """Both nodes' half-cell codebook, its pair sums, the on-shell sum points,
-    and each sum's row among them (-1 off the shell)."""
+def _decoder_instance(n: int, gamma: float, power: float, delta: float) -> SumCodebook:
+    """The pair sums of both nodes' half-cell codebook, checked for angle decoding."""
     shell = ShellSpec(n=n, power=power, delta=delta)
-    cb = half_cell_codebook(n, gamma, power)
-    sums = SumCodebook.from_codebook(cb, shell)
-    shell_pts = sums.shell_points()
-    if shell_pts.shape[0] == 0:
+    sums = SumCodebook.from_codebook(half_cell_codebook(n, gamma, power), shell)
+    if not sums.on_shell.any():
         raise ValidationError("no sum points on the shell; widen delta")
-    if shell_pts.shape[0] > 1:
-        check_distinct_directions(shell_pts)
-    shell_row_of_sum = np.full(sums.sum_units.shape[0], -1, dtype=np.int64)
-    shell_row_of_sum[sums.on_shell] = np.arange(int(sums.on_shell.sum()))
-    return cb, sums, shell_pts, shell_row_of_sum
+    # The half-cell translation makes each sum gamma * (u_i + u_j + 1).
+    check_distinct_directions(sums.sum_units[sums.on_shell] + 1)
+    return sums
 
 
-def decoder_instance(params: Mapping):
+def decoder_instance(params: Mapping) -> SumCodebook:
     """The cached `_decoder_instance` of a `minangle` experiment's params."""
     return _decoder_instance(int(params["n"]), float(params["gamma"]),
                              float(params["power"]), float(params["delta"]))
@@ -277,7 +275,7 @@ class MinAngleDraws:
 
 def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
     """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
-    cb = decoder_instance(params)[0]
+    cb = decoder_instance(params).codebook
     i = rng.integers(cb.size, size=count)
     j = rng.integers(cb.size, size=count)
     y = cb.points[i] + cb.points[j]
@@ -294,11 +292,11 @@ def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray
     on-shell-conditioned error, the off-shell flag, and an unrestricted
     nearest-sum ML reference decoded over every distinct sum.
     """
-    _, sums, shell_pts, shell_row = decoder_instance(params)
+    sums = decoder_instance(params)
     true_sum_row = sums.pair_to_sum[draws.i, draws.j]
     ml_error = nearest_sum(draws.y, sums.sum_points) != true_sum_row
     on_shell = sums.on_shell[true_sum_row]
-    wrong = min_angle_decode(draws.y, shell_pts) != shell_row[true_sum_row]
+    wrong = min_angle_decode(draws.y, sums.shell_points) != sums.shell_row[true_sum_row]
     return {"angle_error": ~on_shell | wrong, "angle_error_on_shell": on_shell & wrong,
             "off_shell": ~on_shell, "ml_error": ml_error}
 

@@ -87,6 +87,25 @@ def index_of_units(pair, units) -> int:
     return _index_of(pair)[tuple(int(u) for u in units)]
 
 
+def float_direction_collision(points) -> bool:
+    """The floating-point rule for collinear candidates that the exact
+    gcd rule of `minangle.check_distinct_directions` replaced.
+
+    Two candidates share a direction when the cosine between them is at
+    least 1 - 1e-9.  The Gram matrix of the unit directions, diagonal zeroed,
+    is scanned in blocks of rows and the scan stops at the first collision.
+    """
+    pts = np.asarray(points, dtype=float)
+    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    for start in range(0, unit.shape[0], 256):
+        gram = unit[start:start + 256] @ unit.T
+        rows = np.arange(gram.shape[0])
+        gram[rows, start + rows] = 0.0
+        if gram.max() >= 1.0 - 1e-9:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Relay symbol error for the 1-D uncoded modulo scheme
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A route is a CLI command, a registered kernel, a name the benchmark in
 `perfbench/` reads, an acceptance criterion, an oracle comparison or an
-open roadmap item.  A definition whose name occurs nowhere in `src/` but
-on its own `def` or `class` line, and nowhere in `perfbench/`, is read by
-tests alone; such helpers belong in `tests/` (exact ones in
-`tests/oracles.py`).  The allowlist gives the route of each definition
+open roadmap item.  A definition whose name occurs in no code of `src/`
+or `perfbench/` is read by tests alone; such helpers belong in `tests/`
+(exact ones in `tests/oracles.py`).  Code is names and the words of
+strings that are not docstrings; a docstring or comment that names a
+definition does not read it.  The allowlist gives the route of each definition
 that only a criterion, an oracle comparison or an open item reads.
 """
 
@@ -21,6 +22,12 @@ ALLOWED = {
                                "(test_bsc::test_exchange_rate_bound)",
     "anc_multihop_baseline": "the ANC comparison of ROADMAP item 2, step 3",
     "canonical_json": "criterion 13's canonical form of a TrialReport",
+    "session_row": "the scalar reference the twoway replay tests and criterion 05 "
+                   "compare session_rows against (ROADMAP item 5's replay)",
+    "bsc_row": "the scalar reference the bsc replay tests and criterion 08 compare "
+               "bsc_rows against (ROADMAP item 5's replay)",
+    "wrapped_sq_distances": "the exhaustive-scan oracle for lattice.quantize_fine "
+                            "(test_lattice)",
 }
 
 
@@ -36,26 +43,31 @@ def _definitions():
                     yield path.name, d.name, d.lineno
 
 
-def _readers():
-    """Every line of `src/` and `perfbench/`, keyed by (file name, line number)."""
-    lines = {}
-    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
-        prefix = "" if path.parent == PACKAGE else "perfbench/"
-        for i, line in enumerate(path.read_text().splitlines(), start=1):
-            lines[prefix + path.name, i] = line
-    return lines
+def _code_words(tree):
+    """Each name in a module's code and each word of its strings, docstrings
+    and comments left out; a definition's own name is not a read of it."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
 
 
 def test_every_definition_has_a_reader():
-    lines = _readers()
-    unread = []
-    for module, name, lineno in _definitions():
-        if name in ALLOWED:
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(line) for key, line in lines.items()
-                   if key != (module, lineno)):
-            unread.append(f"{module}:{lineno} {name}")
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        read.update(_code_words(ast.parse(path.read_text())))
+    unread = [f"{module}:{lineno} {name}" for module, name, lineno in _definitions()
+              if name not in ALLOWED and name not in read]
     assert not unread, "read by no route, only by tests: " + ", ".join(unread)
 
 

@@ -1,6 +1,7 @@
 """Ball and sum codebooks, angle decoding, and concentration experiments."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
+from twinrelay.cli import main
 from twinrelay.errors import DirectionCollisionError, ValidationError
 from twinrelay.harness import ExperimentSpec, run_trials, wilson_interval
 from twinrelay.minangle import (
     MINANGLE_ERROR_KEYS,
+    PAIR_GUARD,
     BallCodebook,
     _decoder_instance,
     draw_minangle,
@@ -52,7 +55,7 @@ def test_decode_matches_distance_ml_at_equal_norms():
     spec = ShellSpec(n=2, power=2.0, delta=0.4)
     cb = half_cell_codebook(2, 1.0, 2.0)
     sums = SumCodebook.from_codebook(cb, spec)
-    shell = sums.shell_points()
+    shell = sums.shell_points
     r_inner = math.sqrt(spec.n * (2.0 * spec.power - spec.delta))
     projected = r_inner * shell / np.linalg.norm(shell, axis=1, keepdims=True)
     sigma = math.sqrt(2.0 / 10 ** 1.5)
@@ -114,21 +117,81 @@ def test_pair_to_sum_maps_every_pair_to_its_sum():
 
 
 def test_direction_collision_detected():
-    pts = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(DirectionCollisionError):
-        check_distinct_directions(pts)
-    check_distinct_directions(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DirectionCollisionError, match=r"sum points 0 and 1 .*--delta"):
+        check_distinct_directions(np.array([[2, 4], [3, 6], [0, 1]]))
+    check_distinct_directions(np.array([[1, 0], [-1, 0], [0, 1]]))
 
 
-def test_check_distinct_directions_memory_stays_in_row_chunks():
-    pts = generator(5).standard_normal((6000, 5))
+@pytest.mark.parametrize("cb", [
+    half_cell_codebook(3, 1.0, 2.0),
+    half_cell_codebook(4, 1.0, 1.0),
+    BallCodebook(gamma=1.0, translation=np.array([0.25, 0.5, 0.1]), power=1.5),
+], ids=["half-cell-3", "half-cell-4", "translated-3"])
+def test_sum_tables_match_row_unique_reference(cb):
+    sums = SumCodebook.from_codebook(cb, ShellSpec(n=cb.n, power=2.0, delta=1.0))
+    pair_sums = (cb.units[:, None, :] + cb.units[None, :, :]).reshape(-1, cb.n)
+    units, inverse = np.unique(pair_sums, axis=0, return_inverse=True)
+    assert sums.sum_units.dtype == units.dtype
+    assert np.array_equal(sums.sum_units, units)
+    assert np.array_equal(sums.pair_to_sum, inverse.reshape(cb.size, cb.size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exact_direction_rule_agrees_with_float_rule(n):
+    """The exact rule raises exactly when the old float rule (cosine at
+    least 1 - 1e-9) finds a collision, on colliding and clean instances.
+
+    For non-parallel integer vectors a and b, |a|^2 |b|^2 - (a.b)^2 is a
+    nonzero sum of squared integer 2x2 minors, so it is at least 1 and
+    1 - cos >= 1 / (2 |a|^2 |b|^2).  An on-shell sum gamma * w has
+    |w|^2 < 4nP / gamma^2.  PAIR_GUARD (m <= 3,162 codewords) keeps
+    nP / gamma^2 below about 1,005 at n = 2, so 1 - cos > 3e-8 there, and
+    the ball's volume keeps nP / gamma^2 smaller still for n >= 3; rounding
+    moves a float cosine by far less than 1e-9.  At n = 1 the directions
+    are +-1, and both rules agree.  The sweep includes
+    `sim minangle --dim 5 --power 2 --delta 3.9`, whose shell holds 40,594
+    sums.
+    """
+    outcomes = set()
+    for gamma in (0.5, 1.0, 1.7):
+        for power in (1.0, 2.0):
+            cb = half_cell_codebook(n, gamma, power)
+            if cb.size ** 2 > PAIR_GUARD:
+                continue
+            sums = SumCodebook.from_codebook(cb, ShellSpec(n=n, power=power, delta=power))
+            norms = np.einsum("ij,ij->i", sums.sum_points, sums.sum_points)
+            for delta in (0.1 * power, 0.5 * power, 0.9 * power, 1.95 * power):
+                on_shell = ShellSpec(n=n, power=power, delta=delta).contains_sq(norms)
+                if not on_shell.any():
+                    continue
+                try:  # each half-cell sum is gamma * (its units + 1)
+                    check_distinct_directions(sums.sum_units[on_shell] + 1)
+                    exact = False
+                except DirectionCollisionError:
+                    exact = True
+                floating = oracles.float_direction_collision(sums.sum_points[on_shell])
+                assert exact == floating, (gamma, power, delta)
+                outcomes.add(exact)
+    assert outcomes == {False, True}
+
+
+def test_collinear_shell_sums_exit_fast_in_bounded_memory(tmp_path, capsys):
+    # 1,792 codewords, 40,594 on-shell sums, two of them collinear
     tracemalloc.start()
+    start = time.perf_counter()
     try:
-        check_distinct_directions(pts)
+        with pytest.raises(DirectionCollisionError):
+            _decoder_instance(5, 1.0, 2.0, 3.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20  # the whole Gram matrix would be 288 MB
+    assert time.perf_counter() - start < 5.0
+    assert peak < 200 * 2 ** 20  # row-unique dedup and float scan: 446 MB
+    argv = ["sim", "minangle", "--dim", "5", "--power", "2", "--delta", "3.9",
+            "--snr-db", "10", "--trials", "100", "--out", str(tmp_path / "ma.json")]
+    assert main(argv) == 1
+    assert "share a direction" in capsys.readouterr().err
+    assert not (tmp_path / "ma.json").exists()
 
 
 def _concentration(n, power, delta, samples, seed):
@@ -220,7 +283,8 @@ def test_minangle_rows_replay_scalar_decode():
     # draws: a scalar angle decode among on-shell sums and a nearest-sum ML
     # decode over every distinct sum, both computed here row by row
     params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": 0.3, "delta": 1.5}
-    _, sums, shell_pts, shell_row = _decoder_instance(3, 1.0, 2.0, 1.5)
+    sums = _decoder_instance(3, 1.0, 2.0, 1.5)
+    shell_pts, shell_row = sums.shell_points, sums.shell_row
     draws = draw_minangle(generator(14), 500, params)
     rows = minangle_rows(draws, params)
     norms = np.linalg.norm(shell_pts, axis=1)
