@@ -143,33 +143,52 @@ def _cached_hamming74() -> BinaryLinearCode:
 
 @dataclass(eq=False)
 class BscDraws:
-    """The random inputs of a block of relay rounds, one row per round: the
-    message bits and the uniforms behind the relay and the two downlink flips."""
+    """The random inputs of a block of relay rounds: the message bits
+    (2, count, k) of a and b, 0/1 bytes, and the flip rows (3, count, n), bool,
+    of the relay uplink and the downlinks to a and b; row i is round i."""
 
-    u_a: np.ndarray
-    u_b: np.ndarray
-    r_relay: np.ndarray
-    r_a: np.ndarray
-    r_b: np.ndarray
+    messages: np.ndarray
+    flips: np.ndarray
 
 
-def draw_bsc(rng: np.random.Generator, count: int, code: BinaryLinearCode) -> BscDraws:
-    """Messages and flip uniforms for `count` rounds, each kind drawn as one array."""
-    u_a = rng.integers(0, 2, size=(count, code.k))
-    u_b = rng.integers(0, 2, size=(count, code.k))
-    r_relay, r_a, r_b = (rng.random((count, code.n)) for _ in range(3))
-    return BscDraws(u_a, u_b, r_relay, r_a, r_b)
+def _random_bytes(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform bytes in C order, 8 from each raw 64-bit output, low byte first."""
+    size = math.prod(shape)
+    raw = rng.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    return raw.view(np.uint8)[:size].reshape(shape)
 
 
-def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
-             params: BscParams) -> dict[str, np.ndarray]:
+def draw_bsc(rng: np.random.Generator, count: int, code: BinaryLinearCode,
+             params: BscParams) -> BscDraws:
+    """Messages and flips for `count` rounds, in this order: one byte per
+    message bit (its low bit), one byte B per flip coordinate, and one
+    uniform U per tie B == c, c = floor(256p), in flat row-major order.  A
+    coordinate flips iff (B + U)/256 < p: B < c flips, B > c does not, and a
+    tie flips iff U < 256p - c.  So the flip law is p on a 2^-61 grid, and
+    p = 0 never flips."""
+    messages = _random_bytes(rng, (2, count, code.k)) & 1
+    flip_bytes = _random_bytes(rng, (3, count, code.n))
+    scaled = 256.0 * params.p_cross
+    c = math.floor(scaled)
+    flips = flip_bytes < c
+    ties = np.flatnonzero(flip_bytes == c)
+    flips.reshape(-1)[ties] = rng.random(ties.size) < scaled - c
+    return BscDraws(messages, flips)
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """0/1 byte or bool rows (..., w) as integers of the narrowest unsigned
+    type, bit j being column j."""
+    dtype = np.min_scalar_type((1 << rows.shape[-1]) - 1)
+    return rows.view(np.uint8).astype(dtype, copy=False) @ (1 << np.arange(rows.shape[-1], dtype=dtype))
+
+
+def bsc_rows(draws: BscDraws, code: BinaryLinearCode) -> dict[str, np.ndarray]:
     """Per-round relay, end and union errors of a block; `bsc_row` row by row,
     on packed words through `code.word_tables`."""
     cw, dec = code.word_tables
-    bits = 1 << np.arange(code.n)
-    m_a, m_b = draws.u_a @ bits[:code.k], draws.u_b @ bits[:code.k]
-    f_relay, f_a, f_b = ((r < params.p_cross) @ bits
-                         for r in (draws.r_relay, draws.r_a, draws.r_b))
+    m_a, m_b = _pack(draws.messages)
+    f_relay, f_a, f_b = _pack(draws.flips)
     m_relay = dec[cw[m_a] ^ cw[m_b] ^ f_relay]
     relay_error = m_relay != m_a ^ m_b
     x = cw[m_relay]
@@ -178,14 +197,13 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode,
             "union_error": relay_error | end_error}
 
 
-def bsc_row(draws: BscDraws, i: int, code: BinaryLinearCode,
-            params: BscParams) -> BscRoundtrip:
+def bsc_row(draws: BscDraws, i: int, code: BinaryLinearCode) -> BscRoundtrip:
     """The scalar reference round on row i of a block's draws; `bsc_rows` is
     its block form.  Uplink XOR decode at the relay, broadcast, XOR-cancel at
     the ends; the relay re-encodes its decoded XOR message for the downlink,
-    and a coordinate flips where its uniform is below p."""
-    u_a, u_b = draws.u_a[i], draws.u_b[i]
-    f_relay, f_a, f_b = (r[i] < params.p_cross for r in (draws.r_relay, draws.r_a, draws.r_b))
+    and each received word is its codeword XOR the round's flip row."""
+    u_a, u_b = draws.messages[:, i]
+    f_relay, f_a, f_b = draws.flips[:, i]
     m_relay = code.ml_decode(code.encode(u_a) ^ code.encode(u_b) ^ f_relay)
     relay_error = bool(np.any(m_relay != (u_a ^ u_b)))
 
@@ -209,8 +227,7 @@ def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[st
     if name != "hamming74":
         raise ValidationError(f"unknown code {name!r}; known: hamming74")
     code = _cached_hamming74()
-    bp = BscParams(float(params["p"]))
-    rows = bsc_rows(draw_bsc(rng, count, code), code, bp)
+    rows = bsc_rows(draw_bsc(rng, count, code, BscParams(float(params["p"]))), code)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
 

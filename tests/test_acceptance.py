@@ -257,10 +257,10 @@ def test_criterion_08_bsc_relay_vs_oracle(shared_reports):
 
     code = hamming74()
     msgs = ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1).astype(np.int64)
-    draws = draw_bsc(generator(1801), 256, code)
-    draws.u_a[:], draws.u_b[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
+    draws = draw_bsc(generator(1801), 256, code, BscParams(0.0))
+    draws.messages[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
     for i in range(256):
-        out = bsc_row(draws, i, code, BscParams(0.0))
+        out = bsc_row(draws, i, code)
         assert not out.relay_error and not out.error
     print(f"criterion 08 binary relay: PASS (sim {p_hat:.6f} vs exact {p_true:.6f}; "
           "256 noiseless pairs exact)")

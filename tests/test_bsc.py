@@ -1,5 +1,7 @@
 """Binary-channel exchange: XOR relaying with identical linear codes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,22 +59,22 @@ def test_linearity_xor_closure():
 
 def test_noiseless_roundtrip_exhaustive():
     code = hamming74()
-    params = BscParams(0.0)
-    draws = draw_bsc(generator(0), 256, code)
+    draws = draw_bsc(generator(0), 256, code, BscParams(0.0))
     msgs = all_messages(4)
-    draws.u_a[:], draws.u_b[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
+    draws.messages[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
+    u_a, u_b = draws.messages
     for i in range(256):
-        out = bsc_row(draws, i, code, params)
+        out = bsc_row(draws, i, code)
         assert not out.relay_error and not out.error
-        assert np.array_equal(out.u_b_hat_at_a, draws.u_b[i])
-        assert np.array_equal(out.u_a_hat_at_b, draws.u_a[i])
+        assert np.array_equal(out.u_b_hat_at_a, u_b[i])
+        assert np.array_equal(out.u_a_hat_at_b, u_a[i])
 
 
 def test_equal_messages_decode_zero_codeword():
     code = hamming74()
-    draws = draw_bsc(generator(1), 1, code)
-    draws.u_a[:] = draws.u_b[:] = [1, 0, 1, 1]
-    out = bsc_row(draws, 0, code, BscParams(0.0))
+    draws = draw_bsc(generator(1), 1, code, BscParams(0.0))
+    draws.messages[:] = [1, 0, 1, 1]
+    out = bsc_row(draws, 0, code)
     assert np.all(out.relay_decoded == 0)
 
 
@@ -152,10 +154,10 @@ def test_trial_fn_keys():
 def test_block_rows_replay_scalar_roundtrip(code):
     # each row of the block kernel is the scalar round trip on the same draws
     params = BscParams(0.1)
-    draws = draw_bsc(generator(31), 400, code)
-    rows = bsc_rows(draws, code, params)
+    draws = draw_bsc(generator(31), 400, code, params)
+    rows = bsc_rows(draws, code)
     for i in range(400):
-        out = bsc_row(draws, i, code, params)
+        out = bsc_row(draws, i, code)
         assert rows["relay_error"][i] == out.relay_error
         assert rows["end_error"][i] == out.error
         assert rows["union_error"][i] == (out.relay_error or out.error)
@@ -206,16 +208,16 @@ def test_word_tables_guard(n, k):
         code.word_tables
 
 
-def _bit_row_totals(draws, code, p):
+def _bit_row_totals(draws, code):
     """Block totals by `encode` and `ml_decode` on bit rows, as the kernel
     counted them before it decoded packed words."""
-    y_relay = code.encode(draws.u_a) ^ code.encode(draws.u_b) ^ (draws.r_relay < p)
-    m_relay = code.ml_decode(y_relay)
-    relay_error = np.any(m_relay != (draws.u_a ^ draws.u_b), axis=1)
+    (u_a, u_b), (f_relay, f_a, f_b) = draws.messages, draws.flips
+    m_relay = code.ml_decode(code.encode(u_a) ^ code.encode(u_b) ^ f_relay)
+    relay_error = np.any(m_relay != (u_a ^ u_b), axis=1)
     x_relay = code.encode(m_relay)
-    u_b_hat = code.ml_decode(x_relay ^ (draws.r_a < p)) ^ draws.u_a
-    u_a_hat = code.ml_decode(x_relay ^ (draws.r_b < p)) ^ draws.u_b
-    end_error = np.any(u_b_hat != draws.u_b, axis=1) | np.any(u_a_hat != draws.u_a, axis=1)
+    u_b_hat = code.ml_decode(x_relay ^ f_a) ^ u_a
+    u_a_hat = code.ml_decode(x_relay ^ f_b) ^ u_b
+    end_error = np.any(u_b_hat != u_b, axis=1) | np.any(u_a_hat != u_a, axis=1)
     return {"relay_error": int(np.count_nonzero(relay_error)),
             "end_error": int(np.count_nonzero(end_error)),
             "union_error": int(np.count_nonzero(relay_error | end_error))}
@@ -228,7 +230,8 @@ def test_kernel_totals_equal_bit_row_decoding(seed, p):
     # bit-row ML decoder counts on the same draws
     code = hamming74()
     totals = bsc_kernel({"p": p, "code": "hamming74"}, generator(seed, TAG_TRIAL, 0), BLOCK)
-    want = _bit_row_totals(draw_bsc(generator(seed, TAG_TRIAL, 0), BLOCK, code), code, p)
+    want = _bit_row_totals(draw_bsc(generator(seed, TAG_TRIAL, 0), BLOCK, code, BscParams(p)),
+                           code)
     assert totals == want
     assert (want["union_error"] == 0) == (p == 0.0)
 
@@ -242,11 +245,59 @@ def test_report_trials_replay_through_bsc_row_across_blocks():
     code, bp = hamming74(), BscParams(0.1)
     want = dict.fromkeys(BSC_ERROR_KEYS, 0)
     for b, count in enumerate((BLOCK, 37)):
-        draws = draw_bsc(generator(7, TAG_TRIAL, b), count, code)
+        draws = draw_bsc(generator(7, TAG_TRIAL, b), count, code, bp)
         for i in range(count):
-            out = bsc_row(draws, i, code, bp)
+            out = bsc_row(draws, i, code)
             want["relay_error"] += out.relay_error
             want["end_error"] += out.error
             want["union_error"] += out.relay_error or out.error
     assert report.counts == want
     assert 0 < want["relay_error"] < want["end_error"] < BLOCK
+
+
+def _flips_by_rule(seed, count, code, p):
+    """The flips of draw_bsc re-derived from a fresh generator at the same
+    address, and the number of ties: the message bytes are skipped, then
+    coordinate j with byte B and, on a tie B == floor(256p), the next tie
+    uniform U flips iff (B + U)/256 < p, compared exactly."""
+    rng = generator(seed, TAG_TRIAL, 0)
+
+    def raw_bytes(size):
+        words = rng.bit_generator.random_raw(-(-size // 8))
+        shifts = 8 * np.arange(8, dtype=np.uint64)
+        return ((words[:, None] >> shifts) & np.uint64(0xFF)).reshape(-1)[:size]
+
+    raw_bytes(2 * count * code.k)
+    b = raw_bytes(3 * count * code.n).astype(np.int64)
+    ties = np.flatnonzero(b == int(256 * Fraction(p)))
+    u = np.zeros(b.size)
+    u[ties] = rng.random(ties.size)
+    flips = [(int(bj) + Fraction(uj)) / 256 < Fraction(p) for bj, uj in zip(b, u)]
+    return np.array(flips).reshape(3, count, code.n), b.reshape(3, count, code.n), ties.size
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.23, 0.25, 0.499])
+def test_draw_flips_follow_byte_and_tie_rule(p):
+    code, count = hamming74(), 1024
+    draws = draw_bsc(generator(11, TAG_TRIAL, 0), count, code, BscParams(p))
+    want, b, ties = _flips_by_rule(11, count, code, p)
+    assert draws.flips.dtype == bool and np.array_equal(draws.flips, want)
+    assert ties > 0
+    c = int(256 * p)
+    if p == 0.0:
+        assert not draws.flips.any()
+    elif p == 0.25:  # 256p is an integer: a tie never flips
+        assert np.array_equal(draws.flips, b < 64)
+    elif p == 0.499:  # c = 127: the ties split by their uniforms
+        on_ties = draws.flips[b == c]
+        assert on_ties.any() and not on_ties.all()
+
+
+@pytest.mark.parametrize("p", [0.01, 0.23])
+def test_draw_flip_rate_is_p(p):
+    draws = draw_bsc(generator(12, TAG_TRIAL, 0), 50_000, hamming74(), BscParams(p))
+    n = draws.flips.size
+    assert n >= 1_000_000
+    sigma = (p * (1 - p) / n) ** 0.5
+    assert abs(np.count_nonzero(draws.flips) / n - p) < 5 * sigma
+    assert set(np.unique(draws.messages)) == {0, 1}

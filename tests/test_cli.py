@@ -569,7 +569,7 @@ README_LINES = (
 # sha256 over every README line's stdout, output file and `.meta.json`
 # sidecar, with the numpy version dropped from the provenance.  It pins the
 # multihop config too, which is every flag the parser set.
-README_SHA256 = "ffe74e8f29056fe3cd2098017a2266115eedc7f04ea11430cf0368eb9836aabd"
+README_SHA256 = "04887e5459940d52ffe12ca9bfbc87955b3a2f52304f7efac040dddc02b8180d"
 
 
 def _pinned_bytes(path) -> bytes:
