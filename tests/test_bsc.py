@@ -1,5 +1,6 @@
 """Binary-channel exchange: XOR relaying with identical linear codes."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -258,8 +259,9 @@ def test_report_trials_replay_through_bsc_row_across_blocks():
 def _flips_by_rule(seed, count, code, p):
     """The flips of draw_bsc re-derived from a fresh generator at the same
     address, and the number of ties: the message bytes are skipped, then
-    coordinate j with byte B and, on a tie B == floor(256p), the next tie
-    uniform U flips iff (B + U)/256 < p, compared exactly."""
+    coordinate j with byte B flips iff B < 256p, except on a tie
+    B == floor(256p), where it flips iff (B + U)/256 < p for the next tie
+    uniform U; both compared exactly."""
     rng = generator(seed, TAG_TRIAL, 0)
 
     def raw_bytes(size):
@@ -269,11 +271,11 @@ def _flips_by_rule(seed, count, code, p):
 
     raw_bytes(2 * count * code.k)
     b = raw_bytes(3 * count * code.n).astype(np.int64)
-    ties = np.flatnonzero(b == int(256 * Fraction(p)))
-    u = np.zeros(b.size)
-    u[ties] = rng.random(ties.size)
-    flips = [(int(bj) + Fraction(uj)) / 256 < Fraction(p) for bj, uj in zip(b, u)]
-    return np.array(flips).reshape(3, count, code.n), b.reshape(3, count, code.n), ties.size
+    scaled = 256 * Fraction(p)
+    flips = b < math.ceil(scaled)
+    ties = np.flatnonzero(b == math.floor(scaled))
+    flips[ties] = [b[j] + Fraction(u) < scaled for j, u in zip(ties, rng.random(ties.size))]
+    return flips.reshape(3, count, code.n), b.reshape(3, count, code.n), ties.size
 
 
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.23, 0.25, 0.499])
