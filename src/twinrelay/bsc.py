@@ -189,10 +189,12 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode) -> dict[str, np.ndarray]:
     cw, dec = code.word_tables
     m_a, m_b = _pack(draws.messages)
     f_relay, f_a, f_b = _pack(draws.flips)
+    # dec ^ m_a = m_b <=> dec = m_a ^ m_b: score every decode against the true XOR
+    true_sum = m_a ^ m_b
     m_relay = dec[cw[m_a] ^ cw[m_b] ^ f_relay]
-    relay_error = m_relay != m_a ^ m_b
+    relay_error = m_relay != true_sum
     x = cw[m_relay]
-    end_error = (dec[x ^ f_a] ^ m_a != m_b) | (dec[x ^ f_b] ^ m_b != m_a)
+    end_error = (dec[x ^ f_a] != true_sum) | (dec[x ^ f_b] != true_sum)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
 

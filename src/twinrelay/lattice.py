@@ -68,8 +68,8 @@ class CoarseLattice:
         """Pick gamma so the cube second moment equals `power`."""
         if q < 2:  # before the division by q
             raise ValidationError(f"modulus must be >= 2, got {q}")
-        if power <= 0:
-            raise ValidationError(f"power must be positive, got {power}")
+        if not (math.isfinite(power) and power > 0):
+            raise ValidationError(f"power must be positive and finite, got {power}")
         return cls(n=n, q=q, gamma=math.sqrt(12.0 * power) / q)
 
     @property
@@ -99,10 +99,12 @@ def mod_coarse(x: np.ndarray, coarse: CoarseLattice) -> np.ndarray:
     """
     x = coarse.check_dim(x)
     cell = coarse.cell
-    y = x - cell * np.floor(x / cell + 0.5)
+    y = x / cell  # then x - cell * floor(y + 0.5) in place
+    np.floor(np.add(y, 0.5, out=y), out=y)
+    np.subtract(x, np.multiply(y, cell, out=y), out=y)
     # Guard against float rounding landing exactly on the excluded face.
-    y = np.where(y >= cell / 2, y - cell, y)
-    y = np.where(y < -cell / 2, y + cell, y)
+    y[y >= cell / 2] -= cell
+    y[y < -cell / 2] += cell
     return y
 
 

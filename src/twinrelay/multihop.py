@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceededError, ScheduleError, ValidationError
-from .lattice import NestedLatticePair, dither, modulo_diff, modulo_sum
+from .lattice import NestedLatticePair, dither, modulo_sum
 # Not called here since listeners decode through `relay_decode_sum`; kept as a
 # module attribute because perfbench's tracer wraps `multihop.quantize_fine`.
 from .lattice import quantize_fine  # noqa: F401
@@ -357,9 +357,8 @@ def run_multihop(
                 continue
             for ev in rec.decode_events:
                 if ev.node == nd:
-                    known = modulo_diff(incoming, truth[ev.packet], pair)
-                    got = modulo_diff(decoded, known, pair)
-                    result.recovered.append((ev.slot, nd, ev.packet, got == truth[ev.packet]))
+                    # decoded - (incoming - packet) = packet <=> decoded = incoming
+                    result.recovered.append((ev.slot, nd, ev.packet, decoded == incoming))
 
     return result
 

@@ -11,9 +11,10 @@ ideally coded index, or retransmitted through AWGN and lattice-decoded),
 and each node cancels its own point mod the coarse lattice to recover the
 other message.  Codewords are handled as message indices throughout;
 coordinates appear only where a signal is formed.  The harness kernel runs
-a block of rounds at once on index arrays (`session_rows`); `session_row`,
-the same exchange on one row of a block's draws, is the one-round reference
-it is tested against.
+a block of rounds at once on index arrays (`session_rows`), scoring each
+decode against its round's one true sum; `session_row`, the same exchange on
+one row of a block's draws with each node cancelling its own point, is the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.power <= 0:
-            raise ValidationError(f"power must be positive, got {self.power}")
-        if self.sigma2 < 0:
-            raise ValidationError(f"noise variance must be >= 0, got {self.sigma2}")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValidationError(f"power must be positive and finite, got {self.power}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValidationError(f"noise variance must be >= 0 and finite, got {self.sigma2}")
 
     @classmethod
     def from_snr_db(cls, snr_db: float | None, power: float = 1.0) -> "ChannelParams":
@@ -237,7 +238,7 @@ def session_row(
     )
 
 
-def _direct_downlink(t_hat: int, z: np.ndarray | None, pair: NestedLatticePair) -> int:
+def _direct_downlink(t_hat, z: np.ndarray | None, pair: NestedLatticePair):
     y = encode_message(t_hat, pair)
     if z is not None:
         y = y + z
@@ -253,21 +254,16 @@ def session_rows(
     if draws.z_relay is not None:
         y_relay = y_relay + draws.z_relay
     t_hat = relay_decode_sum(y_relay, (draws.d1, draws.d2), params, pair)
-    relay_error = t_hat != modulo_sum(draws.u_a, draws.u_b, pair)
+    # t - u_a = u_b <=> t = u_a + u_b: a node decodes right iff it has the true sum
+    true_sum = modulo_sum(draws.u_a, draws.u_b, pair)
+    relay_error = t_hat != true_sum
 
     if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
-        if not index_broadcast_ok(params, pair):
-            end_error = np.ones_like(relay_error)
-            return {"relay_error": relay_error, "end_error": end_error,
-                    "union_error": end_error}
-        t_at_a = t_at_b = t_hat
+        end_error = (relay_error if index_broadcast_ok(params, pair)
+                     else np.ones_like(relay_error))
     else:
-        sent = encode_message(t_hat, pair)
-        t_at_a, t_at_b = (
-            quantize_fine(mod_coarse(sent if z is None else sent + z, pair.coarse), pair)
-            for z in (draws.z_a, draws.z_b))
-    end_error = ((recover_at_node(t_at_a, draws.u_a, pair) != draws.u_b)
-                 | (recover_at_node(t_at_b, draws.u_b, pair) != draws.u_a))
+        end_error = ((_direct_downlink(t_hat, draws.z_a, pair) != true_sum)
+                     | (_direct_downlink(t_hat, draws.z_b, pair) != true_sum))
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
 

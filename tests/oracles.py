@@ -77,6 +77,16 @@ def mod_units_exact(values, q: int) -> tuple[Fraction, ...]:
     return tuple(f - q * math.floor(f / q + half) for f in map(Fraction, values))
 
 
+def mod_coarse_where(x, coarse) -> np.ndarray:
+    """`lattice.mod_coarse` as two `np.where` face guards on fresh arrays,
+    the form the in-place fold must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    cell = coarse.cell
+    y = x - cell * np.floor(x / cell + 0.5)
+    y = np.where(y >= cell / 2, y - cell, y)
+    return np.where(y < -cell / 2, y + cell, y)
+
+
 @lru_cache(maxsize=64)
 def _index_of(pair) -> dict[tuple[int, ...], int]:
     return {tuple(int(c) for c in row): i for i, row in enumerate(pair.codebook_units)}

@@ -1,15 +1,17 @@
 """Property tests: the digit-wise index algebra against the integer-units route."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import index_of_units
+from oracles import index_of_units, mod_coarse_where
 from twinrelay.lattice import (
     CoarseLattice,
     NestedLatticePair,
     centered_units,
     encode_message,
+    make_pair,
     mod_coarse,
     modulo_diff,
     modulo_sum,
@@ -57,6 +59,19 @@ def test_modulo_diff_inverts_modulo_sum(case):
     assert modulo_diff(modulo_sum(a, b, pair), a, pair) == b
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_cancel_own_point_iff_true_sum_exhaustive(q, k):
+    # the identity the block kernels score by: t - a = b <=> t = a + b,
+    # over every (t, a, b) of the full code Z_q^k
+    pair = make_pair(n=k, q=q, k=k, power=1.0)
+    t, a, b = (v.ravel() for v in np.meshgrid(*[np.arange(pair.size)] * 3, indexing="ij"))
+    cancelled = modulo_diff(t, a, pair) == b
+    scored = t == modulo_sum(a, b, pair)
+    assert np.array_equal(cancelled, scored)
+    assert np.count_nonzero(scored) == pair.size ** 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(pair_and_indices())
 def test_quantize_fine_returns_the_encoded_index(case):
@@ -84,3 +99,18 @@ def test_centered_units_range_and_congruence(q, values):
     c = centered_units(u, q)
     assert np.all(2 * c >= -q) and np.all(2 * c < q)
     assert np.all((u - c) % q == 0)
+
+
+@pytest.mark.parametrize("shape", [(4096, 1), (4096, 8), (30, 24)])
+def test_mod_coarse_bit_identical_to_where_form(shape):
+    coarse = CoarseLattice.for_power(shape[-1], 4, 1.0)
+    cell = coarse.cell
+    faces = np.array([cell / 2, -cell / 2, 3 * cell / 2, -3 * cell / 2])
+    edges = np.concatenate([faces, np.nextafter(faces, np.inf),
+                            np.nextafter(faces, -np.inf), [0.0, -0.0]])
+    rows = np.random.default_rng(19).uniform(-4 * cell, 4 * cell, size=shape)
+    rows.flat[:edges.size] = edges
+    before = rows.copy()
+    got = mod_coarse(rows, coarse)
+    assert np.array_equal(got.view(np.int64), mod_coarse_where(rows, coarse).view(np.int64))
+    assert np.array_equal(rows.view(np.int64), before.view(np.int64))  # input untouched

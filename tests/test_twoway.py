@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from twinrelay import twoway
 from twinrelay.errors import ValidationError
 from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
 from twinrelay.lattice import (
+    CoarseLattice,
     dither,
     encode_message,
     make_pair,
@@ -66,6 +68,25 @@ def test_channel_params_validation():
     for snr_db in (4000.0, -4000.0):  # 10**(snr_db/10) overflows or underflows
         with pytest.raises(ValidationError, match="float range"):
             ChannelParams.from_snr_db(snr_db)
+    for power, sigma2 in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")),
+                          (1.0, float("inf"))):
+        with pytest.raises(ValidationError, match="finite"):
+            ChannelParams(power=power, sigma2=sigma2)
+    for power in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            CoarseLattice.for_power(1, 4, power)
+
+
+@pytest.mark.parametrize("snr_db,power", [(float("nan"), 1.0), (12.0, float("inf"))])
+def test_lattice_run_refuses_non_finite_channel_before_any_draw(monkeypatch, snr_db, power):
+    def no_draw(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(twoway, "draw_sessions", no_draw)
+    params = {"n": 1, "q": 4, "k": 1, "snr_db": snr_db, "power": power, "mode": "index"}
+    with pytest.raises(ValidationError, match="finite"):
+        run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
+                   trials=100, master_seed=0)
 
 
 def test_mmse_grid_never_beats_alpha_opt():
