@@ -15,8 +15,12 @@ linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
 difference of two codewords are digit-wise mod-q sums and differences of
 their messages, exact with zero tolerance.
 `quantize_fine` scores rows against the whole codebook as one float32
-product of a separable cost table with a one-hot codebook matrix, exact
-against the `wrapped_sq_distances` argmin (see `_nearest`).
+product of a separable cost table with a one-hot codebook matrix.  Both
+hold only the q-1 non-zero residues, each costed relative to residue 0
+(level 0), so the product is (rows, n*(q-1)) by (n*(q-1), size); rows
+whose runner-up lies within an absolute rounding slack of the best are
+re-decided in float64, so the result is the `wrapped_sq_distances` argmin
+(see `_nearest`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import DimensionMismatchError, GuardExceededError, ValidationError
 from .rng import generator
 
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
-# Max entries n*q*size of the one-hot codebook matrix (256 MB of float32);
+# Max entries n*(q-1)*size of the one-hot codebook matrix (256 MB of float32);
 # bsc.BinaryLinearCode.word_tables bounds its table scan by it too.
 ONE_HOT_GUARD = 1 << 26
 # Elements of one scan array: the distances from 24 rows to the 4,096
@@ -191,20 +195,22 @@ class NestedLatticePair:
 
     @cached_property
     def _levels(self) -> np.ndarray:
-        """gamma * v for the residues 0..q-1, v their centered units."""
-        return self.coarse.gamma * centered_units(np.arange(self.q), self.q).astype(float)
+        """gamma * v for the non-zero residues 1..q-1, v their centered units."""
+        return self.coarse.gamma * centered_units(np.arange(1, self.q), self.q).astype(float)
 
     @cached_property
     def _one_hot(self) -> np.ndarray:
-        """float32 (n*q, size): row i*q + r is 1 where codeword coordinate i is r mod q."""
+        """float32 (n*(q-1), size): row i*(q-1) + r-1 is 1 where codeword
+        coordinate i is r mod q, for r = 1..q-1; residue 0 has no row."""
         n, q, size = self.n, self.q, self.size
-        if n * q * size > ONE_HOT_GUARD:
+        if n * (q - 1) * size > ONE_HOT_GUARD:
             raise GuardExceededError(
-                f"one-hot codebook of {n}*{q}*{size} entries exceeds {ONE_HOT_GUARD}")
-        one_hot = np.zeros((n * q, size), dtype=np.float32)
-        cols = np.arange(size)
+                f"one-hot codebook of {n}*{q - 1}*{size} entries exceeds {ONE_HOT_GUARD}")
+        one_hot = np.zeros((n * (q - 1), size), dtype=np.float32)
         for i in range(n):  # one coordinate at a time: no (n, size) transients
-            one_hot[i * q + self.codebook_units[:, i] % q, cols] = 1.0
+            residues = self.codebook_units[:, i] % q
+            cols = np.flatnonzero(residues)
+            one_hot[i * (q - 1) + residues[cols] - 1, cols] = 1.0
         return one_hot
 
     @property
@@ -308,7 +314,7 @@ def encode_message(index, pair: NestedLatticePair) -> np.ndarray:
 
 
 def _fold(diffs: np.ndarray, cell: float) -> np.ndarray:
-    """Subtract the nearest coarse translate from each coordinate, in place.
+    """diffs less the nearest coarse translate of each coordinate, as a new array.
 
     Which face a tie folds to does not change the square, so this skips
     `mod_coarse`'s face guards.
@@ -316,8 +322,7 @@ def _fold(diffs: np.ndarray, cell: float) -> np.ndarray:
     wraps = diffs / cell
     np.rint(wraps, out=wraps)
     wraps *= cell
-    diffs -= wraps
-    return diffs
+    return np.subtract(diffs, wraps, out=wraps)
 
 
 def _sq_distances(x: np.ndarray, coords: np.ndarray, cell: float) -> np.ndarray:
@@ -371,30 +376,43 @@ def _one_blas_thread() -> Iterator[None]:
 def _nearest(rows: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
     """Exact `wrapped_sq_distances` argmin of each row (m, n), ties to the lowest index.
 
-    The cost table holds the same float64 squared folds the reference sums,
-    scaled by 1/gamma^2 (so float32 cannot overflow) and cast to float32.
-    A product score then differs from its reference distance by at most
-    about n*eps32/2 relative (the cast and the summation), so any score
-    within eta = 2(n+2)*eps32 relative of the best may hide the reference
-    argmin; rows with such a runner-up are re-decided with the reference
-    distances to those candidates.  No underflow term is needed: two
-    codewords differ by at least gamma in some coordinate, so of any two
-    scores the larger is at least 1/4, and float32 subnormals (below
-    2^-126) lie far inside the relative bound.
+    Residue 0 is level 0, so the cost table holds, for each coordinate i
+    and non-zero residue r only, D_i(r) = [fold(x_i - gamma*v_r)^2 -
+    fold(x_i)^2] / gamma^2, from the same float64 folds the reference sums
+    (in units of gamma^2, so float32 cannot overflow).  Its product with the
+    (n*(q-1), size) one-hot matrix scores each codeword as its reference
+    distance / gamma^2 less the row's constant sum_i fold(x_i)^2 / gamma^2,
+    which moves every codeword alike: the argmin and its lowest-index tie
+    are those of the reference.  Scores may be negative, so the rounding
+    bound is absolute.  Both squares lie in [0, q^2/4], so |D_i(r)| <= q^2/4,
+    and a score sums at most n non-zero terms, n*q^2/4 in absolute value at
+    most.  The float32 cast (eps32/2 of each term) and any summation order
+    (n-1 roundings of at most eps32/2 of that total) then err by at most
+    n*eps32/2 * n*q^2/4.  Any score within slack = 2(n+2)*eps32 * n*q^2/4
+    of the best may hide the reference argmin, as best and runner-up may
+    each err that much; rows with such a runner-up are re-decided with the
+    reference distances to those candidates.  Underflow needs no term of
+    its own: float32 subnormals are spaced 2^-149, so a term or a partial
+    sum that lands among them errs by at most 2^-149 more, a score by at
+    most n*2^-149, while the slack is at least 6*eps32 = 6*2^-23.
     """
     coarse, n, q = pair.coarse, pair.n, pair.q
     costs = _fold(rows[:, :, None] - pair._levels, coarse.cell)
     costs *= costs
+    zero = _fold(rows, coarse.cell)  # residue 0 is level 0
+    zero *= zero
+    costs -= zero[:, :, None]
     costs /= coarse.gamma * coarse.gamma
-    scores = costs.astype(np.float32).reshape(len(rows), n * q) @ pair._one_hot
+    scores = costs.astype(np.float32).reshape(len(rows), n * (q - 1)) @ pair._one_hot
     # Gathers and argmins, not min(axis=1): numpy reduces short rows slowly.
     flat, at = scores.reshape(-1), pair.size * np.arange(len(rows))
     best = scores.argmin(axis=1)
-    margin = flat[at + best] * np.float32(1 + 2 * (n + 2) * _EPS32)
-    flat[at + best] = np.inf
-    for r in np.flatnonzero(flat[at + scores.argmin(axis=1)] <= margin):  # runner-up
-        scores[r, best[r]] = 0.0
-        cand = np.flatnonzero(scores[r] <= margin[r])
+    top = at + best
+    limit = flat[top] + 2 * (n + 2) * _EPS32 * n * q * q / 4
+    flat[top] = np.inf
+    for r in np.flatnonzero(flat[at + scores.argmin(axis=1)] <= limit):  # runner-up
+        scores[r, best[r]] = -np.inf  # a best below zero stays a candidate
+        cand = np.flatnonzero(scores[r] <= limit[r])
         best[r] = cand[np.argmin(_sq_distances(rows[r], _coords(pair, cand), coarse.cell))]
     return best
 
@@ -407,8 +425,9 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
     A single row (shape (n,)) returns an int.  A full code (k = n) rounds
     each coordinate; any other code scores row chunks as one
     single-threaded float32 product each (see `_nearest`), with the same
-    argmin as `wrapped_sq_distances`.  A chunk's (rows, n*q) cost table and
-    its (rows, size) scores both stay within SCAN_WORKSET elements.
+    argmin as `wrapped_sq_distances`.  A chunk's cost table with its residue-0
+    column (n*q values a row) and its (rows, size) scores both stay within
+    SCAN_WORKSET elements.
     """
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:

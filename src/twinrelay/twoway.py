@@ -12,7 +12,8 @@ and each node cancels its own point mod the coarse lattice to recover the
 other message.  Codewords are handled as message indices throughout;
 coordinates appear only where a signal is formed.  The harness kernel runs
 a block of rounds at once on index arrays (`session_rows`), scoring each
-decode against its round's one true sum; `session_row`, the same exchange on
+decode against its round's one true sum and decoding both nodes' direct
+downlinks in one quantizer call; `session_row`, the same exchange on
 one row of a block's draws with each node cancelling its own point, is the
 reference it is tested against.
 """
@@ -261,9 +262,11 @@ def session_rows(
     if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
         end_error = (relay_error if index_broadcast_ok(params, pair)
                      else np.ones_like(relay_error))
-    else:
-        end_error = ((_direct_downlink(t_hat, draws.z_a, pair) != true_sum)
-                     | (_direct_downlink(t_hat, draws.z_b, pair) != true_sum))
+    elif draws.z_a is None:  # noiseless: both nodes hear the same point
+        end_error = _direct_downlink(t_hat, None, pair) != true_sum
+    else:  # both nodes' downlinks as one (2, count, n) decode
+        t_at = _direct_downlink(t_hat, np.stack((draws.z_a, draws.z_b)), pair)
+        end_error = (t_at != true_sum).any(axis=0)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
 

@@ -338,6 +338,8 @@ QUANTIZER_PAIRS = {
     "q5-n5-k2": dict(n=5, q=5, k=2),
     "q16-n4-k2": dict(n=4, q=16, k=2),
     "golay-24-12": dict(n=24, q=2, k=12, generator_matrix=_golay_24_12()),
+    "q3-n16-k5": dict(n=16, q=3, k=5, generator_matrix=systematic_generator(16, 5, 3, seed=1)),
+    "q5-n8-k2": dict(n=8, q=5, k=2, generator_matrix=systematic_generator(8, 2, 5, seed=1)),
 }
 
 
@@ -399,6 +401,29 @@ def test_quantizer_near_tie_takes_candidate_path(monkeypatch):
     assert np.array_equal(spy.calls[0], encode_message(np.array([0, j]), pair))
     # the exact midpoint ties in the reference, and the lower index wins
     assert quantize_fine(toward / 2, pair) == 0 == int(_reference(toward / 2, pair))
+
+
+def test_quantizer_near_tie_in_non_zero_residues(monkeypatch):
+    # a minimum-weight codeword b of a q = 3 code and a = -b differ only
+    # where both are non-zero, so residue 0's cost cancels between their
+    # scores; the row a hair from their wrapped midpoint toward a scores both
+    # below zero (residue 0 is far), closer than float32 can tell apart, and
+    # no other codeword has their support, so exactly a and b are candidates
+    pair = make_pair(power=1.0, **QUANTIZER_PAIRS["q3-n16-k5"])
+    weights = np.count_nonzero(pair.codebook_units[1:], axis=1)
+    b = 1 + int(np.argmin(weights))
+    a = modulo_diff(0, b, pair)  # the larger index of the two, so float64 must win
+    assert a > b
+    coords_a, coords_b = encode_message(a, pair), encode_message(b, pair)
+    mid = coords_a + mod_coarse(coords_b - coords_a, pair.coarse) / 2
+    x = mid + 1e-10 * (coords_a - mid)
+    assert int(_reference(x, pair)) == a
+    spy = _Spy()
+    monkeypatch.setattr(lattice, "_sq_distances", spy)
+    assert quantize_fine(x, pair) == a
+    assert len(spy.calls) == 1
+    assert np.array_equal(spy.calls[0], encode_message(np.array([b, a]), pair))
+    assert quantize_fine(mid, pair) == int(_reference(mid, pair))
 
 
 @pytest.mark.parametrize("pair_args", [QUANTIZER_PAIRS["q2-n8-k4"],

@@ -320,6 +320,25 @@ def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, no
         assert not rows["relay_error"].any() and not rows["end_error"].any()
 
 
+@pytest.mark.parametrize("snr_db", [3.0, None], ids=["noisy", "noiseless"])
+def test_direct_block_makes_two_quantizer_calls(monkeypatch, snr_db):
+    # the relay's decode, then both nodes' downlinks as one stacked
+    # (2, count, n) decode, or, when noiseless, one decode that serves both
+    pair = make_pair(n=8, q=2, k=4, power=1.0, generator_matrix=EXT_HAMMING_8_4)
+    ch = ChannelParams.from_snr_db(snr_db)
+    mode = BroadcastMode.DIRECT_LATTICE_RELAY
+    draws = draw_sessions(generator(43), 100, ch, pair, mode)
+    shapes, quantize = [], twoway.quantize_fine
+
+    def spy(x, pair):
+        shapes.append(np.shape(x))
+        return quantize(x, pair)
+
+    monkeypatch.setattr(twoway, "quantize_fine", spy)
+    session_rows(draws, ch, pair, mode)
+    assert shapes == [(100, 8), (100, 8) if snr_db is None else (2, 100, 8)]
+
+
 def test_report_trials_replay_through_session_row_across_blocks():
     # trial t of a report is row t % BLOCK of the block t // BLOCK drawn from
     # (seed, TAG_TRIAL, t // BLOCK); the full n=1 code in direct mode at
