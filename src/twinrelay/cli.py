@@ -45,10 +45,18 @@ def _provenance(config: dict, seed: int | None = None) -> dict:
 
 def _write_text(path: str, text: str) -> None:
     """Write to a temporary file beside `path`, then rename it into place, so
-    `path` holds either its old content or all of `text`."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", newline="")
+    `path` holds either its old content or all of `text`.  The temporary name
+    is random and taken only if free, so a file another run left behind is
+    neither reused nor touched; a plain `open` creates it, so `path` gets the
+    permissions the umask gives."""
+    stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.path.basename(path)}.")
+    while True:
+        tmp = f"{stem}{os.urandom(6).hex()}.tmp"
+        try:
+            fh = open(tmp, "x", newline="")
+            break
+        except FileExistsError:
+            continue
     try:
         with fh:
             fh.write(text)

@@ -13,7 +13,10 @@ the integer whose base-q digits (least significant first) are the message
 u, with codebook row u*G folded into [-q/2, q/2) in units of gamma.  By
 linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
 difference of two codewords are digit-wise mod-q sums and differences of
-their messages, exact with zero tolerance.
+their messages, exact with zero tolerance.  For q = 2^m those digits are
+the index's m-bit fields, so both are a few word operations on the
+indices (a carry-less add of the fields, XOR at q = 2), with no digit
+arrays; see `modulo_sum`.
 `quantize_fine` scores rows against the whole codebook as one float32
 product of a separable cost table with a one-hot codebook matrix.  Both
 hold only the q-1 non-zero residues, each costed relative to residue 0
@@ -178,6 +181,14 @@ class NestedLatticePair:
                 "use a systematic (full-rank) generator"
             )
         self._place = q ** np.arange(k, dtype=np.int64)
+        # q = 2^m: the base-q digits of an index are its m-bit fields, and
+        # `modulo_sum`/`modulo_diff` work on the index words through these
+        # masks of each field's top bit and of its m - 1 low bits.
+        self._top_bits = None
+        if q & (q - 1) == 0:
+            m = q.bit_length() - 1
+            self._top_bits = sum((q >> 1) << (m * j) for j in range(k))
+            self._low_bits = (q ** k - 1) ^ self._top_bits
         # Full code <=> fine lattice is gamma*Z^n; quantization then separates
         # per coordinate: the residues of the rounded coordinates, read as a
         # base-q key, index a lookup array of length q^n.
@@ -442,11 +453,35 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
 
 
 def modulo_sum(a, b, pair: NestedLatticePair):
-    """Index of (t_a + t_b) mod coarse: the digit-wise mod-q sum of the messages."""
-    return pair.index_of_digits(pair.digits(a) + pair.digits(b))
+    """Index of (t_a + t_b) mod coarse: the digit-wise mod-q sum of the messages.
+
+    For q = 2^m the digits are the index's m-bit fields, summed in place:
+    with H each field's top bit and L its m - 1 low bits, the index is
+    ((a & L) + (b & L)) ^ ((a ^ b) & H).  Two low parts sum to at most
+    2^m - 2, so their carry reaches the field's top bit and no further, and
+    the top bit is the XOR of that carry with both top bits; the carry out
+    of the field, which mod q drops, is never formed.  Any other q takes the
+    digits route.
+    """
+    top = pair._top_bits
+    if top is None:
+        return pair.index_of_digits(pair.digits(a) + pair.digits(b))
+    low = pair._low_bits
+    s = ((a & low) + (b & low)) ^ ((a ^ b) & top)
+    return s if isinstance(s, np.ndarray) else int(s)
 
 
 def modulo_diff(a, b, pair: NestedLatticePair):
-    """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot."""
-    return pair.index_of_digits(pair.digits(a) - pair.digits(b))
+    """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot.
 
+    For q = 2^m, in place as in `modulo_sum`: ((a | H) - (b & L)) ^
+    ((a ^ b ^ H) & H).  Setting each of a's top bits first makes every
+    field's difference non-negative, so no borrow crosses a field; the top
+    bit left is 1 iff the low parts did not borrow, and the XOR turns it
+    into the true top bit, a's top bit ^ b's ^ that borrow.
+    """
+    top = pair._top_bits
+    if top is None:
+        return pair.index_of_digits(pair.digits(a) - pair.digits(b))
+    d = ((a | top) - (b & pair._low_bits)) ^ ((a ^ b ^ top) & top)
+    return d if isinstance(d, np.ndarray) else int(d)

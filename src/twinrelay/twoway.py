@@ -283,7 +283,9 @@ def _cached_pair(n: int, q: int, k: int, power: float, gen_rows: tuple | None) -
 
 def pair_from_params(params: Mapping) -> NestedLatticePair:
     gen = params.get("generator")
-    gen_rows = tuple(tuple(int(v) for v in row) for row in gen) if gen is not None else None
+    # int, float and np.int64 entries hash and compare alike, so a list of
+    # lists and an int64 array of the same generator key one cache entry.
+    gen_rows = tuple(map(tuple, gen)) if gen is not None else None
     return _cached_pair(int(params["n"]), int(params["q"]), int(params["k"]),
                         float(params["power"]), gen_rows)
 

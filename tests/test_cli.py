@@ -284,6 +284,23 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.csv"]
 
 
+def test_write_beside_a_stale_temp_file(tmp_path, capsys):
+    # a killed run with this process's PID left its temp file behind
+    stale = tmp_path / f".rates.csv.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    target = tmp_path / "rates.csv"
+    code, stdout, _ = run_cli(capsys, "rates", "--out", str(target))
+    assert code == 0 and "wrote" in stdout
+    assert target.read_text().startswith("snr_db,")
+    assert stale.read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        stale.name, "rates.csv", "rates.csv.meta.json"]
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
 def test_sim_workers_above_cap_exit_2_no_file(tmp_path, capsys):
     out = tmp_path / "x.json"
     code, _, stderr = run_cli(capsys, "sim", "bsc", "--p", "0.1", "--trials", "10000",

@@ -72,6 +72,41 @@ def test_cancel_own_point_iff_true_sum_exhaustive(q, k):
     assert np.count_nonzero(scored) == pair.size ** 2
 
 
+@pytest.mark.parametrize("q, k", [(2, 3), (4, 2), (8, 2), (3, 2), (5, 2), (6, 2)])
+def test_modulo_arrays_match_units_route_exhaustive(q, k):
+    # every pair of indices as arrays, against the codebook lookup of the
+    # folded sum and difference of their integer units (k < n: not the digits)
+    pair = make_pair(n=k + 1, q=q, k=k, power=1.0)
+    a, b = (v.ravel() for v in np.meshgrid(*[np.arange(pair.size)] * 2, indexing="ij"))
+    units = pair.codebook_units.astype(np.int64)
+    sums, diffs = modulo_sum(a, b, pair), modulo_diff(a, b, pair)
+    for i in range(a.size):
+        assert sums[i] == index_of_units(pair, centered_units(units[a[i]] + units[b[i]], q))
+        assert diffs[i] == index_of_units(pair, centered_units(units[a[i]] - units[b[i]], q))
+
+
+@pytest.mark.parametrize("q, k", [(2, 20), (4, 10), (16, 5), (1024, 2), (1 << 20, 1),
+                                  (3, 4), (5, 3), (6, 3)])
+def test_modulo_arrays_match_digits_route_up_to_guard(q, k):
+    # sampled pairs, with the extreme indices 0 and q^k - 1 in every slot
+    pair = make_pair(n=k, q=q, k=k, power=1.0)
+    last = pair.size - 1
+    rng = np.random.default_rng(q + k)
+    a = np.concatenate([[0, 0, last, last], rng.integers(0, pair.size, 4096)])
+    b = np.concatenate([[0, last, 0, last], rng.integers(0, pair.size, 4096)])
+    da, db = pair.digits(a), pair.digits(b)
+    assert np.array_equal(modulo_sum(a, b, pair), pair.index_of_digits(da + db))
+    assert np.array_equal(modulo_diff(a, b, pair), pair.index_of_digits(da - db))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 16])
+def test_one_index_gives_a_plain_int(q):
+    pair = make_pair(n=2, q=q, k=2, power=1.0)
+    for a, b in [(1, 2), (np.int64(1), np.int64(2)), (np.int64(3), 1), (np.asarray(3), 2)]:
+        assert type(modulo_sum(a, b, pair)) is int
+        assert type(modulo_diff(a, b, pair)) is int
+
+
 @settings(max_examples=100, deadline=None)
 @given(pair_and_indices())
 def test_quantize_fine_returns_the_encoded_index(case):

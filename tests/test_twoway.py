@@ -358,3 +358,14 @@ def test_report_trials_replay_through_session_row_across_blocks():
             want["union_error"] += tr.relay_error or tr.error
     assert report.counts == want
     assert 0 < want["relay_error"] < want["end_error"] < BLOCK
+
+
+def test_pair_from_params_keys_generator_by_value():
+    # the same generator as a list of lists and as an int64 array hits one
+    # cache entry, so both return the same pair object
+    rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
+    params = {"n": 4, "q": 2, "k": 2, "power": 1.0}
+    as_lists = pair_from_params({**params, "generator": rows})
+    as_array = pair_from_params({**params, "generator": np.asarray(rows, dtype=np.int64)})
+    assert as_array is as_lists
+    assert np.array_equal(as_lists.generator_matrix, rows)
