@@ -14,7 +14,7 @@ u, with codebook row u*G folded into [-q/2, q/2) in units of gamma.  By
 linearity u_a*G + u_b*G = (u_a + u_b)*G (mod q), so the modulo sum and
 difference of two codewords are digit-wise mod-q sums and differences of
 their messages, exact with zero tolerance.  For q = 2^m those digits are
-the index's m-bit fields, so both are a few word operations on the
+the index's m-bit fields, so the sum is a few word operations on the
 indices (a carry-less add of the fields, XOR at q = 2), with no digit
 arrays; see `modulo_sum`.
 `quantize_fine` scores rows against the whole codebook as one float32
@@ -182,8 +182,8 @@ class NestedLatticePair:
             )
         self._place = q ** np.arange(k, dtype=np.int64)
         # q = 2^m: the base-q digits of an index are its m-bit fields, and
-        # `modulo_sum`/`modulo_diff` work on the index words through these
-        # masks of each field's top bit and of its m - 1 low bits.
+        # `modulo_sum` works on the index words through these masks of each
+        # field's top bit and of its m - 1 low bits.
         self._top_bits = None
         if q & (q - 1) == 0:
             m = q.bit_length() - 1
@@ -472,16 +472,5 @@ def modulo_sum(a, b, pair: NestedLatticePair):
 
 
 def modulo_diff(a, b, pair: NestedLatticePair):
-    """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot.
-
-    For q = 2^m, in place as in `modulo_sum`: ((a | H) - (b & L)) ^
-    ((a ^ b ^ H) & H).  Setting each of a's top bits first makes every
-    field's difference non-negative, so no borrow crosses a field; the top
-    bit left is 1 iff the low parts did not borrow, and the XOR turns it
-    into the true top bit, a's top bit ^ b's ^ that borrow.
-    """
-    top = pair._top_bits
-    if top is None:
-        return pair.index_of_digits(pair.digits(a) - pair.digits(b))
-    d = ((a | top) - (b & pair._low_bits)) ^ ((a ^ b ^ top) & top)
-    return d if isinstance(d, np.ndarray) else int(d)
+    """Index of (t_a - t_b) mod coarse; inverse of `modulo_sum` in its second slot."""
+    return pair.index_of_digits(pair.digits(a) - pair.digits(b))
