@@ -184,20 +184,32 @@ class TrialReport:
 
 
 def _round_floats(obj):
-    if isinstance(obj, dict):
-        return {k: _round_floats(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, (list, tuple)):
+    """obj with floats at 12 significant digits and numpy scalars as Python
+    ones; `canonical_dumps` sorts the keys."""
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, float):
+    if kind is float:
         if math.isnan(obj):
             return None
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return float(f"{obj:.12g}")
-    if isinstance(obj, (np.integer,)):
+    # Subclasses and numpy scalars, as the plain values they stand for.
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return _round_floats(float(obj))
+    if isinstance(obj, dict):
+        return _round_floats(dict(obj))
+    if isinstance(obj, (list, tuple)):
+        return _round_floats(list(obj))
     return obj
 
 

@@ -171,15 +171,6 @@ class NestedLatticePair:
             raise GuardExceededError(
                 f"codebook size {q}^{k} exceeds enumeration guard {ENUMERATION_GUARD}"
             )
-        codewords = _enumerate_messages(q, k) @ G
-        codewords %= q
-        # u -> u*G is linear, so its codewords are distinct iff only the zero
-        # message maps to the zero codeword.
-        if np.count_nonzero(~codewords.any(axis=1)) != 1:
-            raise ValidationError(
-                "generator does not produce q^k distinct codewords; "
-                "use a systematic (full-rank) generator"
-            )
         self._place = q ** np.arange(k, dtype=np.int64)
         # q = 2^m: the base-q digits of an index are its m-bit fields, and
         # `modulo_sum` works on the index words through these masks of each
@@ -195,13 +186,30 @@ class NestedLatticePair:
         self._is_full_code = k == self.coarse.n
         if self._is_full_code:
             self._lookup = np.empty(q ** k, dtype=np.int64)
-            self._lookup[codewords @ self._place] = np.arange(q ** k)
-        # `centered_units` in place, so a large codebook leaves no transient
-        # arrays resident in the heap.
-        codewords += q // 2
-        codewords %= q
-        codewords -= q // 2
-        self.codebook_units = codewords.astype(np.int32)
+        # Built in message chunks straight into the int32 rows, so a large
+        # codebook holds no int64 copy of itself.
+        size = q ** k
+        units = np.empty((size, self.coarse.n), dtype=np.int32)
+        zero_words = 0
+        for sl in scan_rows(size, self.coarse.n):
+            index = np.arange(sl.start, min(sl.stop, size))
+            words = self.digits(index) @ G
+            words %= q
+            zero_words += np.count_nonzero(~words.any(axis=1))
+            if self._is_full_code:
+                self._lookup[words @ self._place] = index
+            words += q // 2  # `centered_units` in place
+            words %= q
+            words -= q // 2
+            units[sl] = words
+        # u -> u*G is linear, so its codewords are distinct iff only the zero
+        # message maps to the zero codeword.
+        if zero_words != 1:
+            raise ValidationError(
+                "generator does not produce q^k distinct codewords; "
+                "use a systematic (full-rank) generator"
+            )
+        self.codebook_units = units
         self.codebook_units.flags.writeable = False
 
     @cached_property

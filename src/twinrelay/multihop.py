@@ -12,7 +12,8 @@ packet per decode once the pipeline has filled.
 The symbolic executor tracks each node's state as an integer coefficient
 ledger over packet symbols.  The numeric executors replay the same
 schedule with codebook indices, fresh dithers per (slot, node), and the
-MMSE-scaled modulo decoder at every listener.
+MMSE-scaled modulo decoder at every listener, decoding many slots per
+call (see `run_multihop`).
 """
 
 from __future__ import annotations
@@ -304,6 +305,20 @@ def run_multihop(
     End-node cancellation uses the true values of previously decoded
     packets, so each end error counts a fresh decode failure rather than
     compounding earlier ones.
+
+    The results are those of a loop over slots, computed in batches of
+    slots.  No stream depends on a relay state, so every dither (per slot
+    and transmitter) and every noise row (per slot and listener that counts:
+    each relay, and each end node at its decode events) is drawn first.  A
+    window of slots is then planned in integers, taking each relay to decode
+    the mod-q sum of what its neighbours actually sent; the window's
+    transmissions are encoded in one `encode_node` call and its relay
+    listens decoded in one `relay_decode_sum` call.  The slots up to and
+    including the first one in which a relay decodes off the plan are
+    committed, with their end-node decodes in one more call; every decode
+    committed so saw the inputs the slot loop gives it, and each row's
+    decode is independent of its batch.  The first window is the whole
+    schedule; each next one is twice the slots the last committed.
     """
     if pair is None:
         return MultihopResult(schedule=schedule, mode="symbolic")
@@ -318,48 +333,104 @@ def run_multihop(
     result = MultihopResult(
         schedule=schedule, mode="numeric-awgn" if sigma2 > 0 else "numeric-noiseless")
     nodes = schedule.nodes
-    # A relay's decoded state and its ideal one: the mod-q sum of what its
-    # neighbors ideally sent, carried slot to slot.
-    states = {nd: 0 for nd in nodes[1:-1]}
-    ideal = dict(states)
-
-    for rec in schedule.slots:
+    sigma = math.sqrt(sigma2)
+    # Transmissions and decodes as rows in slot order.  A transmission
+    # carries its dither, the index it ideally sends, and the relay listen
+    # whose decode it sends (-1: an end node's packet or zero, or a relay's
+    # initial zero state).  A relay listen carries its two neighbours'
+    # transmissions and its ideal index, the mod-q sum of what they ideally
+    # sent; an end decode its neighbour's transmission.
+    dithers, ideal_tx, source = [], [], []
+    hop_nbs, hop_ideal, hop_slot, hop_noise = [], [], [], []
+    end_nb, end_noise = [], []
+    tx_start, hop_start, end_start = [0], [0], [0]
+    last: dict[str, int] = {}           # relay -> its latest listen
+    for i, rec in enumerate(schedule.slots):
         talk, hear = _walk(nodes, rec.slot)
-        signals: dict[str, np.ndarray] = {}
-        dithers: dict[str, np.ndarray] = {}
-        sent: dict[str, int] = {}   # ideal index each transmitter sends
+        row: dict[str, int] = {}
         for pos, nd in talk:
-            dithers[nd] = dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
-                                 pair.coarse)
-            if nd in states:
-                t, sent[nd] = states[nd], ideal[nd]
-            else:
+            row[nd] = len(ideal_tx)
+            dithers.append(dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
+                                  pair.coarse))
+            if nd in ("A", "B"):
                 pkt = rec.injections.get(nd)
-                t = sent[nd] = truth[pkt] if pkt is not None else 0
-            signals[nd] = encode_node(t, dithers[nd], pair)
-
+                source.append(-1)
+                ideal_tx.append(truth[pkt] if pkt is not None else 0)
+            else:
+                source.append(last.get(nd, -1))
+                ideal_tx.append(hop_ideal[source[-1]] if source[-1] >= 0 else 0)
         for pos, nd, heard in hear:
-            y = sum(signals[nb] for nb in heard)
+            if nd in ("A", "B"):
+                if not any(ev.node == nd for ev in rec.decode_events):
+                    continue
+                end_nb.append(row[heard[0]])
+                noise = end_noise
+            else:
+                a, b = row[heard[0]], row[heard[1]]
+                last[nd] = len(hop_ideal)
+                hop_nbs.append((a, b))
+                hop_ideal.append(modulo_sum(ideal_tx[a], ideal_tx[b], pair))
+                hop_slot.append(i)
+                noise = hop_noise
             if sigma2 > 0:
-                noise = generator(seed, TAG_NOISE, rec.slot, pos)
-                y = y + noise.normal(0.0, math.sqrt(sigma2), size=pair.n)
-            decoded = relay_decode_sum(y, [dithers[nb] for nb in heard], channel, pair)
-            incoming = sent[heard[0]]
-            for nb in heard[1:]:
-                incoming = modulo_sum(incoming, sent[nb], pair)
+                noise.append(generator(seed, TAG_NOISE, rec.slot, pos).normal(
+                    0.0, sigma, size=pair.n))
+        tx_start.append(len(ideal_tx))
+        hop_start.append(len(hop_ideal))
+        end_start.append(len(end_nb))
 
-            if nd in states:
-                result.hop_decodes += 1
-                if decoded != incoming:
-                    result.hop_errors += 1
-                    # Error propagation is part of the model: keep the bad state.
-                states[nd], ideal[nd] = decoded, incoming
-                continue
-            for ev in rec.decode_events:
-                if ev.node == nd:
-                    # decoded - (incoming - packet) = packet <=> decoded = incoming
-                    result.recovered.append((ev.slot, nd, ev.packet, decoded == incoming))
+    dithers = np.array(dithers).reshape(-1, pair.n)
+    if sigma2 > 0:
+        hop_noise = np.array(hop_noise).reshape(-1, pair.n)
+        end_noise = np.array(end_noise).reshape(-1, pair.n)
+    nbs = np.array(hop_nbs, dtype=np.int64).reshape(-1, 2)
+    end_nb = np.array(end_nb, dtype=np.int64)
+    end_ideal = np.array(ideal_tx, dtype=np.int64)[end_nb]
+    decoded = list(hop_ideal)            # committed, then planned, relay decodes
+    end_ok = np.zeros(len(end_nb), dtype=bool)
 
+    def sent(t: int) -> int:
+        """The index transmission t sends under the plan."""
+        return decoded[source[t]] if source[t] >= 0 else ideal_tx[t]
+
+    done, width = 0, len(schedule.slots)
+    while done < len(schedule.slots):
+        stop = min(done + width, len(schedule.slots))
+        t0, t1 = tx_start[done], tx_start[stop]
+        h0, h1 = hop_start[done], hop_start[stop]
+        for r in range(h0, h1):
+            a, b = hop_nbs[r]
+            sa, sb = sent(a), sent(b)
+            decoded[r] = (hop_ideal[r] if sa == ideal_tx[a] and sb == ideal_tx[b]
+                          else modulo_sum(sa, sb, pair))
+        signals = encode_node(np.array([sent(t) for t in range(t0, t1)], dtype=np.int64),
+                              dithers[t0:t1], pair)
+        if h1 > h0:
+            a, b = nbs[h0:h1, 0], nbs[h0:h1, 1]
+            y = signals[a - t0] + signals[b - t0]
+            if sigma2 > 0:
+                y += hop_noise[h0:h1]
+            got = relay_decode_sum(y, [dithers[a], dithers[b]], channel, pair)
+            miss = np.flatnonzero(got != decoded[h0:h1])
+            if miss.size:
+                stop = hop_slot[h0 + miss[0]] + 1
+            decoded[h0:hop_start[stop]] = got[:hop_start[stop] - h0].tolist()
+        e0, e1 = end_start[done], end_start[stop]
+        if e1 > e0:
+            nb = end_nb[e0:e1]
+            y = signals[nb - t0]
+            if sigma2 > 0:
+                y = y + end_noise[e0:e1]
+            got = relay_decode_sum(y, [dithers[nb]], channel, pair)
+            end_ok[e0:e1] = got == end_ideal[e0:e1]
+        width = 2 * (stop - done)
+        done = stop
+
+    result.hop_decodes = len(hop_ideal)
+    result.hop_errors = sum(d != t for d, t in zip(decoded, hop_ideal))
+    # decoded - (incoming - packet) = packet <=> decoded = incoming
+    result.recovered = [(ev.slot, ev.node, ev.packet, bool(ok))
+                        for ev, ok in zip(schedule.decode_events, end_ok)]
     return result
 
 

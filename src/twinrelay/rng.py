@@ -12,6 +12,7 @@ scheduling.  Reference draws are pinned by ``tests/data/rng_vectors.json``.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,6 +50,25 @@ def philox_key(master: int, *path: int) -> np.ndarray:
     return np.array([h, mix64(h ^ 0xA5A5A5A5A5A5A5A5)], dtype=np.uint64)
 
 
+class _Key(ISeedSequence):
+    """A seed sequence whose state is a given Philox key.
+
+    `Philox(key=...)` first builds a `SeedSequence` from OS entropy and then
+    discards it; handed this instead, Philox reads its key from
+    `generate_state(2, np.uint64)` and draws no entropy.
+    """
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def generator(master: int, *path: int) -> np.random.Generator:
-    """Fresh Generator over Philox4x64 for the addressed stream."""
-    return np.random.Generator(np.random.Philox(key=philox_key(master, *path)))
+    """Fresh Generator over Philox4x64 for the addressed stream.
+
+    Its state, and so every draw, is that of
+    `Generator(Philox(key=philox_key(master, *path)))`.
+    """
+    return np.random.Generator(np.random.Philox(_Key(philox_key(master, *path))))

@@ -265,3 +265,74 @@ def concentration_offshell_oracle(n: int, power: float, delta: float) -> float:
 
 def three_sigma(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+
+
+# ---------------------------------------------------------------------------
+# Multihop chain, one slot at a time
+# ---------------------------------------------------------------------------
+
+def run_multihop_per_slot(schedule, pair, sigma2: float = 0.0, seed: int = 0):
+    """The numeric chain as a scalar loop over slots: one `encode_node` per
+    transmitter and one single-row `relay_decode_sum` per listener, on the
+    same streams `multihop.run_multihop` reads.  It is the reference the
+    batched executor must match exactly.  (The imports are local: the
+    benchmark reads this module's quadrature oracle without the package on
+    its path.)"""
+    from twinrelay.lattice import dither, modulo_sum
+    from twinrelay.multihop import MultihopResult, Packet, _walk
+    from twinrelay.rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator
+    from twinrelay.twoway import ChannelParams, encode_node, relay_decode_sum
+
+    channel = ChannelParams(power=pair.coarse.second_moment, sigma2=sigma2)
+    pkt_rng = generator(seed, TAG_PACKET)
+    truth: dict[Packet, int] = {}
+    for direction in (1, 2):
+        for idx in range(1, schedule.num_packets + 1):
+            truth[(direction, idx)] = int(pkt_rng.integers(pair.size))
+
+    result = MultihopResult(
+        schedule=schedule, mode="numeric-awgn" if sigma2 > 0 else "numeric-noiseless")
+    nodes = schedule.nodes
+    # A relay's decoded state and its ideal one: the mod-q sum of what its
+    # neighbors ideally sent, carried slot to slot.
+    states = {nd: 0 for nd in nodes[1:-1]}
+    ideal = dict(states)
+
+    for rec in schedule.slots:
+        talk, hear = _walk(nodes, rec.slot)
+        signals: dict[str, np.ndarray] = {}
+        dithers: dict[str, np.ndarray] = {}
+        sent: dict[str, int] = {}   # ideal index each transmitter sends
+        for pos, nd in talk:
+            dithers[nd] = dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
+                                 pair.coarse)
+            if nd in states:
+                t, sent[nd] = states[nd], ideal[nd]
+            else:
+                pkt = rec.injections.get(nd)
+                t = sent[nd] = truth[pkt] if pkt is not None else 0
+            signals[nd] = encode_node(t, dithers[nd], pair)
+
+        for pos, nd, heard in hear:
+            y = sum(signals[nb] for nb in heard)
+            if sigma2 > 0:
+                noise = generator(seed, TAG_NOISE, rec.slot, pos)
+                y = y + noise.normal(0.0, math.sqrt(sigma2), size=pair.n)
+            decoded = relay_decode_sum(y, [dithers[nb] for nb in heard], channel, pair)
+            incoming = sent[heard[0]]
+            for nb in heard[1:]:
+                incoming = modulo_sum(incoming, sent[nb], pair)
+
+            if nd in states:
+                result.hop_decodes += 1
+                if decoded != incoming:
+                    result.hop_errors += 1
+                    # Error propagation is part of the model: keep the bad state.
+                states[nd], ideal[nd] = decoded, incoming
+                continue
+            for ev in rec.decode_events:
+                if ev.node == nd:
+                    # decoded - (incoming - packet) = packet <=> decoded = incoming
+                    result.recovered.append((ev.slot, nd, ev.packet, decoded == incoming))
+
+    return result

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_rng_vectors_pinned():
                            case["uniform_doubles"], rtol=0, atol=0)
         assert np.allclose(generator(master, *path).normal(size=4),
                            case["normals"], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("address", [(0,), (7, TAG_TRIAL, 3), (2 ** 64 - 1, 1, 2, 3),
+                                     (12345, 0x01, 40, 5), (-1, 2 ** 70)])
+def test_generator_equals_keyed_philox(address):
+    # `generator` hands Philox its key through a seed sequence instead of
+    # `key=`; the state and the raw stream must be the same
+    got = generator(*address).bit_generator
+    want = np.random.Philox(key=philox_key(*address))
+    assert repr(got.state) == repr(want.state)
+    assert np.array_equal(got.random_raw(1000), want.random_raw(1000))
 
 
 def test_rng_streams_distinct_and_order_sensitive():
@@ -244,6 +256,42 @@ def test_run_trials_target_ci_must_be_positive_and_finite():
             run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=None, master_seed=0,
                        target_ci=target, max_trials=BLOCK)
     assert calls == []
+
+
+def _round_floats_sorted_walk(obj):
+    """The walk `canonical_dumps` made before it dispatched on exact types:
+    keys sorted at every level, floats by `isinstance`."""
+    if isinstance(obj, dict):
+        return {k: _round_floats_sorted_walk(obj[k]) for k in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats_sorted_walk(v) for v in obj]
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return None
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return float(f"{obj:.12g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _round_floats_sorted_walk(float(obj))
+    return obj
+
+
+def test_canonical_dumps_bytes_match_the_sorted_walk():
+    payload = {
+        "z": [1, True, None, "s", 0.1 + 0.2, -math.inf, math.inf, math.nan],
+        "a": {"y": (np.float32(0.1), np.float64(1 / 3), np.int64(-5), np.uint8(7)),
+              "b": OrderedDict(d=2.5, c=[1.0e-300, 123456789.123456789])},
+        "m": [{"k": 2, "j": [{"i": 1e21}]}],
+    }
+    want = json.dumps(_round_floats_sorted_walk(payload), sort_keys=True,
+                      separators=(",", ":"))
+    assert canonical_dumps(payload) == want
+
+
+def test_canonical_dumps_takes_numpy_bools():
+    assert canonical_dumps({"a": np.True_, "b": [np.bool_(False)]}) == '{"a":true,"b":[false]}'
 
 
 def test_canonical_json_deterministic():

@@ -13,6 +13,7 @@ from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.lattice import (
     CoarseLattice,
     NestedLatticePair,
+    _enumerate_messages,
     centered_units,
     dither,
     encode_message,
@@ -267,6 +268,35 @@ def test_dithered_codeword_power():
 def test_enumeration_guard():
     with pytest.raises(GuardExceededError):
         make_pair(n=21, q=2, k=21, power=1.0)
+
+
+@pytest.mark.parametrize("n,q,k", [(1, 4, 1), (3, 5, 2), (24, 2, 12), (16, 2, 16),
+                                   (8, 4, 8), (12, 3, 10), (6, 7, 3)])
+def test_codebook_build_matches_one_shot_build(n, q, k):
+    # the chunked build against all messages times G at once; the last
+    # four cases span several chunks
+    pair = make_pair(n=n, q=q, k=k, power=1.0)
+    words = _enumerate_messages(q, k) @ pair.generator_matrix % q
+    want = centered_units(words, q).astype(np.int32)
+    assert pair.codebook_units.dtype == np.int32
+    assert pair.codebook_units.tobytes() == want.tobytes()
+    if k == n:
+        lookup = np.empty(q ** k, dtype=np.int64)
+        lookup[words @ q ** np.arange(k)] = np.arange(q ** k)
+        assert np.array_equal(pair._lookup, lookup)
+
+
+def test_codebook_build_holds_no_int64_copy():
+    # 2^18 codewords: 18.9 MB of int32 units and a 2 MB lookup; an int64
+    # digit array and product would add 75 MB
+    tracemalloc.start()
+    try:
+        pair = make_pair(n=18, q=2, k=18, power=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = pair.codebook_units.nbytes + pair._lookup.nbytes
+    assert peak < kept + 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB, kept {kept / 2 ** 20:.1f} MB"
 
 
 def test_rank_deficient_generator_rejected():

@@ -28,6 +28,8 @@ ALLOWED = {
                "bsc_rows against (ROADMAP item 5's replay)",
     "wrapped_sq_distances": "the exhaustive-scan oracle for lattice.quantize_fine "
                             "(test_lattice)",
+    "generate_state": "numpy's Philox reads rng.generator's key through it "
+                      "(the ISeedSequence interface)",
 }
 
 

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from oracles import run_multihop_per_slot
+from twinrelay import multihop
 from twinrelay.errors import GuardExceededError, ScheduleError, ValidationError
 from twinrelay.lattice import make_pair
 from twinrelay.multihop import (
@@ -18,6 +20,7 @@ from twinrelay.multihop import (
     table_json,
 )
 from twinrelay.rates import rate_anc, rate_lattice
+from twinrelay.twoway import relay_decode_sum
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "..", "src", "twinrelay", "data", "table1.json"
@@ -129,6 +132,69 @@ def test_ledger_guard_refuses_before_first_slot(relays, packets):
 def test_ledger_guard_admits_400_packets_over_3_relays():
     schedule = build_schedule(3, 400)
     assert len(schedule.decode_events) == 800
+
+
+# The grid of the pinned outputs at both of its pairs' moduli, plus packets = 60.
+GRID_PAIRS = ((8, 0.0), (4, 0.05), (4, 0.2), (4, 1.0))
+
+
+@pytest.mark.parametrize("relays", range(1, 7))
+def test_batched_executor_matches_per_slot_loop(relays):
+    pairs = {q: make_pair(n=2, q=q, k=1, power=1.0) for q in (4, 8)}
+    for packets in (1, 2, 3, 5, 8, 20, 60):
+        schedule = build_schedule(relays, packets)
+        for q, sigma2 in GRID_PAIRS:
+            for seed in (0, 1):
+                got = run_multihop(schedule, pair=pairs[q], sigma2=sigma2, seed=seed)
+                want = run_multihop_per_slot(schedule, pairs[q], sigma2, seed)
+                assert got.to_dict() == want.to_dict(), (relays, packets, q, sigma2, seed)
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 5, 2), (4, 2, 2), (6, 4, 3)])
+def test_batched_executor_matches_per_slot_loop_on_long_codes(n, q, k):
+    # non-full codes go through the float32 product and its float64 re-decide
+    pair = make_pair(n=n, q=q, k=k, power=1.0)
+    for relays in (1, 2, 5):
+        schedule = build_schedule(relays, 15)
+        for sigma2 in (0.0, 0.02, 0.2):
+            got = run_multihop(schedule, pair=pair, sigma2=sigma2, seed=relays)
+            want = run_multihop_per_slot(schedule, pair, sigma2, relays)
+            assert got.to_dict() == want.to_dict(), (relays, sigma2)
+
+
+class _RowSpy:
+    """Wraps `relay_decode_sum`, recording (m, rows) per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, y, dithers, params, pair):
+        self.calls.append((len(dithers), len(y)))
+        return relay_decode_sum(y, dithers, params, pair)
+
+    def rows(self, m=None):
+        return sum(rows for mm, rows in self.calls if m in (None, mm))
+
+
+def test_noiseless_run_decodes_in_one_window(monkeypatch):
+    spy = _RowSpy()
+    monkeypatch.setattr(multihop, "relay_decode_sum", spy)
+    result = run_multihop(build_schedule(4, 30), pair=make_pair(n=2, q=8, k=1), seed=3)
+    # one call per signal count: every relay listen, then every end decode
+    assert result.end_errors == 0 and result.hop_errors == 0
+    assert spy.calls == [(2, result.hop_decodes), (1, result.end_decodes)]
+
+
+def test_noisy_run_decodes_at_most_four_times_its_listens(monkeypatch):
+    # a relay error ends a window, so a noisy run decodes some relay rows
+    # again; the window policy bounds the rows, not the calls
+    spy = _RowSpy()
+    monkeypatch.setattr(multihop, "relay_decode_sum", spy)
+    result = run_multihop(build_schedule(3, 300), pair=make_pair(n=2, q=4, k=1),
+                          sigma2=1.0, seed=0)
+    assert result.hop_errors > 100
+    assert spy.rows(1) == result.end_decodes
+    assert spy.rows() <= 4 * (result.hop_decodes + result.end_decodes)
 
 
 def test_numeric_noiseless_recovers_everything():
