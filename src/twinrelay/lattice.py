@@ -167,7 +167,8 @@ class NestedLatticePair:
             )
         self.generator_matrix = G
         q, k = self.coarse.q, G.shape[0]
-        if q ** k > ENUMERATION_GUARD:
+        size = q ** k
+        if size > ENUMERATION_GUARD:
             raise GuardExceededError(
                 f"codebook size {q}^{k} exceeds enumeration guard {ENUMERATION_GUARD}"
             )
@@ -179,16 +180,15 @@ class NestedLatticePair:
         if q & (q - 1) == 0:
             m = q.bit_length() - 1
             self._top_bits = sum((q >> 1) << (m * j) for j in range(k))
-            self._low_bits = (q ** k - 1) ^ self._top_bits
+            self._low_bits = (size - 1) ^ self._top_bits
         # Full code <=> fine lattice is gamma*Z^n; quantization then separates
         # per coordinate: the residues of the rounded coordinates, read as a
         # base-q key, index a lookup array of length q^n.
         self._is_full_code = k == self.coarse.n
         if self._is_full_code:
-            self._lookup = np.empty(q ** k, dtype=np.int64)
+            self._lookup = np.empty(size, dtype=np.int64)
         # Built in message chunks straight into the int32 rows, so a large
         # codebook holds no int64 copy of itself.
-        size = q ** k
         units = np.empty((size, self.coarse.n), dtype=np.int32)
         zero_words = 0
         for sl in scan_rows(size, self.coarse.n):
