@@ -10,10 +10,10 @@ node subtracts everything it already knows, leaving exactly one unknown
 packet per decode once the pipeline has filled.
 
 The symbolic executor tracks each node's state as an integer coefficient
-ledger over packet symbols.  The numeric executors replay the same
-schedule with codebook indices, fresh dithers per (slot, node), and the
-MMSE-scaled modulo decoder at every listener, decoding many slots per
-call (see `run_multihop`).
+ledger over packet symbols.  The numeric executor replays the same
+schedule with codebook indices on the chain's slot x position grid, with
+fresh dithers per (slot, node) and the MMSE-scaled modulo decoder at
+every listener, decoding many slots per call (see `run_multihop`).
 """
 
 from __future__ import annotations
@@ -306,19 +306,31 @@ def run_multihop(
     packets, so each end error counts a fresh decode failure rather than
     compounding earlier ones.
 
-    The results are those of a loop over slots, computed in batches of
-    slots.  No stream depends on a relay state, so every dither (per slot
-    and transmitter) and every noise row (per slot and listener that counts:
-    each relay, and each end node at its decode events) is drawn first.  A
-    window of slots is then planned in integers, taking each relay to decode
-    the mod-q sum of what its neighbours actually sent; the window's
-    transmissions are encoded in one `encode_node` call and its relay
+    The results are those of a loop over slots, computed on the chain's
+    slot x position grid.  Position p transmits in slot t when p + t is
+    odd and listens otherwise; `sent[t][p]` is the index it sends, so a
+    relay that decodes in slot t sends that decode in slot t + 1.  The
+    dithers, noise rows and signals are arrays indexed by (t, p).  No
+    stream depends on a relay state, so every dither (per slot and
+    transmitter) and every noise row (per slot and listener that counts:
+    each relay, and each end node at its decode events) is drawn first.
+
+    A window of slots is then planned in integers, each relay listen
+    taking the mod-q sum of what its neighbours send under the plan; the
+    window's rows are encoded in one `encode_node` call and its relay
     listens decoded in one `relay_decode_sum` call.  The slots up to and
     including the first one in which a relay decodes off the plan are
-    committed, with their end-node decodes in one more call; every decode
+    committed, that slot's decodes written into `sent`; every decode
     committed so saw the inputs the slot loop gives it, and each row's
-    decode is independent of its batch.  The first window is the whole
-    schedule; each next one is twice the slots the last committed.
+    decode is independent of its batch.  Each next window is twice the
+    slots the last one committed.  The first window is the whole schedule
+    from zero relay states, so its plan is the ideal run (what each
+    listener would decode were every decode right), which scores every
+    relay and end decode; a shorter one would leave the ideal of the later
+    slots to a tabulation of its own.  It also makes a noiseless run one
+    window.  A window re-encodes only slots it has not committed, so after
+    the loop every signal is what its slot sent, and the end decodes,
+    which feed nothing back, take one call.
     """
     if pair is None:
         return MultihopResult(schedule=schedule, mode="symbolic")
@@ -332,105 +344,53 @@ def run_multihop(
 
     result = MultihopResult(
         schedule=schedule, mode="numeric-awgn" if sigma2 > 0 else "numeric-noiseless")
-    nodes = schedule.nodes
-    sigma = math.sqrt(sigma2)
-    # Transmissions and decodes as rows in slot order.  A transmission
-    # carries its dither, the index it ideally sends, and the relay listen
-    # whose decode it sends (-1: an end node's packet or zero, or a relay's
-    # initial zero state).  A relay listen carries its two neighbours'
-    # transmissions and its ideal index, the mod-q sum of what they ideally
-    # sent; an end decode its neighbour's transmission.
-    dithers, ideal_tx, source = [], [], []
-    hop_nbs, hop_ideal, hop_slot, hop_noise = [], [], [], []
-    end_nb, end_noise = [], []
-    tx_start, hop_start, end_start = [0], [0], [0]
-    last: dict[str, int] = {}           # relay -> its latest listen
-    for i, rec in enumerate(schedule.slots):
-        talk, hear = _walk(nodes, rec.slot)
-        row: dict[str, int] = {}
-        for pos, nd in talk:
-            row[nd] = len(ideal_tx)
-            dithers.append(dither(generator(derive_seed(seed, TAG_DITHER, rec.slot, pos)),
-                                  pair.coarse))
-            if nd in ("A", "B"):
-                pkt = rec.injections.get(nd)
-                source.append(-1)
-                ideal_tx.append(truth[pkt] if pkt is not None else 0)
-            else:
-                source.append(last.get(nd, -1))
-                ideal_tx.append(hop_ideal[source[-1]] if source[-1] >= 0 else 0)
-        for pos, nd, heard in hear:
-            if nd in ("A", "B"):
-                if not any(ev.node == nd for ev in rec.decode_events):
-                    continue
-                end_nb.append(row[heard[0]])
-                noise = end_noise
-            else:
-                a, b = row[heard[0]], row[heard[1]]
-                last[nd] = len(hop_ideal)
-                hop_nbs.append((a, b))
-                hop_ideal.append(modulo_sum(ideal_tx[a], ideal_tx[b], pair))
-                hop_slot.append(i)
-                noise = hop_noise
-            if sigma2 > 0:
-                noise.append(generator(seed, TAG_NOISE, rec.slot, pos).normal(
-                    0.0, sigma, size=pair.n))
-        tx_start.append(len(ideal_tx))
-        hop_start.append(len(hop_ideal))
-        end_start.append(len(end_nb))
+    slots, relays, sigma = len(schedule.slots), schedule.relays, math.sqrt(sigma2)
+    end = {"A": (0, 1), "B": (relays + 1, relays)}     # end node -> (position, neighbour)
+    sent = [[0] * (relays + 2) for _ in range(slots + 2)]
+    dithers = np.zeros((slots + 2, relays + 2, pair.n))
+    noise = np.zeros_like(dithers)
+    signals = np.zeros_like(dithers)
+    listen = np.zeros((slots + 2, relays + 2), dtype=bool)    # the relay listens
+    for rec in schedule.slots:
+        t = rec.slot
+        for p in range(1 - t % 2, relays + 2, 2):
+            dithers[t, p] = dither(generator(derive_seed(seed, TAG_DITHER, t, p)), pair.coarse)
+        for nd, pkt in rec.injections.items():
+            sent[t][end[nd][0]] = truth[pkt]
+        listen[t, 2 - t % 2:relays + 1:2] = True
+        ends = [end[ev.node][0] for ev in rec.decode_events]
+        for p in [*range(2 - t % 2, relays + 1, 2), *ends] if sigma2 > 0 else ():
+            noise[t, p] = generator(seed, TAG_NOISE, t, p).normal(0.0, sigma, size=pair.n)
 
-    dithers = np.array(dithers).reshape(-1, pair.n)
-    if sigma2 > 0:
-        hop_noise = np.array(hop_noise).reshape(-1, pair.n)
-        end_noise = np.array(end_noise).reshape(-1, pair.n)
-    nbs = np.array(hop_nbs, dtype=np.int64).reshape(-1, 2)
-    end_nb = np.array(end_nb, dtype=np.int64)
-    end_ideal = np.array(ideal_tx, dtype=np.int64)[end_nb]
-    decoded = list(hop_ideal)            # committed, then planned, relay decodes
-    end_ok = np.zeros(len(end_nb), dtype=bool)
-
-    def sent(t: int) -> int:
-        """The index transmission t sends under the plan."""
-        return decoded[source[t]] if source[t] >= 0 else ideal_tx[t]
-
-    done, width = 0, len(schedule.slots)
-    while done < len(schedule.slots):
-        stop = min(done + width, len(schedule.slots))
-        t0, t1 = tx_start[done], tx_start[stop]
-        h0, h1 = hop_start[done], hop_start[stop]
-        for r in range(h0, h1):
-            a, b = hop_nbs[r]
-            sa, sb = sent(a), sent(b)
-            decoded[r] = (hop_ideal[r] if sa == ideal_tx[a] and sb == ideal_tx[b]
-                          else modulo_sum(sa, sb, pair))
-        signals = encode_node(np.array([sent(t) for t in range(t0, t1)], dtype=np.int64),
-                              dithers[t0:t1], pair)
-        if h1 > h0:
-            a, b = nbs[h0:h1, 0], nbs[h0:h1, 1]
-            y = signals[a - t0] + signals[b - t0]
-            if sigma2 > 0:
-                y += hop_noise[h0:h1]
-            got = relay_decode_sum(y, [dithers[a], dithers[b]], channel, pair)
-            miss = np.flatnonzero(got != decoded[h0:h1])
-            if miss.size:
-                stop = hop_slot[h0 + miss[0]] + 1
-            decoded[h0:hop_start[stop]] = got[:hop_start[stop] - h0].tolist()
-        e0, e1 = end_start[done], end_start[stop]
-        if e1 > e0:
-            nb = end_nb[e0:e1]
-            y = signals[nb - t0]
-            if sigma2 > 0:
-                y = y + end_noise[e0:e1]
-            got = relay_decode_sum(y, [dithers[nb]], channel, pair)
-            end_ok[e0:e1] = got == end_ideal[e0:e1]
+    done, stop = 0, slots
+    while done < slots:
+        for t in range(done + 1, stop + 1):     # the plan: every relay decodes right
+            now, nxt = sent[t], sent[t + 1]
+            for p in range(2 - t % 2, relays + 1, 2):
+                nxt[p] = modulo_sum(now[p - 1], now[p + 1], pair)
+        plan = np.array(sent[done:stop + 2])
+        if done == 0:
+            ideal = plan
+        signals[done + 1:stop + 1] = encode_node(plan[1:-1], dithers[done + 1:stop + 1], pair)
+        t, p = np.nonzero(listen[done + 1:stop + 1])
+        t += done + 1
+        y = signals[t, p - 1] + signals[t, p + 1] + noise[t, p]
+        got = relay_decode_sum(y, [dithers[t, p - 1], dithers[t, p + 1]], channel, pair)
+        miss = np.flatnonzero(got != plan[t + 1 - done, p])
+        if miss.size:
+            stop = int(t[miss[0]])
+            for i in miss[t[miss] == stop]:
+                sent[stop + 1][p[i]] = int(got[i])
         width = 2 * (stop - done)
-        done = stop
+        done, stop = stop, min(stop + width, slots)
 
-    result.hop_decodes = len(hop_ideal)
-    result.hop_errors = sum(d != t for d, t in zip(decoded, hop_ideal))
+    t, p, nb = np.array([(ev.slot, *end[ev.node]) for ev in schedule.decode_events]).T
+    got = relay_decode_sum(signals[t, nb] + noise[t, p], [dithers[t, nb]], channel, pair)
     # decoded - (incoming - packet) = packet <=> decoded = incoming
     result.recovered = [(ev.slot, ev.node, ev.packet, bool(ok))
-                        for ev, ok in zip(schedule.decode_events, end_ok)]
+                        for ev, ok in zip(schedule.decode_events, got == ideal[t, nb])]
+    result.hop_decodes = int(listen.sum())
+    result.hop_errors = int((np.array(sent) != ideal).sum())
     return result
 
 

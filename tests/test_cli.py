@@ -179,6 +179,22 @@ def test_multihop_symbolic_table_pass(tmp_path, capsys):
     assert doc["schedule"]["relays"] == 3
 
 
+@pytest.mark.parametrize("packets,checked", [("2", False), ("3", True)])
+def test_multihop_table1_checked_from_three_packets(tmp_path, capsys, packets, checked):
+    # the table's slots 1-6 need each end to inject three packets
+    out = tmp_path / "hop.json"
+    code, stdout, _ = run_cli(
+        capsys, "multihop", "--relays", "3", "--packets", packets,
+        "--mode", "symbolic", "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    lines = [line for line in stdout.splitlines() if line.startswith("table1")]
+    if checked:
+        assert lines == ["table1: PASS"] and doc["table1"] == "PASS"
+    else:
+        assert lines == [] and "table1" not in doc
+
+
 def test_multihop_numeric_noiseless(tmp_path, capsys):
     out = tmp_path / "hop2.json"
     code, stdout, _ = run_cli(
@@ -282,6 +298,14 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     assert stderr.startswith("error:") and "replace refused" in stderr
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.csv"]
+
+
+def test_write_error_names_the_requested_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.csv"
+    code, _, stderr = run_cli(capsys, "rates", "--out", str(target))
+    assert code == 1
+    assert stderr.startswith("error:") and str(target) in stderr and ".tmp" not in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_beside_a_stale_temp_file(tmp_path, capsys):
@@ -452,6 +476,31 @@ def test_out_of_range_value_exit_2_error_line_no_file(tmp_path, capsys, argv):
     assert code == 2
     assert stderr.startswith("error:") and "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == []
+
+
+_SEED_RUNS = [
+    ["sim", "lattice", "--snr-db", "8", "--trials", "100"],
+    ["multihop", "--relays", "2", "--packets", "4", "--mode", "numeric-noiseless"],
+    ["concentration", "--n-list", "8", "--samples", "1000", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64), "x"])
+@pytest.mark.parametrize("argv", _SEED_RUNS)
+def test_seed_outside_64_bits_exit_2_no_file(tmp_path, capsys, argv, seed):
+    # the streams key on the seed's low 64 bits, so a wider one would alias
+    code, _, stderr = run_cli(capsys, *argv, f"--seed={seed}", "--out", str(tmp_path / "x.out"))
+    _assert_exit_2_no_file(tmp_path, code, stderr)
+    assert "not a seed in [0, 2**64)" in stderr
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("argv", _SEED_RUNS)
+def test_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, argv, seed):
+    out = tmp_path / "x.json"
+    code, _, _ = run_cli(capsys, *argv, "--seed", str(seed), "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["master_seed"] == seed
 
 
 @pytest.mark.parametrize("argv,phrase", [
