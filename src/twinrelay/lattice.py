@@ -28,9 +28,7 @@ re-decided in float64, so the result is the `wrapped_sq_distances` argmin
 
 from __future__ import annotations
 
-import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -41,8 +39,9 @@ from .errors import DimensionMismatchError, GuardExceededError, ValidationError
 from .rng import generator
 
 ENUMERATION_GUARD = 1 << 20  # max codebook size q**k
-# Max entries n*(q-1)*size of the one-hot codebook matrix (256 MB of float32);
-# bsc.BinaryLinearCode.word_tables bounds its table scan by it too.
+# Max entries n*(q-1)*size of the one-hot codebook matrix (256 MB of float32)
+# and of the (size, n) codebook; it also bounds bsc.BinaryLinearCode.word_tables'
+# table scan and each array the trial kernels and `multihop` draw.
 ONE_HOT_GUARD = 1 << 26
 # Elements of one scan array: the distances from 24 rows to the 4,096
 # points of the Golay [24,12] codebook, so batching keeps memory flat.
@@ -67,8 +66,8 @@ class CoarseLattice:
             raise ValidationError(f"dimension must be positive, got {self.n}")
         if self.q < 2:
             raise ValidationError(f"modulus must be >= 2, got {self.q}")
-        if self.gamma <= 0:
-            raise ValidationError(f"shaping scale must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValidationError(f"shaping scale must be positive and finite, got {self.gamma}")
 
     @classmethod
     def for_power(cls, n: int, q: int, power: float) -> "CoarseLattice":
@@ -147,6 +146,16 @@ def _enumerate_messages(q: int, k: int) -> np.ndarray:
     return digits
 
 
+def _check_codebook(n: int, q: int, k: int) -> None:
+    """Check both codebook guards in Python ints, before any array is built."""
+    size = q ** min(k, ENUMERATION_GUARD.bit_length())  # q >= 2: over past 20 digits
+    if size > ENUMERATION_GUARD:
+        raise GuardExceededError(
+            f"codebook size {q}^{k} exceeds enumeration guard {ENUMERATION_GUARD}")
+    if size * n > ONE_HOT_GUARD:
+        raise GuardExceededError(f"codebook of {q}^{k} x {n} entries exceeds {ONE_HOT_GUARD}")
+
+
 @dataclass(eq=False)
 class NestedLatticePair:
     """Coarse shaping lattice plus a mod-q linear code defining the fine lattice.
@@ -160,18 +169,15 @@ class NestedLatticePair:
     codebook_units: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        G = np.asarray(self.generator_matrix, dtype=np.int64) % self.coarse.q
+        G = np.asarray(self.generator_matrix, dtype=np.int64)
         if G.ndim != 2 or G.shape[1] != self.coarse.n:
             raise ValidationError(
                 f"generator must be k x n with n={self.coarse.n}, got shape {G.shape}"
             )
-        self.generator_matrix = G
         q, k = self.coarse.q, G.shape[0]
+        _check_codebook(self.coarse.n, q, k)
+        self.generator_matrix = G = G % q
         size = q ** k
-        if size > ENUMERATION_GUARD:
-            raise GuardExceededError(
-                f"codebook size {q}^{k} exceeds enumeration guard {ENUMERATION_GUARD}"
-            )
         self._place = q ** np.arange(k, dtype=np.int64)
         # q = 2^m: the base-q digits of an index are its m-bit fields, and
         # `modulo_sum` works on the index words through these masks of each
@@ -276,6 +282,7 @@ def systematic_generator(n: int, k: int, q: int, seed: int | None = None) -> np.
     """
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_codebook(n, q, k)
     G = np.zeros((k, n), dtype=np.int64)
     G[:, :k] = np.eye(k, dtype=np.int64)
     if n > k:
@@ -361,37 +368,6 @@ def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
     return _sq_distances(x, pair.codebook_coords, pair.coarse.cell)
 
 
-_blas_threads = None  # (get, set) of numpy's OpenBLAS thread count, or ()
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the block in one BLAS thread, then restore the previous count.
-
-    A threaded BLAS stalls for milliseconds handing a product as small as a
-    quantizer block to its workers.  The controls are the entry points of
-    the OpenBLAS that numpy links, looked up on first use; without them
-    this does nothing.
-    """
-    global _blas_threads
-    if _blas_threads is None:
-        try:
-            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-            _blas_threads = (lib.scipy_openblas_get_num_threads64_,
-                             lib.scipy_openblas_set_num_threads64_)
-        except (AttributeError, OSError):
-            _blas_threads = ()
-    before = _blas_threads[0]() if _blas_threads else 1
-    if before == 1:
-        yield
-        return
-    _blas_threads[1](1)
-    try:
-        yield
-    finally:
-        _blas_threads[1](before)
-
-
 def _nearest(rows: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
     """Exact `wrapped_sq_distances` argmin of each row (m, n), ties to the lowest index.
 
@@ -442,11 +418,10 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
     Distance is measured to every fine representative (codebook point plus
     coarse translates); exact ties resolve to the lowest codebook index.
     A single row (shape (n,)) returns an int.  A full code (k = n) rounds
-    each coordinate; any other code scores row chunks as one
-    single-threaded float32 product each (see `_nearest`), with the same
-    argmin as `wrapped_sq_distances`.  A chunk's cost table with its residue-0
-    column (n*q values a row) and its (rows, size) scores both stay within
-    SCAN_WORKSET elements.
+    each coordinate; any other code scores row chunks as one float32 product
+    each (see `_nearest`), with the argmin of `wrapped_sq_distances`.  A
+    chunk's cost table with its residue-0 column (n*q values a row) and its
+    (rows, size) scores both stay within SCAN_WORKSET elements.
     """
     x = pair.coarse.check_dim(x)
     if pair._is_full_code:
@@ -454,9 +429,8 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
         return _index(pair._lookup[units @ pair._place])
     rows = x.reshape(-1, pair.n)
     out = np.empty(rows.shape[0], dtype=np.int64)
-    with _one_blas_thread():
-        for sl in scan_rows(rows.shape[0], max(pair.size, pair.n * pair.q)):
-            out[sl] = _nearest(rows[sl], pair)
+    for sl in scan_rows(rows.shape[0], max(pair.size, pair.n * pair.q)):
+        out[sl] = _nearest(rows[sl], pair)
     return _index(out.reshape(x.shape[:-1]))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardExceededError, ScheduleError, ValidationError
-from .lattice import NestedLatticePair, dither, modulo_sum
+from .lattice import ONE_HOT_GUARD, NestedLatticePair, dither, modulo_sum
 # Not called here since listeners decode through `relay_decode_sum`; kept as a
 # module attribute because perfbench's tracer wraps `multihop.quantize_fine`.
 from .lattice import quantize_fine  # noqa: F401
@@ -336,6 +336,11 @@ def run_multihop(
         return MultihopResult(schedule=schedule, mode="symbolic")
 
     channel = ChannelParams(power=pair.coarse.second_moment, sigma2=sigma2)
+    slots, relays, sigma = len(schedule.slots), schedule.relays, math.sqrt(sigma2)
+    if (slots + 2) * (relays + 2) * pair.n > ONE_HOT_GUARD:
+        raise GuardExceededError(
+            f"{slots + 2} x {relays + 2} x {pair.n} slot grid exceeds "
+            f"{ONE_HOT_GUARD} entries per array")
     pkt_rng = generator(seed, TAG_PACKET)
     truth: dict[Packet, int] = {}
     for direction in (1, 2):
@@ -344,7 +349,6 @@ def run_multihop(
 
     result = MultihopResult(
         schedule=schedule, mode="numeric-awgn" if sigma2 > 0 else "numeric-noiseless")
-    slots, relays, sigma = len(schedule.slots), schedule.relays, math.sqrt(sigma2)
     end = {"A": (0, 1), "B": (relays + 1, relays)}     # end node -> (position, neighbour)
     sent = [[0] * (relays + 2) for _ in range(slots + 2)]
     dithers = np.zeros((slots + 2, relays + 2, pair.n))

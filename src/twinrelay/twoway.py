@@ -29,8 +29,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import harness, rates
-from .errors import ValidationError
+from .errors import GuardExceededError, ValidationError
 from .lattice import (
+    ONE_HOT_GUARD,
     NestedLatticePair,
     dither,
     encode_message,
@@ -296,6 +297,10 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
     params (all required): n, q, k, snr_db (None for noiseless), power and
     mode ("index"|"direct"); only the generator rows are optional.
     """
+    n = int(params["n"])
+    if count * n > ONE_HOT_GUARD:  # checked before the pair is built
+        raise GuardExceededError(
+            f"{count} x {n} lattice block exceeds {ONE_HOT_GUARD} entries per array")
     pair = pair_from_params(params)
     ch = ChannelParams.from_snr_db(params["snr_db"], float(params["power"]))
     mode = BroadcastMode(params["mode"])

@@ -509,11 +509,35 @@ def test_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, argv, seed):
     (["sim", "minangle", "--power", "1e308", "--snr-db", "10"], "more than 2000000 points"),
     (["sim", "minangle", "--gamma", "1e-300", "--snr-db", "10"], "more than 2000000 points"),
     (["sim", "minangle", "--power", "1e200", "--snr-db", "10"], "more than 2000000 points"),
+    # q^k and the (q^k, n) codebook are bounded in Python ints, so a modulus
+    # past int64 or a dimension past numpy's shapes never reaches an array
+    (["sim", "lattice", "--q", str(1 << 70)], "enumeration guard"),
+    (["sim", "lattice", "--q", str((1 << 63) - 1)], "enumeration guard"),
+    (["sim", "lattice", "--n", "5000000", "--q", "16"], "codebook of 16^1 x 5000000"),
+    # the (trials, n) draws are bounded before the pair is built
+    (["sim", "lattice", "--n", str(10 ** 20)], "lattice block exceeds"),
+    (["sim", "lattice", "--n", "100000000", "--k", "1"], "lattice block exceeds"),
 ], ids=["anc-power-block", "minangle-power-1e308", "minangle-gamma-1e-300",
-        "minangle-power-1e200"])
+        "minangle-power-1e200", "lattice-q-2^70", "lattice-q-2^63-1",
+        "lattice-codebook", "lattice-n-1e20", "lattice-block"])
 def test_guard_exit_1_short_error_line_no_file(tmp_path, capsys, argv, phrase):
     code, _, stderr = run_cli(capsys, *argv, "--trials", "10",
                               "--out", str(tmp_path / "a.json"))
+    assert code == 1
+    assert stderr.startswith("error:") and phrase in stderr
+    assert stderr.count("\n") == 1 and len(stderr) < 300
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,phrase", [
+    (["--packets", "1", "--q", str(1 << 70)], "enumeration guard"),
+    (["--packets", "1", "--n", str(10 ** 20)], "codebook of 8^1 x"),
+    # a 1,000-slot schedule of 50,000-dimensional signals: the pair is small
+    (["--packets", "500", "--n", "50000", "--q", "2"], "slot grid exceeds"),
+], ids=["q-2^70", "n-1e20", "slot-grid"])
+def test_multihop_guard_exit_1_short_error_line_no_file(tmp_path, capsys, argv, phrase):
+    code, _, stderr = run_cli(capsys, "multihop", "--mode", "numeric-noiseless",
+                              "--relays", "1", *argv, "--out", str(tmp_path / "h.json"))
     assert code == 1
     assert stderr.startswith("error:") and phrase in stderr
     assert stderr.count("\n") == 1 and len(stderr) < 300

@@ -1,8 +1,13 @@
 """Lattice arithmetic: folds, codebooks, dithers, exact group structure."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +131,12 @@ def test_encode_message_row_is_read_only():
 def test_coarse_for_power_checks_modulus_first(q):
     with pytest.raises(ValidationError, match="modulus must be >= 2"):
         CoarseLattice.for_power(n=2, q=q, power=1.0)
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+def test_coarse_refuses_a_nonpositive_or_nonfinite_scale(gamma):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        CoarseLattice(n=2, q=4, gamma=gamma)
 
 
 def test_encode_index_out_of_range():
@@ -268,6 +279,24 @@ def test_dithered_codeword_power():
 def test_enumeration_guard():
     with pytest.raises(GuardExceededError):
         make_pair(n=21, q=2, k=21, power=1.0)
+
+
+@pytest.mark.parametrize("n,q,k,match", [
+    (1, 1 << 70, 1, "enumeration guard"),        # past int64: `% q` would overflow
+    (10 ** 18, 2, 10 ** 18, "enumeration guard"),  # q^k is never formed
+    (10 ** 20, 4, 1, r"codebook of 4\^1 x"),      # past numpy's largest shape
+])
+def test_codebook_guards_refuse_before_any_array(n, q, k, match):
+    with pytest.raises(GuardExceededError, match=match):
+        make_pair(n=n, q=q, k=k, power=1.0)
+    with pytest.raises(GuardExceededError, match=match):
+        systematic_generator(n, k, q)
+
+
+def test_direct_pair_checks_the_guard_before_reducing_its_generator():
+    coarse = CoarseLattice(n=2, q=1 << 70, gamma=1.0)
+    with pytest.raises(GuardExceededError, match="enumeration guard"):
+        NestedLatticePair(coarse=coarse, generator_matrix=[[1, 0]])
 
 
 @pytest.mark.parametrize("n,q,k", [(1, 4, 1), (3, 5, 2), (24, 2, 12), (16, 2, 16),
@@ -490,35 +519,35 @@ def test_quantizer_chunks_bound_the_cost_table():
                           np.argmin(wrapped_sq_distances(x[sample], pair), axis=1))
 
 
-def test_quantizer_restores_blas_thread_count(monkeypatch):
-    pair = make_pair(n=8, q=2, k=4, power=1.0)
-    x = generator(31).normal(0.0, 1.0, size=(50, 8))
-    quantize_fine(x, pair)
-    if not lattice._blas_threads:
-        pytest.skip("numpy's BLAS has no OpenBLAS thread controls")
-    get, put = lattice._blas_threads
-    original = get()
-    seen = []
-    nearest = lattice._nearest
+def _quantizer_digest() -> str:
+    """sha256 of `quantize_fine`'s indices on Golay [24,12] and q = 3 [16,5]:
+    seeded random rows and midpoints of seeded codeword pairs."""
+    digest = hashlib.sha256()
+    for seed, name in enumerate(("golay-24-12", "q3-n16-k5")):
+        pair = make_pair(power=1.0, **QUANTIZER_PAIRS[name])
+        rng, cell = generator(41, seed), pair.coarse.cell
+        a = encode_message(rng.integers(pair.size, size=1024), pair)
+        b = encode_message(rng.integers(pair.size, size=1024), pair)
+        for x in (rng.uniform(-cell / 2, cell / 2, size=(2048, pair.n)),
+                  a + mod_coarse(b - a, pair.coarse) / 2):
+            digest.update(np.ascontiguousarray(quantize_fine(x, pair), dtype=np.int64))
+    return digest.hexdigest()
 
-    def spy(rows, pair):
-        seen.append(get())
-        if len(seen) == 3:
-            raise RuntimeError("stop")
-        return nearest(rows, pair)
 
-    monkeypatch.setattr(lattice, "_nearest", spy)
-    try:
-        for before in (1, 2):
-            put(before)
-            quantize_fine(x, pair)
-            assert get() == before
-        with pytest.raises(RuntimeError, match="stop"):
-            quantize_fine(x, pair)
-        assert get() == 2
-    finally:
-        put(original)
-    assert seen == [1, 1, 1]
+def test_quantizer_indices_do_not_depend_on_blas_threads():
+    # the product runs on as many BLAS threads as numpy's OpenBLAS is given;
+    # `_nearest`'s slack covers any summation order, so one thread and all
+    # of them give the same indices, and the same as this process
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = set()
+    for threads in ("1", str(os.cpu_count() or 1)):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", "import test_lattice; print(test_lattice._quantizer_digest())"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert digests == {_quantizer_digest()}
 
 
 def test_one_hot_guard():
