@@ -194,12 +194,15 @@ class NestedLatticePair:
         if self._is_full_code:
             self._lookup = np.empty(size, dtype=np.int64)
         # Built in message chunks straight into the int32 rows, so a large
-        # codebook holds no int64 copy of itself.
+        # codebook holds no int64 copy of itself.  The product runs in float64
+        # through BLAS: its entries are integers of at most k*(q-1)^2 <= 2^40
+        # (q^k <= ENUMERATION_GUARD), so it is exact.
         units = np.empty((size, self.coarse.n), dtype=np.int32)
         zero_words = 0
+        G_float = G.astype(float)
         for sl in scan_rows(size, self.coarse.n):
             index = np.arange(sl.start, min(sl.stop, size))
-            words = self.digits(index) @ G
+            words = (self.digits(index).astype(float) @ G_float).astype(np.int64)
             words %= q
             zero_words += np.count_nonzero(~words.any(axis=1))
             if self._is_full_code:

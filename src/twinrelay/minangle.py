@@ -27,6 +27,7 @@ from .lattice import scan_rows
 BALL_GUARD = 100_000        # max points per ball codebook
 PAIR_GUARD = 10_000_000     # max enumerated codeword pairs
 CONC_BATCH = 1000           # pair draws per concentration trial
+_EPS64 = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,9 @@ class SumCodebook:
     pair_to_sum: np.ndarray      # (m, m) row of each pair's sum in sum_units
     shell_points: np.ndarray     # the on-shell sum points
     shell_row: np.ndarray        # row of each sum in shell_points, -1 off the shell
+    sum_keys: np.ndarray         # row-major key of each distinct sum in its box, ascending
+    key_low: np.ndarray          # the box's lowest corner: units - key_low index the box
+    key_box: tuple               # the box's shape
 
     @classmethod
     def from_codebook(cls, cb: BallCodebook, shell: ShellSpec) -> "SumCodebook":
@@ -145,6 +149,7 @@ class SumCodebook:
             codebook=cb, sum_units=units, sum_points=pts, on_shell=on_shell,
             pair_to_sum=inverse.reshape(cb.size, cb.size), shell_points=pts[on_shell],
             shell_row=np.where(on_shell, np.cumsum(on_shell) - 1, -1),
+            sum_keys=uniq, key_low=2 * lo, key_box=box,
         )
 
 
@@ -168,16 +173,51 @@ def min_angle_decode(y: np.ndarray, points: np.ndarray):
     return int(out[0]) if y.ndim == 1 else out.reshape(y.shape[:-1])
 
 
-def nearest_sum(y: np.ndarray, sum_points: np.ndarray) -> np.ndarray:
+def nearest_sum(y: np.ndarray, sums: SumCodebook) -> np.ndarray:
     """Row of the sum point nearest to each row of y (m, n); ties to the lowest row.
 
-    The unrestricted maximum-likelihood reference for the angle decoder,
-    scanned in row chunks of at most SCAN_WORKSET coordinate differences.
+    The unrestricted maximum-likelihood reference for the angle decoder: the
+    argmin of the float64 squared distances from y to every `sum_points` row.
+    Every sum lies on gamma*Z^n + 2s, whose point nearest to y is
+    gamma*w + 2s with w = rint(t), t = (y - 2s)/gamma (Conway & Sloane, 1982),
+    so a w whose key is among `sum_keys` is the nearest sum, at that key's
+    position.  Rows whose w leaves the key box or is not a sum, and rows
+    with margin mu = 1/2 - max_i |t_i - w_i| below slack = 4*eps64*(n^2 + R),
+    R = max_i (|y_i| + 2|s_i|)/gamma, are scanned in row chunks of at most
+    SCAN_WORKSET coordinate differences.
+
+    Past the slack the scan's argmin is w, strictly.  In units of gamma and
+    to first order (second-order terms fit in the slack's factor 2, as a
+    decided row has eps64*R < 1/8): computed t errs by at most eps64*R a
+    coordinate, and t - w and mu are exact (Sterbenz) or mu > 1/4, so the
+    true margin is at least mu - eps64*R.  For a sum v at G_i = |v_i - t_i|,
+    the stored fl(fl(gamma*v_i) + 2s_i), its difference from y_i and the
+    square err by at most eps64*(4G_i^2 + 2G_i*R) as a distance term; the
+    sum of n non-negative terms errs by a factor n*eps64/2 in any order.
+    Where v_i = w_i the terms are bit-identical and together at most n/4.
+    Where v_i != w_i, G_i >= 1 - e_i with e_i = |t_i - w_i| for the true t,
+    and G_i^2 - e_i^2 >= 1 - 2e_i >= 2(mu - eps64*R); the term gap less its
+    errors grows with G_i, so v loses to w once
+    mu > eps64*(n(n+1)/8 + 1 + 2R), at most half the slack.
     """
-    out = np.empty(y.shape[0], dtype=np.int64)
-    for sl in scan_rows(y.shape[0], sum_points.size):
-        diff = sum_points - y[sl, None, :]
-        out[sl] = np.argmin(np.einsum("cmn,cmn->cm", diff, diff), axis=1)
+    cb = sums.codebook
+    shift = 2.0 * cb.translation[:, None]
+    yt = np.ascontiguousarray(y.T)  # (n, m): reductions run across rows
+    t = (yt - shift) / cb.gamma
+    w = np.rint(t)
+    units = w - sums.key_low[:, None]
+    # Boxed in float, so no row outside the box meets an int64 cast.
+    inside = ((units >= 0) & (units < np.array(sums.key_box)[:, None])).all(axis=0)
+    key = np.ravel_multi_index(tuple(np.where(inside, units, 0).astype(np.intp)),
+                               sums.key_box)
+    row = np.searchsorted(sums.sum_keys, key).clip(max=sums.sum_keys.size - 1)
+    margin = 0.5 - np.abs(t - w).max(axis=0)
+    slack = 4 * _EPS64 * (cb.n ** 2 + (np.abs(yt).max(axis=0) + np.abs(shift).max()) / cb.gamma)
+    out = np.where(inside & (sums.sum_keys[row] == key) & (margin >= slack), row, -1)
+    rest = np.flatnonzero(out < 0)
+    for sl in scan_rows(rest.size, sums.sum_points.size):
+        diff = sums.sum_points - y[rest[sl], None, :]
+        out[rest[sl]] = np.argmin(np.einsum("cmn,cmn->cm", diff, diff), axis=1)
     return out
 
 
@@ -294,7 +334,7 @@ def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray
     """
     sums = decoder_instance(params)
     true_sum_row = sums.pair_to_sum[draws.i, draws.j]
-    ml_error = nearest_sum(draws.y, sums.sum_points) != true_sum_row
+    ml_error = nearest_sum(draws.y, sums) != true_sum_row
     on_shell = sums.on_shell[true_sum_row]
     wrong = min_angle_decode(draws.y, sums.shell_points) != sums.shell_row[true_sum_row]
     return {"angle_error": ~on_shell | wrong, "angle_error_on_shell": on_shell & wrong,

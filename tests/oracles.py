@@ -116,6 +116,20 @@ def float_direction_collision(points) -> bool:
     return False
 
 
+def nearest_sum_scan(y, sum_points) -> np.ndarray:
+    """Row of the sum point nearest to each row of y (m, n), ties to the lowest
+    row: the float64 argmin of the squared distances from y to every sum,
+    computed as `minangle.nearest_sum` scans them, over row chunks of at most
+    2^17 coordinate differences."""
+    y = np.asarray(y, dtype=float)
+    step = max(1, 2 ** 17 // sum_points.size)
+    out = np.empty(len(y), dtype=np.int64)
+    for start in range(0, len(y), step):
+        diff = sum_points - y[start:start + step, None, :]
+        out[start:start + step] = np.argmin(np.einsum("cmn,cmn->cm", diff, diff), axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Relay symbol error for the 1-D uncoded modulo scheme
 # ---------------------------------------------------------------------------

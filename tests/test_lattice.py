@@ -402,6 +402,27 @@ QUANTIZER_PAIRS = {
 }
 
 
+BUILD_PAIRS = {
+    "q2-n20-k20": dict(n=20, q=2, k=20),
+    "q4-n10-k10": dict(n=10, q=4, k=10),
+    "q2^20-n1-k1": dict(n=1, q=2 ** 20, k=1),
+    "q3-n24-k8": dict(n=24, q=3, k=8),
+    "golay-24-12": QUANTIZER_PAIRS["golay-24-12"],
+}
+
+
+@pytest.mark.parametrize("name", BUILD_PAIRS)
+def test_codebook_units_equal_int64_product(name):
+    """The float64 BLAS product builds the codebook the int64 product does:
+    u*G mod q, centered, for every message, in chunks of 2^16 messages."""
+    pair = make_pair(**BUILD_PAIRS[name])
+    G = pair.generator_matrix
+    for start in range(0, pair.size, 1 << 16):
+        index = np.arange(start, min(start + (1 << 16), pair.size))
+        want = centered_units(pair.digits(index) @ G % pair.q, pair.q)
+        assert np.array_equal(pair.codebook_units[index], want), (name, start)
+
+
 def _reference(x, pair):
     """Row-chunked argmin of the reference distances, rows (m, n) or one row."""
     rows = np.atleast_2d(x)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
+from twinrelay import minangle
 from twinrelay.cli import main
 from twinrelay.errors import DirectionCollisionError, ValidationError
 from twinrelay.harness import ExperimentSpec, run_trials, wilson_interval
+from twinrelay.lattice import scan_rows
 from twinrelay.minangle import (
     MINANGLE_ERROR_KEYS,
     PAIR_GUARD,
@@ -24,8 +26,10 @@ from twinrelay.minangle import (
     check_distinct_directions,
     half_cell_codebook,
     min_angle_decode,
+    nearest_sum,
 )
 from twinrelay.rng import generator
+from twinrelay.twoway import ChannelParams
 
 
 def test_shellspec_radii():
@@ -302,3 +306,119 @@ def test_minangle_rows_replay_scalar_decode():
         assert rows["ml_error"][r] == (ml != true)
     for key in ("angle_error_on_shell", "off_shell", "ml_error"):
         assert 0 < np.count_nonzero(rows[key]) < 500, key
+
+
+# Sum codebooks for the rounding reference: the README and criterion 12
+# parameters (n = 3, gamma = 1, P = 2), other gammas and dimensions, and
+# translations other than the half cell (in units of gamma).
+ROUNDING_CASES = {
+    "readme": (3, 1.0, 2.0, None),
+    "n1-third": (1, 1 / 3, 2.0, None),
+    "n1-shifted": (1, 1.0, 2.0, [0.1]),
+    "n2-0.7": (2, 0.7, 2.0, None),
+    "n3-third": (3, 1 / 3, 1.0, None),
+    "n3-shifted": (3, 1.0, 1.5, [0.25, 0.5, 0.1]),
+    "n4-0.7-shifted": (4, 0.7, 1.0, [0.3, 0.1, 0.45, 0.2]),
+    "n6": (6, 1.0, 1.0, None),
+}
+
+
+def _rounding_sums(case):
+    n, gamma, power, shift = ROUNDING_CASES[case]
+    s = np.full(n, 0.5) if shift is None else np.asarray(shift)
+    cb = BallCodebook(gamma=gamma, translation=gamma * s, power=power)
+    return SumCodebook.from_codebook(cb, ShellSpec(n=n, power=power, delta=power))
+
+
+def _noiseless_rows(sums, rng, count):
+    points = sums.codebook.points
+    return points[rng.integers(len(points), size=count)] + points[
+        rng.integers(len(points), size=count)]
+
+
+def _midpoint_rows(sums, rng, count):
+    """Exact midpoints of two sums one unit apart in one coordinate."""
+    units = sums.sum_units
+    a = rng.integers(len(units), size=4 * count)
+    step = np.eye(units.shape[1], dtype=units.dtype)[rng.integers(units.shape[1], size=a.size)]
+    key = np.ravel_multi_index(tuple(np.clip(units[a] + step - sums.key_low, 0, None).T),
+                               sums.key_box, mode="clip")
+    b = np.searchsorted(sums.sum_keys, key).clip(max=len(units) - 1)
+    keep = np.flatnonzero(np.all(units[b] == units[a] + step, axis=1))[:count]
+    return (sums.sum_points[a[keep]] + sums.sum_points[b[keep]]) / 2
+
+
+def _probe_rows(sums, rng, count):
+    """Rows of each kind the rounding reference must decide as the scan does."""
+    cb = sums.codebook
+    n, gamma, shift = cb.n, cb.gamma, 2.0 * cb.translation
+    noiseless = _noiseless_rows(sums, rng, count)
+    spread = cb.power * 10.0 ** -np.linspace(-1.0, 3.0, count)[:, None]
+    lattice = lambda w: gamma * w + shift  # noqa: E731
+    sum_units = sums.sum_units[rng.integers(len(sums.sum_units), size=count)]
+    halves = rng.integers(-1, 2, size=(count, n)) / 2
+    mid = _midpoint_rows(sums, rng, count)
+    nudges = (10.0 ** rng.uniform(-15, -6, size=(len(mid), 1)) * gamma
+              * rng.choice([-1.0, 1.0], size=mid.shape))
+    box = sums.key_low + rng.integers(0, np.array(sums.key_box), size=(8 * count, n))
+    keys = np.ravel_multi_index(tuple((box - sums.key_low).T), sums.key_box)
+    hole = box[~np.isin(keys, sums.sum_keys)][:count]
+    outside = sums.key_low - 1 - rng.integers(0, 3, size=(count, n))
+    huge = ChannelParams.from_snr_db(-3000.0, cb.power).sigma2
+    return {
+        "noisy": noiseless + rng.normal(size=noiseless.shape) * np.sqrt(spread),
+        "noiseless": noiseless,
+        "half-integer": lattice(sum_units + halves),
+        "midpoint": mid,
+        "midpoint-nudged": mid + nudges,
+        "non-sum": lattice(hole) + 1e-3 * gamma * rng.standard_normal(hole.shape),
+        "outside-box": lattice(np.where(rng.random((count, n)) < 0.5, outside,
+                                        sums.key_low + np.array(sums.key_box) - outside)),
+        "huge-noise": noiseless + rng.normal(0.0, math.sqrt(huge), size=noiseless.shape),
+    }
+
+
+@pytest.mark.parametrize("case, count", [
+    ("readme", 4000), ("n1-third", 500), ("n1-shifted", 500), ("n2-0.7", 2000),
+    ("n3-third", 400), ("n3-shifted", 2000), ("n4-0.7-shifted", 400), ("n6", 40),
+])
+def test_nearest_sum_equals_all_sums_argmin(case, count):
+    """Rounding decides each row as the float64 scan over every sum does,
+    ties to the lowest row, on random, noiseless, tied and nudged rows, rows
+    that round onto a non-sum or out of the box, and huge-noise rows."""
+    sums = _rounding_sums(case)
+    for kind, y in _probe_rows(sums, generator(25), count).items():
+        # at n = 1 the sums fill their box, which then has no non-sum point
+        assert len(y) > 0 or (kind, sums.codebook.n) == ("non-sum", 1), kind
+        want = oracles.nearest_sum_scan(y, sums.sum_points)
+        assert np.array_equal(nearest_sum(y, sums), want), kind
+
+
+def test_nearest_sum_equals_all_sums_argmin_on_minangle_draws():
+    # the README's `sim minangle` draws (criterion 12's parameters), noisy
+    # and noiseless
+    sums = _decoder_instance(3, 1.0, 2.0, 1.5)
+    for sigma2 in (2.0 / 10 ** 1.5, 0.0):
+        params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": sigma2, "delta": 1.5}
+        y = draw_minangle(generator(26), 20_000, params).y
+        assert np.array_equal(nearest_sum(y, sums), oracles.nearest_sum_scan(y, sums.sum_points))
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
+def test_nearest_sum_scans_exactly_the_undecided_rows(case, monkeypatch):
+    """Noiseless rows never reach the scan; exact midpoints always do."""
+    scanned = []
+
+    def spy(rows, width):
+        scanned.append(rows)
+        return scan_rows(rows, width)
+
+    monkeypatch.setattr(minangle, "scan_rows", spy)
+    sums = _rounding_sums(case)
+    rng = generator(27)
+    nearest_sum(_noiseless_rows(sums, rng, 2000), sums)
+    assert sum(scanned) == 0
+    mid = _midpoint_rows(sums, rng, 200)
+    scanned.clear()
+    nearest_sum(mid, sums)
+    assert len(mid) > 0 and sum(scanned) == len(mid)
