@@ -341,8 +341,8 @@ def _midpoint_rows(sums, rng, count):
     units = sums.sum_units
     a = rng.integers(len(units), size=4 * count)
     step = np.eye(units.shape[1], dtype=units.dtype)[rng.integers(units.shape[1], size=a.size)]
-    key = np.ravel_multi_index(tuple(np.clip(units[a] + step - sums.key_low, 0, None).T),
-                               sums.key_box, mode="clip")
+    key = np.ravel_multi_index(tuple((units[a] + step - sums.key_low).T), sums.key_box,
+                               mode="clip")
     b = np.searchsorted(sums.sum_keys, key).clip(max=len(units) - 1)
     keep = np.flatnonzero(np.all(units[b] == units[a] + step, axis=1))[:count]
     return (sums.sum_points[a[keep]] + sums.sum_points[b[keep]]) / 2
@@ -352,28 +352,32 @@ def _probe_rows(sums, rng, count):
     """Rows of each kind the rounding reference must decide as the scan does."""
     cb = sums.codebook
     n, gamma, shift = cb.n, cb.gamma, 2.0 * cb.translation
+    box = np.array(sums.key_box)
     noiseless = _noiseless_rows(sums, rng, count)
     spread = cb.power * 10.0 ** -np.linspace(-1.0, 3.0, count)[:, None]
-    lattice = lambda w: gamma * w + shift  # noqa: E731
-    sum_units = sums.sum_units[rng.integers(len(sums.sum_units), size=count)]
+    units = sums.sum_units[rng.integers(len(sums.sum_units), size=count)]
     halves = rng.integers(-1, 2, size=(count, n)) / 2
     mid = _midpoint_rows(sums, rng, count)
     nudges = (10.0 ** rng.uniform(-15, -6, size=(len(mid), 1)) * gamma
               * rng.choice([-1.0, 1.0], size=mid.shape))
-    box = sums.key_low + rng.integers(0, np.array(sums.key_box), size=(8 * count, n))
-    keys = np.ravel_multi_index(tuple((box - sums.key_low).T), sums.key_box)
-    hole = box[~np.isin(keys, sums.sum_keys)][:count]
-    outside = sums.key_low - 1 - rng.integers(0, 3, size=(count, n))
+    in_box = sums.key_low + rng.integers(0, box, size=(8 * count, n))
+    keys = np.ravel_multi_index(tuple((in_box - sums.key_low).T), sums.key_box)
+    hole = in_box[~np.isin(keys, sums.sum_keys)][:count]
+    # one coordinate 1 to 3 units below or above the box, the others on a sum
+    beyond = units.copy()
+    coord, reach = rng.integers(n, size=count), rng.integers(0, 3, size=count)
+    below = rng.random(count) < 0.5
+    beyond[np.arange(count), coord] = np.where(
+        below, sums.key_low[coord] - 1 - reach, sums.key_low[coord] + box[coord] + reach)
     huge = ChannelParams.from_snr_db(-3000.0, cb.power).sigma2
     return {
         "noisy": noiseless + rng.normal(size=noiseless.shape) * np.sqrt(spread),
         "noiseless": noiseless,
-        "half-integer": lattice(sum_units + halves),
+        "half-integer": gamma * (units + halves) + shift,
         "midpoint": mid,
         "midpoint-nudged": mid + nudges,
-        "non-sum": lattice(hole) + 1e-3 * gamma * rng.standard_normal(hole.shape),
-        "outside-box": lattice(np.where(rng.random((count, n)) < 0.5, outside,
-                                        sums.key_low + np.array(sums.key_box) - outside)),
+        "non-sum": gamma * hole + shift + 1e-3 * gamma * rng.standard_normal(hole.shape),
+        "outside-box": gamma * beyond + shift,
         "huge-noise": noiseless + rng.normal(0.0, math.sqrt(huge), size=noiseless.shape),
     }
 
