@@ -41,8 +41,8 @@ class ShellSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.n}")
-        if self.power <= 0:
-            raise ValidationError(f"power must be positive, got {self.power}")
+        if not 0 < self.power < math.inf:
+            raise ValidationError(f"power must be positive and finite, got {self.power}")
         if not 0.0 < self.delta < 2.0 * self.power:
             raise ValidationError(
                 f"delta must lie in (0, 2P) = (0, {2 * self.power}), got {self.delta}"
@@ -70,8 +70,8 @@ class BallCodebook:
         n = s.shape[0]
         if n < 1:
             raise ValidationError(f"dimension must be >= 1, got {n}")
-        if self.gamma <= 0 or self.power <= 0:
-            raise ValidationError("gamma and power must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.power < math.inf and np.isfinite(s).all()):
+            raise ValidationError("gamma and power must be positive and finite, and s finite")
         self.translation = s
         radius = math.sqrt(n * self.power)
         # Bounding-box sweep: every coordinate of an in-ball point satisfies
@@ -120,37 +120,35 @@ class SumCodebook:
     transmitters use the same lattice), partitioned by shell membership."""
 
     codebook: BallCodebook
-    sum_units: np.ndarray        # distinct sums, integer units, in lexicographic order
-    sum_points: np.ndarray       # distinct sums, coordinates
-    on_shell: np.ndarray         # bool per distinct sum
-    pair_to_sum: np.ndarray      # (m, m) row of each pair's sum in sum_units
-    shell_points: np.ndarray     # the on-shell sum points
-    shell_row: np.ndarray        # row of each sum in shell_points, -1 off the shell
-    sum_keys: np.ndarray         # row-major key of each distinct sum in its box, ascending
+    code_keys: np.ndarray        # each codeword's key
+    sum_keys: np.ndarray         # the distinct sums' keys (a sum's identity), ascending
     key_low: np.ndarray          # the box's lowest corner: units - key_low index the box
     key_box: tuple               # the box's shape
+    sum_points: np.ndarray       # the distinct sums' coordinates, in key order
+    shell_keys: np.ndarray       # the on-shell sums' keys, ascending
+    shell_points: np.ndarray     # the on-shell sums' coordinates, in key order
 
     @classmethod
     def from_codebook(cls, cb: BallCodebook, shell: ShellSpec) -> "SumCodebook":
-        total = cb.size * cb.size
-        if total > PAIR_GUARD:
-            raise GuardExceededError(f"{total} pairs exceed guard {PAIR_GUARD}")
-        # Each codeword's row-major index in the box of pair sums.  The index
-        # is linear, so a pair's is the sum of its codewords', and it orders
-        # the sums lexicographically.
+        if cb.size ** 2 > PAIR_GUARD:
+            raise GuardExceededError(f"{cb.size ** 2} pairs exceed guard {PAIR_GUARD}")
+        # A codeword's key is its row-major index in the box of pair sums, so a
+        # pair's key is the sum of its codewords'; keys order sums lexicographically.
         lo = cb.units.min(axis=0)
         box = tuple(2 * (cb.units.max(axis=0) - lo) + 1)
         key = np.ravel_multi_index(tuple((cb.units - lo).T), box)
-        uniq, inverse = np.unique(key[:, None] + key[None, :], return_inverse=True)
+        # Deduplicated by row chunks, each paired with the codewords from its
+        # first row on (a swap has the same key), so no (m, m) array exists.
+        # Codeword keys ascend, so a stable sort (timsort) merges the rows' runs.
+        uniq = key[:0]
+        for sl in scan_rows(cb.size, cb.size):
+            part = np.sort(np.append(uniq, key[sl, None] + key[sl.start:]), kind="stable")
+            uniq = part[np.diff(part, prepend=-1) > 0]
         units = np.stack(np.unravel_index(uniq, box), axis=1) + 2 * lo
         pts = cb.gamma * units + 2.0 * cb.translation
         on_shell = shell.contains_sq(np.einsum("ij,ij->i", pts, pts))
-        return cls(
-            codebook=cb, sum_units=units, sum_points=pts, on_shell=on_shell,
-            pair_to_sum=inverse.reshape(cb.size, cb.size), shell_points=pts[on_shell],
-            shell_row=np.where(on_shell, np.cumsum(on_shell) - 1, -1),
-            sum_keys=uniq, key_low=2 * lo, key_box=box,
-        )
+        return cls(codebook=cb, code_keys=key, sum_keys=uniq, key_low=2 * lo, key_box=box,
+                   sum_points=pts, shell_keys=uniq[on_shell], shell_points=pts[on_shell])
 
 
 def min_angle_decode(y: np.ndarray, points: np.ndarray):
@@ -208,8 +206,7 @@ def nearest_sum(y: np.ndarray, sums: SumCodebook) -> np.ndarray:
     units = w - sums.key_low[:, None]
     # Boxed in float, so no row outside the box meets an int64 cast.
     inside = ((units >= 0) & (units < np.array(sums.key_box)[:, None])).all(axis=0)
-    key = np.ravel_multi_index(tuple(np.where(inside, units, 0).astype(np.intp)),
-                               sums.key_box)
+    key = np.ravel_multi_index(tuple(np.where(inside, units, 0).astype(np.intp)), sums.key_box)
     row = np.searchsorted(sums.sum_keys, key).clip(max=sums.sum_keys.size - 1)
     margin = 0.5 - np.abs(t - w).max(axis=0)
     slack = 4 * _EPS64 * (cb.n ** 2 + (np.abs(yt).max(axis=0) + np.abs(shift).max()) / cb.gamma)
@@ -226,17 +223,18 @@ def check_distinct_directions(units: np.ndarray) -> None:
     (angle decoding ambiguous).
 
     Two rows share a direction exactly when they are equal once each is
-    divided by the gcd of its entries.  The pair reported is the first row
-    whose direction an earlier row has, and that earlier row.
+    divided by the gcd of its entries: when their keys in the box of those
+    primitive rows are equal.  The pair reported is the first row whose
+    direction an earlier row has, and that earlier row.
     """
     primitive = units // np.gcd.reduce(units, axis=1, keepdims=True)
-    _, first, inverse = np.unique(primitive, axis=0, return_index=True,
-                                  return_inverse=True)
-    earlier = first[inverse.ravel()]
-    repeats = np.flatnonzero(earlier != np.arange(units.shape[0]))
+    low = primitive.min(axis=0)
+    key = np.ravel_multi_index(tuple((primitive - low).T), tuple(primitive.max(axis=0) - low + 1))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(units.shape[0]))
     if repeats.size:
         j = int(repeats[0])
-        i = int(earlier[j])
+        i = int(first[inverse[j]])
         raise DirectionCollisionError(
             f"sum points {i} and {j} (gamma * {units[i].tolist()} and gamma * "
             f"{units[j].tolist()}) share a direction, so angle decoding is "
@@ -290,10 +288,11 @@ def _decoder_instance(n: int, gamma: float, power: float, delta: float) -> SumCo
     """The pair sums of both nodes' half-cell codebook, checked for angle decoding."""
     shell = ShellSpec(n=n, power=power, delta=delta)
     sums = SumCodebook.from_codebook(half_cell_codebook(n, gamma, power), shell)
-    if not sums.on_shell.any():
+    if not sums.shell_keys.size:
         raise ValidationError("no sum points on the shell; widen delta")
     # The half-cell translation makes each sum gamma * (u_i + u_j + 1).
-    check_distinct_directions(sums.sum_units[sums.on_shell] + 1)
+    units = np.stack(np.unravel_index(sums.shell_keys, sums.key_box), axis=1) + sums.key_low
+    check_distinct_directions(units + 1)
     return sums
 
 
@@ -333,10 +332,11 @@ def minangle_rows(draws: MinAngleDraws, params: Mapping) -> dict[str, np.ndarray
     nearest-sum ML reference decoded over every distinct sum.
     """
     sums = decoder_instance(params)
-    true_sum_row = sums.pair_to_sum[draws.i, draws.j]
-    ml_error = nearest_sum(draws.y, sums) != true_sum_row
-    on_shell = sums.on_shell[true_sum_row]
-    wrong = min_angle_decode(draws.y, sums.shell_points) != sums.shell_row[true_sum_row]
+    key = sums.code_keys[draws.i] + sums.code_keys[draws.j]
+    ml_error = sums.sum_keys[nearest_sum(draws.y, sums)] != key
+    shell_row = np.searchsorted(sums.shell_keys, key).clip(max=sums.shell_keys.size - 1)
+    on_shell = sums.shell_keys[shell_row] == key
+    wrong = sums.shell_keys[min_angle_decode(draws.y, sums.shell_points)] != key
     return {"angle_error": ~on_shell | wrong, "angle_error_on_shell": on_shell & wrong,
             "off_shell": ~on_shell, "ml_error": ml_error}
 

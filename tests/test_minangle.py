@@ -92,38 +92,98 @@ def test_ball_codebook_rejects_empty_dimension():
         BallCodebook(gamma=1.0, translation=np.zeros(0), power=1.0)
 
 
+def _unpack(sums, keys):
+    """The integer units of the sums with these keys, each key's row among
+    the distinct sums, and its row among the on-shell sums (-1 off the
+    shell), all derived from the keys."""
+    units = np.stack(np.unravel_index(keys, sums.key_box), axis=-1) + sums.key_low
+    row = np.searchsorted(sums.sum_keys, keys)
+    assert np.array_equal(sums.sum_keys[row], keys)  # every key is a sum's
+    shell_row = np.searchsorted(sums.shell_keys, keys)
+    return units, row, np.where(np.isin(keys, sums.shell_keys), shell_row, -1)
+
+
 def test_pair_accounting():
     spec = ShellSpec(n=3, power=2.0, delta=1.0)
     cb = half_cell_codebook(3, 1.0, 2.0)
     sums = SumCodebook.from_codebook(cb, spec)
-    pair_counts = np.bincount(sums.pair_to_sum.ravel())
-    assert pair_counts.shape == sums.on_shell.shape
+    _, pair_to_sum, _ = _unpack(sums, sums.code_keys[:, None] + sums.code_keys)
+    on_shell = _unpack(sums, sums.sum_keys)[2] >= 0
+    pair_counts = np.bincount(pair_to_sum.ravel())
+    assert pair_counts.shape == on_shell.shape
     assert pair_counts.sum() == cb.size ** 2
     # the on-shell pairs are exactly the pairs whose coordinate sum is on the shell
     pair_sums = (cb.points[:, None, :] + cb.points[None, :, :]).reshape(-1, 3)
     norms = np.einsum("ij,ij->i", pair_sums, pair_sums)
-    assert pair_counts[sums.on_shell].sum() == np.count_nonzero(spec.contains_sq(norms))
+    assert pair_counts[on_shell].sum() == np.count_nonzero(spec.contains_sq(norms))
 
 
 def test_pair_to_sum_maps_every_pair_to_its_sum():
     spec = ShellSpec(n=3, power=2.0, delta=1.0)
     cb = BallCodebook(gamma=1.0, translation=np.array([0.25, 0.5, 0.1]), power=1.5)
     sums = SumCodebook.from_codebook(cb, spec)
-    assert sums.pair_to_sum.shape == (cb.size, cb.size)
+    sum_units = _unpack(sums, sums.sum_keys)[0]
+    _, pair_to_sum, _ = _unpack(sums, sums.code_keys[:, None] + sums.code_keys)
+    assert pair_to_sum.shape == (cb.size, cb.size)
     for i in range(cb.size):
         for j in range(cb.size):
-            assert np.array_equal(sums.sum_units[sums.pair_to_sum[i, j]],
-                                  cb.units[i] + cb.units[j])
-            assert np.allclose(sums.sum_points[sums.pair_to_sum[i, j]],
+            assert np.array_equal(sum_units[pair_to_sum[i, j]], cb.units[i] + cb.units[j])
+            assert np.allclose(sums.sum_points[pair_to_sum[i, j]],
                                cb.points[i] + cb.points[j], rtol=0.0, atol=1e-12)
-    assert np.all(np.bincount(sums.pair_to_sum.ravel(),
-                              minlength=len(sums.sum_units)) > 0)
+    assert np.all(np.bincount(pair_to_sum.ravel(), minlength=len(sum_units)) > 0)
 
 
 def test_direction_collision_detected():
     with pytest.raises(DirectionCollisionError, match=r"sum points 0 and 1 .*--delta"):
         check_distinct_directions(np.array([[2, 4], [3, 6], [0, 1]]))
     check_distinct_directions(np.array([[1, 0], [-1, 0], [0, 1]]))
+    # mixed signs: w and -w stay distinct, the first repeat is reported
+    check_distinct_directions(np.array([[2, -4], [-1, 2], [3, 1], [-3, -1]]))
+    with pytest.raises(DirectionCollisionError, match=r"sum points 0 and 3 \(gamma \* "
+                       r"\[2, -4\] and gamma \* \[3, -6\]\)"):
+        check_distinct_directions(np.array([[2, -4], [-1, 2], [3, 1], [3, -6], [-2, 4]]))
+    # a primitive box one wide in some coordinate
+    check_distinct_directions(np.array([[1, 2, 0], [1, 3, 0], [2, 5, 0]]))
+    with pytest.raises(DirectionCollisionError, match=r"sum points 1 and 2 "):
+        check_distinct_directions(np.array([[1, 3, 0], [1, 2, 0], [2, 4, 0]]))
+
+
+def test_direction_check_reports_the_row_unique_pair():
+    """The keyed check reports the pair the row-unique reference finds: the
+    first row whose primitive row an earlier row has, and that earlier row."""
+    rng = generator(28)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        units = rng.integers(-4, 5, size=(int(rng.integers(1, 30)), n))
+        units = units[units.any(axis=1)]
+        primitive = units // np.gcd.reduce(units, axis=1, keepdims=True)
+        _, first, inverse = np.unique(primitive, axis=0, return_index=True,
+                                      return_inverse=True)
+        earlier = first[inverse.ravel()]
+        repeats = np.flatnonzero(earlier != np.arange(len(units)))
+        if not repeats.size:
+            check_distinct_directions(units)
+            continue
+        j = int(repeats[0])
+        with pytest.raises(DirectionCollisionError, match=rf"sum points {earlier[j]} and {j} "):
+            check_distinct_directions(units)
+
+
+def test_minangle_refuses_non_finite_inputs():
+    """NaN and infinite sizes are refused before any array is built."""
+    for value in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"gamma": value, "translation": np.zeros(3), "power": 2.0},
+                       {"gamma": 1.0, "translation": np.zeros(3), "power": value},
+                       {"gamma": 1.0, "translation": np.array([0.5, value, 0.5]),
+                        "power": 2.0}):
+            with pytest.raises(ValidationError, match="must be positive and finite"):
+                BallCodebook(**kwargs)
+        with pytest.raises(ValidationError):
+            ShellSpec(n=3, power=value, delta=0.5)
+        with pytest.raises(ValidationError):
+            _decoder_instance.__wrapped__(3, value, 2.0, 1.5)
+    with pytest.raises(ValidationError, match="power must be positive and finite"):
+        ShellSpec(n=3, power=math.inf, delta=0.5)
 
 
 @pytest.mark.parametrize("cb", [
@@ -135,9 +195,11 @@ def test_sum_tables_match_row_unique_reference(cb):
     sums = SumCodebook.from_codebook(cb, ShellSpec(n=cb.n, power=2.0, delta=1.0))
     pair_sums = (cb.units[:, None, :] + cb.units[None, :, :]).reshape(-1, cb.n)
     units, inverse = np.unique(pair_sums, axis=0, return_inverse=True)
-    assert sums.sum_units.dtype == units.dtype
-    assert np.array_equal(sums.sum_units, units)
-    assert np.array_equal(sums.pair_to_sum, inverse.reshape(cb.size, cb.size))
+    sum_units = _unpack(sums, sums.sum_keys)[0]
+    assert sum_units.dtype == units.dtype
+    assert np.array_equal(sum_units, units)
+    assert np.array_equal(_unpack(sums, sums.code_keys[:, None] + sums.code_keys)[1],
+                          inverse.reshape(cb.size, cb.size))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -163,13 +225,14 @@ def test_exact_direction_rule_agrees_with_float_rule(n):
             if cb.size ** 2 > PAIR_GUARD:
                 continue
             sums = SumCodebook.from_codebook(cb, ShellSpec(n=n, power=power, delta=power))
+            sum_units = _unpack(sums, sums.sum_keys)[0]
             norms = np.einsum("ij,ij->i", sums.sum_points, sums.sum_points)
             for delta in (0.1 * power, 0.5 * power, 0.9 * power, 1.95 * power):
                 on_shell = ShellSpec(n=n, power=power, delta=delta).contains_sq(norms)
                 if not on_shell.any():
                     continue
                 try:  # each half-cell sum is gamma * (its units + 1)
-                    check_distinct_directions(sums.sum_units[on_shell] + 1)
+                    check_distinct_directions(sum_units[on_shell] + 1)
                     exact = False
                 except DirectionCollisionError:
                     exact = True
@@ -190,12 +253,24 @@ def test_collinear_shell_sums_exit_fast_in_bounded_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 5.0
-    assert peak < 200 * 2 ** 20  # row-unique dedup and float scan: 446 MB
+    assert peak < 32 * 2 ** 20  # with an (m, m) pair table: 151 MiB
     argv = ["sim", "minangle", "--dim", "5", "--power", "2", "--delta", "3.9",
             "--snr-db", "10", "--trials", "100", "--out", str(tmp_path / "ma.json")]
     assert main(argv) == 1
     assert "share a direction" in capsys.readouterr().err
     assert not (tmp_path / "ma.json").exists()
+
+
+def test_sum_build_memory_does_not_grow_with_pairs():
+    # 2,784 codewords (7.75M pairs, under PAIR_GUARD), 63,667 distinct sums
+    tracemalloc.start()
+    try:
+        sums = _decoder_instance.__wrapped__(5, 1.0, 2.5, 1.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sums.codebook.size, sums.sum_keys.size) == (2784, 63667)
+    assert peak < 48 * 2 ** 20  # with an (m, m) pair table: 363 MiB
 
 
 def _concentration(n, power, delta, samples, seed):
@@ -288,18 +363,19 @@ def test_minangle_rows_replay_scalar_decode():
     # decode over every distinct sum, both computed here row by row
     params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": 0.3, "delta": 1.5}
     sums = _decoder_instance(3, 1.0, 2.0, 1.5)
-    shell_pts, shell_row = sums.shell_points, sums.shell_row
+    shell_pts = sums.shell_points
     draws = draw_minangle(generator(14), 500, params)
     rows = minangle_rows(draws, params)
+    _, true_rows, shell_rows = _unpack(sums, sums.code_keys[draws.i] + sums.code_keys[draws.j])
     norms = np.linalg.norm(shell_pts, axis=1)
     for r in range(500):
         y = draws.y[r]
-        true = int(sums.pair_to_sum[draws.i[r], draws.j[r]])
+        true = int(true_rows[r])
         decoded = int(np.argmax(shell_pts @ y / norms))
         assert min_angle_decode(y, shell_pts) == decoded
         ml = int(np.argmin(((sums.sum_points - y) ** 2).sum(axis=1)))
-        on = bool(sums.on_shell[true])
-        wrong = on and decoded != shell_row[true]
+        on = bool(shell_rows[r] >= 0)
+        wrong = on and decoded != shell_rows[r]
         assert rows["off_shell"][r] == (not on)
         assert rows["angle_error"][r] == ((not on) or wrong)
         assert rows["angle_error_on_shell"][r] == wrong
@@ -338,7 +414,7 @@ def _noiseless_rows(sums, rng, count):
 
 def _midpoint_rows(sums, rng, count):
     """Exact midpoints of two sums one unit apart in one coordinate."""
-    units = sums.sum_units
+    units = _unpack(sums, sums.sum_keys)[0]
     a = rng.integers(len(units), size=4 * count)
     step = np.eye(units.shape[1], dtype=units.dtype)[rng.integers(units.shape[1], size=a.size)]
     key = np.ravel_multi_index(tuple((units[a] + step - sums.key_low).T), sums.key_box,
@@ -355,7 +431,7 @@ def _probe_rows(sums, rng, count):
     box = np.array(sums.key_box)
     noiseless = _noiseless_rows(sums, rng, count)
     spread = cb.power * 10.0 ** -np.linspace(-1.0, 3.0, count)[:, None]
-    units = sums.sum_units[rng.integers(len(sums.sum_units), size=count)]
+    units = _unpack(sums, sums.sum_keys)[0][rng.integers(len(sums.sum_keys), size=count)]
     halves = rng.integers(-1, 2, size=(count, n)) / 2
     mid = _midpoint_rows(sums, rng, count)
     nudges = (10.0 ** rng.uniform(-15, -6, size=(len(mid), 1)) * gamma
@@ -417,8 +493,8 @@ def test_nearest_sum_scans_exactly_the_undecided_rows(case, monkeypatch):
         scanned.append(rows)
         return scan_rows(rows, width)
 
+    sums = _rounding_sums(case)  # the build chunks through scan_rows too
     monkeypatch.setattr(minangle, "scan_rows", spy)
-    sums = _rounding_sums(case)
     rng = generator(27)
     nearest_sum(_noiseless_rows(sums, rng, 2000), sums)
     assert sum(scanned) == 0
