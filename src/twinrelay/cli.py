@@ -10,6 +10,12 @@ configuration; provenance (tool and numpy versions, the stream-addressing
 scheme, full config, master seed) is embedded in JSON outputs and written
 as a `.meta.json` sidecar next to CSV outputs.  Exit codes: 0 success, 1 runtime failure, 2
 validation failure.
+
+Each command imports its modules when it runs, and building the parser
+imports none that loads numpy: `--version`, help, every argparse error and
+`rates` start without numpy, the process pool or a kernel module.  A `sim`
+scheme's parser holds a spec function that imports the scheme's kernel
+module for its params and error keys only when `cmd_sim` calls it.
 """
 
 from __future__ import annotations
@@ -21,22 +27,29 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import __version__, harness, minangle, multihop, rates
-from .bsc import BSC_ERROR_KEYS
+from . import __version__, rates
+from .canonical import BLOCK, STREAM_VERSION, canonical_dumps
 from .errors import TwinrelayError, ValidationError
-from .minangle import MINANGLE_ERROR_KEYS
-from .twoway import LATTICE_ERROR_KEYS, ChannelParams, pair_from_params
 
 DEFAULT_POWER = 1.0
 MULTIHOP_MODES = ("symbolic", "numeric-noiseless", "numeric-awgn")
 
 
+def _numpy_version() -> str:
+    """numpy's version without importing it: from the module when a command
+    has loaded it, else from the installed distribution's metadata."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        return np.__version__
+    from importlib.metadata import version
+
+    return version("numpy")
+
+
 def _provenance(config: dict, seed: int | None = None) -> dict:
     out = {"tool": {"name": "twinrelay", "version": __version__},
-           "numpy": np.__version__,
-           "stream_addressing": {"version": harness.STREAM_VERSION, "block": harness.BLOCK},
+           "numpy": _numpy_version(),
+           "stream_addressing": {"version": STREAM_VERSION, "block": BLOCK},
            "config": config}
     if seed is not None:
         out["master_seed"] = seed
@@ -70,7 +83,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    _write_text(path, harness.canonical_dumps(obj) + "\n")
+    _write_text(path, canonical_dumps(obj) + "\n")
 
 
 def _write_table(path: str, fmt: str, provenance: dict, key: str, rows: Sequence[dict],
@@ -110,13 +123,17 @@ def cmd_rates(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _minangle_codebook(params: dict) -> dict:
-    sums = minangle.decoder_instance(params)
+    from .minangle import decoder_instance
+
+    sums = decoder_instance(params)
     m = sums.codebook.size
     return {"M1": m, "M2": m, "Msum_on_shell": int(sums.shell_points.shape[0])}
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    spec = harness.ExperimentSpec(args.scheme, args.params(args), args.error_keys)
+    from . import harness
+
+    spec = harness.ExperimentSpec(args.scheme, *args.spec(args))
     config = {"subcommand": "sim", "scheme": args.scheme, "params": dict(spec.params),
               "trials": args.trials, "target_ci": args.target_ci,
               "max_trials": args.max_trials, "out": args.out}
@@ -145,6 +162,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_multihop(args: argparse.Namespace) -> int:
+    from . import multihop
+    from .twoway import ChannelParams, pair_from_params
+
     schedule = multihop.build_schedule(args.relays, args.packets)
     # The mode's parser defines only the flags it reads, so the config is
     # every parsed flag; the seed goes in the provenance.
@@ -189,6 +209,8 @@ def _load_table1() -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_concentration(args: argparse.Namespace) -> int:
+    from . import harness, minangle
+
     try:
         dims = [int(v) for v in args.n_list.split(",") if v.strip()]
     except ValueError:
@@ -283,10 +305,10 @@ def _sim_parser(sub, name: str, argv: Sequence[str]) -> None:
     _level(p, "scheme", SIM_SCHEMES, argv)
 
 
-def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
-                   params) -> argparse.ArgumentParser:
+def _scheme_parser(schemes, name: str, spec) -> argparse.ArgumentParser:
     """A `sim` scheme's parser with the run flags every scheme shares; the
-    caller adds the scheme's own flags, which `params(args)` reads."""
+    caller adds the scheme's own flags, which `spec(args)` reads into the
+    experiment's (params, error keys)."""
     p = schemes.add_parser(name, allow_abbrev=False)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--target-ci", type=_finite_float, default=None,
@@ -295,14 +317,19 @@ def _scheme_parser(schemes, name: str, error_keys: tuple[str, ...],
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(params=params, error_keys=error_keys, codebook=None)
+    p.set_defaults(spec=spec, codebook=None)
     return p
 
 
+def _lattice_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
+    from .twoway import LATTICE_ERROR_KEYS
+
+    return {"n": a.n, "q": a.q, "k": a.k, "snr_db": a.snr_db, "power": DEFAULT_POWER,
+            "mode": a.broadcast}, LATTICE_ERROR_KEYS
+
+
 def _lattice_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, LATTICE_ERROR_KEYS, lambda a: {
-        "n": a.n, "q": a.q, "k": a.k, "snr_db": a.snr_db, "power": DEFAULT_POWER,
-        "mode": a.broadcast})
+    p = _scheme_parser(schemes, name, _lattice_spec)
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
@@ -310,18 +337,30 @@ def _lattice_parser(schemes, name: str, argv: Sequence[str]) -> None:
     p.add_argument("--broadcast", choices=("index", "direct"), default="index")
 
 
+def _bsc_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
+    from .bsc import BSC_ERROR_KEYS
+
+    return {"p": a.p, "code": a.code}, BSC_ERROR_KEYS
+
+
 def _bsc_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, BSC_ERROR_KEYS, lambda a: {"p": a.p, "code": a.code})
+    p = _scheme_parser(schemes, name, _bsc_spec)
     p.add_argument("--p", type=_finite_float, required=True,
                    help="BSC crossover probability")
     p.add_argument("--code", choices=("hamming74",), default="hamming74")
 
 
+def _minangle_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
+    from .minangle import MINANGLE_ERROR_KEYS
+    from .twoway import ChannelParams
+
+    return {"n": a.dim, "gamma": a.gamma, "power": a.power,
+            "sigma2": ChannelParams.from_snr_db(a.snr_db, a.power).sigma2,
+            "delta": a.delta if a.delta is not None else 0.1 * a.power}, MINANGLE_ERROR_KEYS
+
+
 def _minangle_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, MINANGLE_ERROR_KEYS, lambda a: {
-        "n": a.dim, "gamma": a.gamma, "power": a.power,
-        "sigma2": ChannelParams.from_snr_db(a.snr_db, a.power).sigma2,
-        "delta": a.delta if a.delta is not None else 0.1 * a.power})
+    p = _scheme_parser(schemes, name, _minangle_spec)
     p.set_defaults(codebook=_minangle_codebook)
     p.add_argument("--dim", type=int, default=3, help="dimension")
     p.add_argument("--power", type=_finite_float, default=2.0, help="ball power")
@@ -331,10 +370,15 @@ def _minangle_parser(schemes, name: str, argv: Sequence[str]) -> None:
     p.add_argument("--snr-db", type=_finite_float, required=True)
 
 
+def _anc_power_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
+    from .twoway import ChannelParams
+
+    return {"n": a.n, "power": DEFAULT_POWER,
+            "sigma2": ChannelParams.from_snr_db(a.snr_db, DEFAULT_POWER).sigma2}, ()
+
+
 def _anc_power_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, (), lambda a: {
-        "n": a.n, "power": DEFAULT_POWER,
-        "sigma2": ChannelParams.from_snr_db(a.snr_db, DEFAULT_POWER).sigma2})
+    p = _scheme_parser(schemes, name, _anc_power_spec)
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--snr-db", type=_finite_float, required=True)
 

@@ -12,7 +12,6 @@ serializes to a canonical JSON form that is byte-stable across reruns
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,16 +22,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .canonical import BLOCK, canonical_dumps
 from .errors import GuardExceededError, TwinrelayError, ValidationError
 from .lattice import ONE_HOT_GUARD
 from .rng import TAG_TRIAL, generator
 
 Z95 = 1.959963984540054
-
-# Trials per random stream.  Changing it re-addresses every draw, so it is
-# recorded with STREAM_VERSION in the CLI's provenance.
-BLOCK = 4096
-STREAM_VERSION = 2
 MAX_WORKERS = 64
 
 
@@ -181,40 +176,6 @@ class TrialReport:
     def canonical_json(self) -> str:
         """Deterministic serialization: sorted keys, 12 significant digits."""
         return canonical_dumps(self.to_dict())
-
-
-def _round_floats(obj):
-    """obj with floats at 12 significant digits and numpy scalars as Python
-    ones; `canonical_dumps` sorts the keys."""
-    kind = type(obj)
-    if kind is str or kind is int or kind is bool or obj is None:
-        return obj
-    if kind is dict:
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_round_floats(v) for v in obj]
-    if kind is float:
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return float(f"{obj:.12g}")
-    # Subclasses and numpy scalars, as the plain values they stand for.
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round_floats(float(obj))
-    if isinstance(obj, dict):
-        return _round_floats(dict(obj))
-    if isinstance(obj, (list, tuple)):
-        return _round_floats(list(obj))
-    return obj
-
-
-def canonical_dumps(obj) -> str:
-    return json.dumps(_round_floats(obj), sort_keys=True, separators=(",", ":"))
 
 
 def run_trials(

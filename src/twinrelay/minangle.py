@@ -77,11 +77,13 @@ class BallCodebook:
         # Bounding-box sweep: every coordinate of an in-ball point satisfies
         # |gamma*m + s_i| <= radius, so the integer ranges below are complete.
         # The count stops growing past the guard; an empty range still zeroes it.
+        # Python floats, so a subnormal gamma overflows to inf without a warning.
         box_guard = 20 * BALL_GUARD
+        gamma = float(self.gamma)
         ranges = []
         box_count = 1
-        for i in range(n):
-            lo, hi = (-radius - s[i]) / self.gamma, (radius - s[i]) / self.gamma
+        for si in s.tolist():
+            lo, hi = (-radius - si) / gamma, (radius - si) / gamma
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 box_count = box_guard + 1
                 break

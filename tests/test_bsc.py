@@ -19,7 +19,8 @@ from twinrelay.bsc import (
     hamming74,
 )
 from twinrelay.errors import GuardExceededError, ValidationError
-from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
+from twinrelay.canonical import BLOCK
+from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import systematic_generator
 from twinrelay.rng import TAG_TRIAL, generator
 

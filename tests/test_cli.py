@@ -4,12 +4,16 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twinrelay import harness
+from twinrelay.canonical import canonical_dumps
 from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
 from twinrelay.rates import GridSpec, rate_curve, rate_point, rate_upper
 from twinrelay.rng import generator
@@ -270,6 +274,26 @@ def test_version(capsys):
     assert out.startswith("twinrelay ")
 
 
+# Run in a fresh interpreter: main(argv), then the exit code and which of
+# the modules a light command must not load are loaded.
+_FRESH_CLI = """
+import json, sys
+from twinrelay.cli import main
+code = main(sys.argv[1:])
+heavy = ("numpy", "twinrelay.harness", "concurrent.futures")
+print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def _fresh_cli(cwd, *argv) -> tuple[int, list[str]]:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return code, loaded
+
+
 def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
     addressing = {"version": 2, "block": 4096}
     out = tmp_path / "lat.json"
@@ -283,6 +307,17 @@ def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["numpy"] == np.__version__
     assert meta["stream_addressing"] == addressing
+    # a fresh process: the version, help, a flag error and `rates` start
+    # without numpy, the harness or the process pool, and `rates` still
+    # names the numpy version a numpy-loading command records
+    for argv, want in ((["--version"], 0), (["--help"], 0), (["sim", "--help"], 0),
+                       (["sim", "lattice", "--power", "5", "--out", "x.json"], 2),
+                       (["rates", "--out", "fresh.csv"], 0)):
+        assert _fresh_cli(tmp_path, *argv) == (want, []), argv
+    meta = json.loads((tmp_path / "fresh.csv.meta.json").read_text())
+    assert meta["numpy"] == np.__version__
+    assert meta["stream_addressing"] == addressing
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypatch):
@@ -508,6 +543,7 @@ def test_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, argv, seed):
     # sqrt(nP) overflows, or the box of the ball codebook has ~300-digit sides
     (["sim", "minangle", "--power", "1e308", "--snr-db", "10"], "more than 2000000 points"),
     (["sim", "minangle", "--gamma", "1e-300", "--snr-db", "10"], "more than 2000000 points"),
+    (["sim", "minangle", "--gamma", "1e-320", "--snr-db", "10"], "more than 2000000 points"),
     (["sim", "minangle", "--power", "1e200", "--snr-db", "10"], "more than 2000000 points"),
     # q^k and the (q^k, n) codebook are bounded in Python ints, so a modulus
     # past int64 or a dimension past numpy's shapes never reaches an array
@@ -518,7 +554,7 @@ def test_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, argv, seed):
     (["sim", "lattice", "--n", str(10 ** 20)], "lattice block exceeds"),
     (["sim", "lattice", "--n", "100000000", "--k", "1"], "lattice block exceeds"),
 ], ids=["anc-power-block", "minangle-power-1e308", "minangle-gamma-1e-300",
-        "minangle-power-1e200", "lattice-q-2^70", "lattice-q-2^63-1",
+        "minangle-gamma-1e-320", "minangle-power-1e200", "lattice-q-2^70", "lattice-q-2^63-1",
         "lattice-codebook", "lattice-n-1e20", "lattice-block"])
 def test_guard_exit_1_short_error_line_no_file(tmp_path, capsys, argv, phrase):
     code, _, stderr = run_cli(capsys, *argv, "--trials", "10",
@@ -667,7 +703,7 @@ def _pinned_bytes(path) -> bytes:
         return path.read_bytes()
     doc = json.loads(path.read_text())
     doc.pop("numpy")
-    return harness.canonical_dumps(doc).encode()
+    return canonical_dumps(doc).encode()
 
 
 def test_readme_lines_pinned_byte_for_byte(tmp_path, capsys, monkeypatch):
@@ -730,7 +766,7 @@ def test_kernel_refuses_params_missing_a_cli_key(argv):
         name, params = "concentration", {"n": 8, "power": 1.0, "delta": 0.1, "batch": 1000}
     else:
         args = build_parser(argv).parse_args(argv)
-        name, params = args.scheme, args.params(args)
+        name, (params, _) = args.scheme, args.spec(args)
     kernel = harness.get_experiment(name)
     kernel(params, generator(0), 4)
     for key in params:

@@ -8,14 +8,13 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from twinrelay.canonical import BLOCK, canonical_dumps
 from twinrelay.errors import TwinrelayError, ValidationError
 from twinrelay.harness import (
-    BLOCK,
     MAX_WORKERS,
     ExperimentSpec,
     anc_power_kernel,
     anc_relay,
-    canonical_dumps,
     register_experiment,
     run_trials,
     wilson_interval,

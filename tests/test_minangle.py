@@ -11,7 +11,7 @@ import pytest
 import oracles
 from twinrelay import minangle
 from twinrelay.cli import main
-from twinrelay.errors import DirectionCollisionError, ValidationError
+from twinrelay.errors import DirectionCollisionError, GuardExceededError, ValidationError
 from twinrelay.harness import ExperimentSpec, run_trials, wilson_interval
 from twinrelay.lattice import scan_rows
 from twinrelay.minangle import (
@@ -184,6 +184,14 @@ def test_minangle_refuses_non_finite_inputs():
             _decoder_instance.__wrapped__(3, value, 2.0, 1.5)
     with pytest.raises(ValidationError, match="power must be positive and finite"):
         ShellSpec(n=3, power=math.inf, delta=0.5)
+
+
+@pytest.mark.parametrize("gamma", [1e-320, 5e-324])
+def test_ball_codebook_tiny_gamma_hits_the_box_guard(gamma):
+    # radius / gamma overflows for a subnormal gamma; the sweep divides Python
+    # floats, so the overflow is inf and the guard fires, with no RuntimeWarning
+    with pytest.raises(GuardExceededError, match="more than 2000000 points"):
+        BallCodebook(gamma=gamma, translation=np.full(3, gamma / 2), power=2.0)
 
 
 @pytest.mark.parametrize("cb", [

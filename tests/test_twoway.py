@@ -8,7 +8,8 @@ import pytest
 import oracles
 from twinrelay import twoway
 from twinrelay.errors import ValidationError
-from twinrelay.harness import BLOCK, ExperimentSpec, run_trials
+from twinrelay.canonical import BLOCK
+from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import (
     CoarseLattice,
     dither,
