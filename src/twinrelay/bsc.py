@@ -19,7 +19,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import harness
 from .errors import GuardExceededError, ValidationError
 from .lattice import ONE_HOT_GUARD, _enumerate_messages, scan_rows
 
@@ -232,7 +231,5 @@ def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[st
     rows = bsc_rows(draw_bsc(rng, count, code, BscParams(float(params["p"]))), code)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
-
-harness.register_experiment("bsc", bsc_kernel)
 
 BSC_ERROR_KEYS = ("relay_error", "end_error", "union_error")

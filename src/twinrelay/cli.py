@@ -107,10 +107,9 @@ def _write_table(path: str, fmt: str, provenance: dict, key: str, rows: Sequence
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    grid = rates.GridSpec(args.snr_min, args.snr_max, args.step)
     config = {"subcommand": "rates", "snr_min": args.snr_min, "snr_max": args.snr_max,
               "step": args.step, "format": args.format, "out": args.out}
-    rows = rates.rate_curve(grid)
+    rows = rates.rate_curve(args.snr_min, args.snr_max, args.step)
     lo, hi = rates.crossover_window()
     _write_table(args.out, args.format, _provenance(config), "points", rows)
     print(f"crossover_db: {lo:.3f} {hi:.3f}")

@@ -1,8 +1,12 @@
 """The amplify-and-forward relay map and a deterministic Monte Carlo trial runner.
 
 An experiment is a block kernel `(params, rng, count) -> totals` that
-runs `count` trials on one generator.  Trials are grouped in fixed blocks
-of BLOCK: block b holds trials [BLOCK*b, BLOCK*(b+1)) and draws from the
+runs `count` trials on one generator.  `EXPERIMENTS` names each
+experiment's kernel module and function, and `get_experiment` imports a
+module the first time one of its kernels is asked for, so a run loads only
+its own kernel and no kernel module imports this one; `register_experiment`
+puts a kernel in place of an entry.  Trials are grouped in fixed blocks of
+BLOCK: block b holds trials [BLOCK*b, BLOCK*(b+1)) and draws from the
 stream (master seed, TAG_TRIAL, b).  Workers receive whole blocks, so
 aggregate counts are identical for any worker count or scheduling order.
 A report carries the Wilson 95% interval of its primary error key and
@@ -18,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Mapping
 
 import numpy as np
@@ -69,6 +74,16 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # kernel(params, rng, count) -> totals of each outcome over `count` trials
 KernelFn = Callable[[Mapping, np.random.Generator, int], Mapping[str, float]]
 
+# Each experiment's kernel: its module in this package and its name there.
+EXPERIMENTS = {
+    "lattice": ("twoway", "lattice_kernel"),
+    "bsc": ("bsc", "bsc_kernel"),
+    "minangle": ("minangle", "minangle_kernel"),
+    "concentration": ("minangle", "concentration_kernel"),
+    "anc-power": ("harness", "anc_power_kernel"),
+}
+
+# The kernels loaded so far, and any registered in place of a table entry.
 _REGISTRY: dict[str, KernelFn] = {}
 
 
@@ -76,17 +91,15 @@ def register_experiment(name: str, fn: KernelFn) -> None:
     _REGISTRY[name] = fn
 
 
-def _ensure_registered() -> None:
-    # Import for the side effect of registering each module's experiments.
-    from . import bsc, minangle, twoway  # noqa: F401
-
-
 def get_experiment(name: str) -> KernelFn:
-    _ensure_registered()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValidationError(f"unknown experiment {name!r}; known: {sorted(_REGISTRY)}")
+    """The kernel of `name`, its module imported the first time it is asked for."""
+    if name not in _REGISTRY:
+        if name not in EXPERIMENTS:
+            raise ValidationError(f"unknown experiment {name!r}; "
+                                  f"known: {sorted(EXPERIMENTS.keys() | _REGISTRY.keys())}")
+        module, kernel = EXPERIMENTS[name]
+        _REGISTRY[name] = getattr(import_module(f".{module}", __package__), kernel)
+    return _REGISTRY[name]
 
 
 @dataclass(frozen=True)
@@ -296,6 +309,3 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
         y = y + rng.normal(0.0, math.sqrt(sigma2), size=(count, n))
     x_relay = anc_relay(y, power, sigma2)
     return {"relay_energy_per_dim": float(np.einsum("ij,ij->", x_relay, x_relay)) / n}
-
-
-register_experiment("anc-power", anc_power_kernel)

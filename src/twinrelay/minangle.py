@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import harness
 from .errors import DirectionCollisionError, GuardExceededError, ValidationError
 from .lattice import scan_rows
 
@@ -278,9 +277,6 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
     return {"off_shell": off, "samples": count * batch}
 
 
-harness.register_experiment("concentration", concentration_kernel)
-
-
 # ---------------------------------------------------------------------------
 # Decoder error rate experiment
 # ---------------------------------------------------------------------------
@@ -349,7 +345,5 @@ def minangle_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Ma
     rows = minangle_rows(draw_minangle(rng, count, params), params)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
-
-harness.register_experiment("minangle", minangle_kernel)
 
 MINANGLE_ERROR_KEYS = ("angle_error", "ml_error")

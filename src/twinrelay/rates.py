@@ -11,7 +11,6 @@ SNR, traces the common tangent between the two curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GuardExceededError, ValidationError
 
@@ -107,28 +106,23 @@ def rate_point(snr_db: float) -> dict[str, float]:
             "purenc": rate_pure_nc(snr), "beta_star": beta}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    snr_db_min: float
-    snr_db_max: float
-    step_db: float
-
-    def __post_init__(self) -> None:
-        if self.step_db <= 0:
-            raise ValidationError(f"grid step must be positive, got {self.step_db}")
-        if self.snr_db_max < self.snr_db_min:
-            raise ValidationError("grid max below min")
-        # Compared as a float, so a span too wide to count is refused too.
-        if (self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9 >= GRID_GUARD:
-            raise GuardExceededError(f"grid has more than {GRID_GUARD} points")
-        if self.snr_db_max > SNR_DB_MAX:
-            raise ValidationError(f"grid max {self.snr_db_max} dB is above {SNR_DB_MAX} dB")
-
-    def points(self) -> list[float]:
-        count = int(math.floor((self.snr_db_max - self.snr_db_min) / self.step_db + 1e-9)) + 1
-        return [self.snr_db_min + i * self.step_db for i in range(count)]
+def grid_points(snr_db_min: float, snr_db_max: float, step_db: float) -> list[float]:
+    """The dB grid from `snr_db_min` to `snr_db_max` in steps of `step_db`,
+    refused before any point is built if it is empty, too long or too high."""
+    if step_db <= 0:
+        raise ValidationError(f"grid step must be positive, got {step_db}")
+    if snr_db_max < snr_db_min:
+        raise ValidationError("grid max below min")
+    # Compared as a float, so a span too wide to count is refused too.
+    if (snr_db_max - snr_db_min) / step_db + 1e-9 >= GRID_GUARD:
+        raise GuardExceededError(f"grid has more than {GRID_GUARD} points")
+    if snr_db_max > SNR_DB_MAX:
+        raise ValidationError(f"grid max {snr_db_max} dB is above {SNR_DB_MAX} dB")
+    count = int(math.floor((snr_db_max - snr_db_min) / step_db + 1e-9)) + 1
+    return [snr_db_min + i * step_db for i in range(count)]
 
 
-def rate_curve(grid: GridSpec) -> tuple[dict[str, float], ...]:
-    """The `rate_point` row of every grid point."""
-    return tuple(rate_point(db) for db in grid.points())
+def rate_curve(snr_db_min: float, snr_db_max: float,
+               step_db: float) -> tuple[dict[str, float], ...]:
+    """The `rate_point` row of every `grid_points` point."""
+    return tuple(rate_point(db) for db in grid_points(snr_db_min, snr_db_max, step_db))

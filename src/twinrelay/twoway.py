@@ -6,29 +6,28 @@ relay scales the superposition by the MMSE coefficient
 alpha = 2P/(2P + sigma2), re-adds the dithers, folds mod the coarse
 lattice, and quantizes to the fine lattice.  In noiseless arithmetic this
 collapses exactly to (t1 + t2) mod coarse, so the relay learns only the
-modulo sum.  Downlink: the sum point reaches the end nodes (either as an
-ideally coded index, or retransmitted through AWGN and lattice-decoded),
-and each node cancels its own point mod the coarse lattice to recover the
-other message.  Codewords are handled as message indices throughout;
-coordinates appear only where a signal is formed.  The harness kernel runs
-a block of rounds at once on index arrays (`session_rows`), scoring each
-decode against its round's one true sum and decoding both nodes' direct
-downlinks in one quantizer call; `session_row`, the same exchange on
-one row of a block's draws with each node cancelling its own point, is the
-reference it is tested against.
+modulo sum.  Downlink: the sum point reaches the end nodes, either as an
+ideally coded index (mode "index") or retransmitted through AWGN and
+lattice-decoded (mode "direct"), and each node cancels its own point mod
+the coarse lattice to recover the other message.  Codewords are handled
+as message indices throughout; coordinates appear only where a signal is
+formed.  The harness kernel runs a block of rounds at once on index
+arrays (`session_rows`), scoring each decode against its round's one true
+sum and decoding both nodes' direct downlinks in one quantizer call;
+`session_row`, the same exchange on one row of a block's draws with each
+node cancelling its own point, is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import harness, rates
+from . import rates
 from .errors import GuardExceededError, ValidationError
 from .lattice import (
     ONE_HOT_GUARD,
@@ -78,11 +77,6 @@ class ChannelParams:
     def alpha(self, m: int) -> float:
         """MMSE scaling mP/(mP + sigma2) for a sum of m signals; 1 when noiseless."""
         return m * self.power / (m * self.power + self.sigma2)
-
-
-class BroadcastMode(Enum):
-    DIRECT_LATTICE_RELAY = "direct"
-    INDEX_FORWARD_IDEAL = "index"
 
 
 @dataclass(eq=False)
@@ -166,7 +160,7 @@ class SessionDraws:
 
 def draw_sessions(
     rng: np.random.Generator, count: int, params: ChannelParams,
-    pair: NestedLatticePair, mode: BroadcastMode,
+    pair: NestedLatticePair, mode: str,
 ) -> SessionDraws:
     """Messages, dithers and noise for `count` rounds, each kind drawn as one array.
 
@@ -181,7 +175,7 @@ def draw_sessions(
     if params.sigma2 > 0:
         sigma = math.sqrt(params.sigma2)
         z_relay = rng.normal(0.0, sigma, size=(count, pair.n))
-        if mode is BroadcastMode.DIRECT_LATTICE_RELAY:
+        if mode == "direct":
             z_a = rng.normal(0.0, sigma, size=(count, pair.n))
             z_b = rng.normal(0.0, sigma, size=(count, pair.n))
     return SessionDraws(u_a, u_b, d1, d2, z_relay, z_a, z_b)
@@ -189,7 +183,7 @@ def draw_sessions(
 
 def session_row(
     draws: SessionDraws, i: int, params: ChannelParams, pair: NestedLatticePair,
-    mode: BroadcastMode,
+    mode: str,
 ) -> ExchangeTranscript:
     """The scalar reference exchange on row i of a block's draws; `session_rows`
     is its block form.  Errors are recorded in the transcript, never raised."""
@@ -208,7 +202,7 @@ def session_row(
     relay_error = t_hat != modulo_sum(u_a, u_b, pair)
 
     broadcast_failed = False
-    if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
+    if mode == "index":
         if index_broadcast_ok(params, pair):
             t_at_a = t_hat
             t_at_b = t_hat
@@ -249,7 +243,7 @@ def _direct_downlink(t_hat, z: np.ndarray | None, pair: NestedLatticePair):
 
 def session_rows(
     draws: SessionDraws, params: ChannelParams, pair: NestedLatticePair,
-    mode: BroadcastMode,
+    mode: str,
 ) -> dict[str, np.ndarray]:
     """Per-round relay, end and union errors of a block; `session_row` row by row."""
     y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
@@ -260,7 +254,7 @@ def session_rows(
     true_sum = modulo_sum(draws.u_a, draws.u_b, pair)
     relay_error = t_hat != true_sum
 
-    if mode is BroadcastMode.INDEX_FORWARD_IDEAL:
+    if mode == "index":
         end_error = (relay_error if index_broadcast_ok(params, pair)
                      else np.ones_like(relay_error))
     elif draws.z_a is None:  # noiseless: both nodes hear the same point
@@ -301,13 +295,13 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
     if count * n > ONE_HOT_GUARD:  # checked before the pair is built
         raise GuardExceededError(
             f"{count} x {n} lattice block exceeds {ONE_HOT_GUARD} entries per array")
+    mode = params["mode"]
+    if mode not in ("index", "direct"):
+        raise ValidationError(f"broadcast mode must be 'index' or 'direct', got {mode!r}")
     pair = pair_from_params(params)
     ch = ChannelParams.from_snr_db(params["snr_db"], float(params["power"]))
-    mode = BroadcastMode(params["mode"])
     rows = session_rows(draw_sessions(rng, count, ch, pair, mode), ch, pair, mode)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
-
-harness.register_experiment("lattice", lattice_kernel)
 
 LATTICE_ERROR_KEYS = ("relay_error", "end_error", "union_error")

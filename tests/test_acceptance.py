@@ -30,7 +30,6 @@ from twinrelay.rates import (
 from twinrelay.rng import generator
 from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
-    BroadcastMode,
     ChannelParams,
     draw_sessions,
     session_row,
@@ -167,7 +166,7 @@ def test_criterion_05_noiseless_end_to_end(shared_reports):
     pair = make_pair(n=2, q=5, k=2, power=1.0)
     assert pair.size ** 2 == 625
     noiseless = ChannelParams(power=1.0, sigma2=0.0)
-    mode = BroadcastMode.INDEX_FORWARD_IDEAL
+    mode = "index"
     draws = draw_sessions(generator(1605), 625, noiseless, pair, mode)
     draws.u_a[:], draws.u_b[:] = np.divmod(np.arange(625), pair.size)
     for i in range(625):

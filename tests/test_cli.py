@@ -15,7 +15,7 @@ import pytest
 from twinrelay import harness
 from twinrelay.canonical import canonical_dumps
 from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
-from twinrelay.rates import GridSpec, rate_curve, rate_point, rate_upper
+from twinrelay.rates import rate_curve, rate_point, rate_upper
 from twinrelay.rng import generator
 
 
@@ -49,7 +49,7 @@ def test_curve_csv_contract(tmp_path, capsys):
     assert lines[0] == "snr_db,upper,lattice,jd,envelope,anc,purenc,beta_star"
     assert lines[0] == ",".join(rate_point(0.0))
     assert len(lines) == 1 + 41
-    for line, point in zip(lines[1:], rate_curve(GridSpec(-10.0, 30.0, 1.0))):
+    for line, point in zip(lines[1:], rate_curve(-10.0, 30.0, 1.0)):
         cols = line.split(",")
         assert float(cols[2]) <= float(cols[1]) + 1e-12  # lattice <= upper
         assert float(cols[0]) == pytest.approx(point["snr_db"], abs=1e-9)
@@ -275,21 +275,23 @@ def test_version(capsys):
 
 
 # Run in a fresh interpreter: main(argv), then the exit code and which of
-# the modules a light command must not load are loaded.
+# the modules the command must not load (a JSON list ahead of argv) are loaded.
 _FRESH_CLI = """
 import json, sys
 from twinrelay.cli import main
-code = main(sys.argv[1:])
-heavy = ("numpy", "twinrelay.harness", "concurrent.futures")
-print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+unwanted = json.loads(sys.argv[1])
+code = main(sys.argv[2:])
+print(json.dumps([code, [m for m in unwanted if m in sys.modules]]))
 """
+_HEAVY = ("numpy", "twinrelay.harness", "concurrent.futures", "dataclasses")
 
 
-def _fresh_cli(cwd, *argv) -> tuple[int, list[str]]:
+def _fresh_cli(cwd, *argv, unwanted=_HEAVY) -> tuple[int, list[str]]:
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv], cwd=cwd, env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(unwanted), *argv],
+                         cwd=cwd, env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
     code, loaded = json.loads(out.stdout.splitlines()[-1])
     return code, loaded
 
@@ -307,17 +309,32 @@ def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["numpy"] == np.__version__
     assert meta["stream_addressing"] == addressing
-    # a fresh process: the version, help, a flag error and `rates` start
-    # without numpy, the harness or the process pool, and `rates` still
-    # names the numpy version a numpy-loading command records
+    # a fresh process: the version, help, flag errors and `rates` start
+    # without numpy, the harness, the process pool or dataclasses, and
+    # `rates` still names the numpy version a numpy-loading command records
     for argv, want in ((["--version"], 0), (["--help"], 0), (["sim", "--help"], 0),
                        (["sim", "lattice", "--power", "5", "--out", "x.json"], 2),
-                       (["rates", "--out", "fresh.csv"], 0)):
+                       (["rates", "--bogus"], 2), (["rates", "--out", "fresh.csv"], 0)):
         assert _fresh_cli(tmp_path, *argv) == (want, []), argv
     meta = json.loads((tmp_path / "fresh.csv.meta.json").read_text())
     assert meta["numpy"] == np.__version__
     assert meta["stream_addressing"] == addressing
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv,unwanted", [
+    (["sim", "bsc", "--p", "0.05", "--trials", "100", "--out", "b.json"],
+     ["twinrelay.twoway", "twinrelay.minangle"]),
+    (["multihop", "--relays", "3", "--packets", "6", "--mode", "symbolic", "--out", "s.json"],
+     ["twinrelay.harness", "concurrent.futures.process"]),
+    (["multihop", "--relays", "2", "--packets", "10", "--mode", "numeric-noiseless",
+      "--q", "8", "--n", "2", "--out", "n.json"],
+     ["twinrelay.harness", "concurrent.futures.process"]),
+], ids=["sim-bsc", "multihop-symbolic", "multihop-numeric-noiseless"])
+def test_fresh_command_loads_no_other_experiment(tmp_path, argv, unwanted):
+    # a one-block `sim` imports only its own kernel module, and `multihop`,
+    # which runs outside the harness, loads neither it nor the process pool
+    assert _fresh_cli(tmp_path, *argv, unwanted=unwanted) == (0, [])
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from twinrelay import harness
 from twinrelay.canonical import BLOCK, canonical_dumps
 from twinrelay.errors import TwinrelayError, ValidationError
 from twinrelay.harness import (
@@ -245,6 +246,17 @@ def test_run_trials_target_ci_rejections_run_no_trial():
         run_trials(ExperimentSpec("counted", {}, ("hit",)), trials=10, master_seed=0,
                    max_trials=100)
     assert calls == []
+
+
+def test_run_trials_refuses_an_unknown_experiment_before_any_trial(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a trial block was drawn")
+
+    monkeypatch.setattr(harness, "generator", no_stream)
+    with pytest.raises(ValidationError, match="unknown experiment 'nope'") as info:
+        run_trials(ExperimentSpec("nope", {}, ()), trials=10, master_seed=0)
+    for name in ("lattice", "bsc", "minangle", "concentration", "anc-power"):
+        assert repr(name) in str(info.value)
 
 
 def test_run_trials_target_ci_must_be_positive_and_finite():

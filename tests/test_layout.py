@@ -76,3 +76,31 @@ def test_every_definition_has_a_reader():
 def test_allowlist_names_live_definitions():
     names = {name for _, name, _ in _definitions()}
     assert set(ALLOWED) <= names
+
+
+def _imported_names(tree):
+    """The dotted name of each module an import statement may bind:
+    `from . import a` gives `twinrelay` and `twinrelay.a`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["twinrelay" if node.level else None, node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_cli_imports_the_harness():
+    # the harness finds each kernel through its EXPERIMENTS table, so no
+    # kernel module imports it or registers itself
+    importers, registrations = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "cli.py" and "twinrelay.harness" in set(_imported_names(tree)):
+            importers.append(path.name)
+        registrations += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and "register_experiment" in {getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)}]
+    assert not importers, "import twinrelay.harness: " + ", ".join(importers)
+    assert not registrations, "register_experiment called at " + ", ".join(registrations)

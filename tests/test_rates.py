@@ -10,9 +10,9 @@ from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.rates import (
     GRID_GUARD,
     SNR_DB_MAX,
-    GridSpec,
     crossover_window,
     envelope,
+    grid_points,
     rate_anc,
     rate_joint_decoding,
     rate_lattice,
@@ -132,31 +132,31 @@ def test_envelope_equals_max_outside_window():
 
 
 def test_grid_row_count():
-    assert len(GridSpec(-10.0, 30.0, 1.0).points()) == 41
-    assert len(GridSpec(-10.0, 30.0, 0.5).points()) == 81
+    assert len(grid_points(-10.0, 30.0, 1.0)) == 41
+    assert len(grid_points(-10.0, 30.0, 0.5)) == 81
 
 
 def test_grid_validation():
     with pytest.raises(ValidationError):
-        GridSpec(0.0, 10.0, 0.0)
+        grid_points(0.0, 10.0, 0.0)
     with pytest.raises(ValidationError):
-        GridSpec(10.0, 0.0, 1.0)
+        grid_points(10.0, 0.0, 1.0)
     # the point-count guard refuses a grid before building any point
-    assert len(GridSpec(-(GRID_GUARD - 1.0), 0.0, 1.0).points()) == GRID_GUARD
+    assert len(grid_points(-(GRID_GUARD - 1.0), 0.0, 1.0)) == GRID_GUARD
     for lo, hi, step in ((0.0, GRID_GUARD, 1.0), (0.0, 1e6, 1e-4), (-1e308, 1e308, 1e-300)):
         with pytest.raises(GuardExceededError):
-            GridSpec(lo, hi, step)
+            grid_points(lo, hi, step)
 
 
 def test_grid_db_range_bound():
     # every rate stays finite up to SNR_DB_MAX; above it the grid is refused
     top = rate_point(SNR_DB_MAX)
     assert all(math.isfinite(v) for v in top.values())
-    assert GridSpec(SNR_DB_MAX - 10.0, SNR_DB_MAX, 10.0).points()[-1] == SNR_DB_MAX
+    assert grid_points(SNR_DB_MAX - 10.0, SNR_DB_MAX, 10.0)[-1] == SNR_DB_MAX
     for lo, hi, step in ((3000.0, 3100.0, 10.0), (0.0, SNR_DB_MAX + 0.5, 0.5),
                          (-1e6, 1e6, 1e3)):
         with pytest.raises(ValidationError, match="dB"):
-            GridSpec(lo, hi, step)
+            grid_points(lo, hi, step)
 
 
 def test_rate_point_ordering():

@@ -20,7 +20,6 @@ from twinrelay.lattice import (
 from twinrelay.rng import TAG_TRIAL, generator
 from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
-    BroadcastMode,
     ChannelParams,
     draw_sessions,
     encode_node,
@@ -32,7 +31,6 @@ from twinrelay.twoway import (
 )
 
 NOISELESS = ChannelParams(power=1.0, sigma2=0.0)
-INDEX = BroadcastMode.INDEX_FORWARD_IDEAL
 
 
 def _session_draws(u_a, u_b, params, pair, mode, seed):
@@ -42,7 +40,7 @@ def _session_draws(u_a, u_b, params, pair, mode, seed):
     return draws
 
 
-def _one_session(u_a, u_b, params, pair, mode=INDEX, seed=0):
+def _one_session(u_a, u_b, params, pair, mode="index", seed=0):
     """`session_row` on a one-row block whose messages are u_a, u_b."""
     return session_row(_session_draws([u_a], [u_b], params, pair, mode, seed), 0,
                        params, pair, mode)
@@ -86,6 +84,18 @@ def test_lattice_run_refuses_non_finite_channel_before_any_draw(monkeypatch, snr
     monkeypatch.setattr(twoway, "draw_sessions", no_draw)
     params = {"n": 1, "q": 4, "k": 1, "snr_db": snr_db, "power": power, "mode": "index"}
     with pytest.raises(ValidationError, match="finite"):
+        run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
+                   trials=100, master_seed=0)
+
+
+@pytest.mark.parametrize("mode", ["Index", "ideal", None])
+def test_lattice_kernel_refuses_an_unknown_broadcast_mode(monkeypatch, mode):
+    def no_draw(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(twoway, "draw_sessions", no_draw)
+    params = {"n": 1, "q": 4, "k": 1, "snr_db": 12.0, "power": 1.0, "mode": mode}
+    with pytest.raises(ValidationError, match="broadcast mode must be 'index' or 'direct'"):
         run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
                    trials=100, master_seed=0)
 
@@ -169,8 +179,7 @@ def test_recover_inverts_modulo_sum_exhaustive():
             assert recover_at_node(s, b, pair) == a
 
 
-@pytest.mark.parametrize("mode", [BroadcastMode.INDEX_FORWARD_IDEAL,
-                                  BroadcastMode.DIRECT_LATTICE_RELAY])
+@pytest.mark.parametrize("mode", ["index", "direct"])
 def test_noiseless_session_exhaustive(mode):
     pair = make_pair(n=2, q=5, k=1, power=1.0)
     u_a, u_b = np.divmod(np.arange(pair.size ** 2), pair.size)
@@ -263,9 +272,9 @@ def test_random_pairs_large_codebook_noiseless():
     pair = make_pair(n=4, q=16, k=2, power=1.0)
     rng = np.random.default_rng(77)
     u_a, u_b = rng.integers(pair.size, size=(2, 200))
-    draws = _session_draws(u_a, u_b, NOISELESS, pair, INDEX, seed=13)
+    draws = _session_draws(u_a, u_b, NOISELESS, pair, "index", seed=13)
     for i in range(200):
-        assert not session_row(draws, i, NOISELESS, pair, INDEX).error
+        assert not session_row(draws, i, NOISELESS, pair, "index").error
 
 
 EXT_HAMMING_8_4 = [[1, 0, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 0, 1, 1],
@@ -306,7 +315,6 @@ def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, no
     # each row of the block kernel is `session_row` on the same draws
     pair = make_pair(power=1.0, **pair_args)
     ch = ChannelParams.from_snr_db(snr_db)
-    mode = BroadcastMode(mode)
     draws = draw_sessions(generator(41, count), count, ch, pair, mode)
     rows = session_rows(draws, ch, pair, mode)
     for i in range(count):
@@ -327,7 +335,7 @@ def test_direct_block_makes_two_quantizer_calls(monkeypatch, snr_db):
     # (2, count, n) decode, or, when noiseless, one decode that serves both
     pair = make_pair(n=8, q=2, k=4, power=1.0, generator_matrix=EXT_HAMMING_8_4)
     ch = ChannelParams.from_snr_db(snr_db)
-    mode = BroadcastMode.DIRECT_LATTICE_RELAY
+    mode = "direct"
     draws = draw_sessions(generator(43), 100, ch, pair, mode)
     shapes, quantize = [], twoway.quantize_fine
 
@@ -348,7 +356,7 @@ def test_report_trials_replay_through_session_row_across_blocks():
     report = run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
                         trials=BLOCK + 37, master_seed=7)
     pair, ch = pair_from_params(params), ChannelParams.from_snr_db(12.0)
-    mode = BroadcastMode.DIRECT_LATTICE_RELAY
+    mode = "direct"
     want = dict.fromkeys(LATTICE_ERROR_KEYS, 0)
     for b, count in enumerate((BLOCK, 37)):
         draws = draw_sessions(generator(7, TAG_TRIAL, b), count, ch, pair, mode)
