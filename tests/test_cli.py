@@ -325,15 +325,21 @@ def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
 @pytest.mark.parametrize("argv,unwanted", [
     (["sim", "bsc", "--p", "0.05", "--trials", "100", "--out", "b.json"],
      ["twinrelay.twoway", "twinrelay.minangle"]),
+    (["sim", "minangle", "--dim", "2", "--snr-db", "15", "--trials", "100", "--out", "m.json"],
+     ["twinrelay.twoway", "twinrelay.bsc"]),
+    (["sim", "anc-power", "--snr-db", "10", "--trials", "100", "--out", "a.json"],
+     ["twinrelay.twoway", "twinrelay.minangle"]),
     (["multihop", "--relays", "3", "--packets", "6", "--mode", "symbolic", "--out", "s.json"],
      ["twinrelay.harness", "concurrent.futures.process"]),
     (["multihop", "--relays", "2", "--packets", "10", "--mode", "numeric-noiseless",
       "--q", "8", "--n", "2", "--out", "n.json"],
      ["twinrelay.harness", "concurrent.futures.process"]),
-], ids=["sim-bsc", "multihop-symbolic", "multihop-numeric-noiseless"])
+], ids=["sim-bsc", "sim-minangle", "sim-anc-power", "multihop-symbolic",
+        "multihop-numeric-noiseless"])
 def test_fresh_command_loads_no_other_experiment(tmp_path, argv, unwanted):
-    # a one-block `sim` imports only its own kernel module, and `multihop`,
-    # which runs outside the harness, loads neither it nor the process pool
+    # a one-block `sim` imports only its own kernel module (the dB to sigma^2
+    # conversion is in `rates`, not `twoway`), and `multihop`, which runs
+    # outside the harness, loads neither it nor the process pool
     assert _fresh_cli(tmp_path, *argv, unwanted=unwanted) == (0, [])
 
 

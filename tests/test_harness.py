@@ -269,6 +269,22 @@ def test_run_trials_target_ci_must_be_positive_and_finite():
     assert calls == []
 
 
+def test_run_trials_refuses_an_error_key_the_kernel_does_not_report():
+    # a misspelled key would read zero errors, so a target_ci run would stop
+    # at once with estimate 0; the first chunk's totals refuse it instead
+    params = {"n": 1, "q": 4, "k": 1, "snr_db": 12.0, "power": 1.0, "mode": "index"}
+    with pytest.raises(ValidationError, match="'lattice' reports no relay_eror; "
+                       "its totals are end_error, relay_error, union_error"):
+        run_trials(ExperimentSpec("lattice", params, ("relay_eror",)), trials=None,
+                   master_seed=0, target_ci=0.01)
+    calls = []
+    register_experiment("counted", lambda params, rng, count: calls.append(count) or {"hit": 0})
+    with pytest.raises(ValidationError, match="reports no miss, mis; its totals are hit"):
+        run_trials(ExperimentSpec("counted", {}, ("hit", "miss", "mis")), trials=None,
+                   master_seed=0, target_ci=1e-6, max_trials=3 * BLOCK)
+    assert calls == [BLOCK]
+
+
 def _round_floats_sorted_walk(obj):
     """The walk `canonical_dumps` made before it dispatched on exact types:
     keys sorted at every level, floats by `isinstance`."""

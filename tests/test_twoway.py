@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import session_row
 from twinrelay import twoway
 from twinrelay.errors import ValidationError
 from twinrelay.canonical import BLOCK
@@ -26,7 +27,6 @@ from twinrelay.twoway import (
     pair_from_params,
     recover_at_node,
     relay_decode_sum,
-    session_row,
     session_rows,
 )
 
