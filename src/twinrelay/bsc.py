@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import GuardExceededError, ValidationError
-from .lattice import ONE_HOT_GUARD, _enumerate_messages, scan_rows
+from .lattice import ONE_HOT_GUARD, scan_rows
 
 ML_GUARD_K = 16  # brute-force decoding enumerates 2^k codewords
 
@@ -37,7 +37,8 @@ class BinaryLinearCode:
         self.generator = G
         if self.k > ML_GUARD_K:
             raise GuardExceededError(f"k={self.k} exceeds brute-force guard {ML_GUARD_K}")
-        msgs = _enumerate_messages(2, self.k)
+        # row m holds m's bits, least significant first
+        msgs = np.arange(1 << self.k)[:, None] >> np.arange(self.k) & 1
         self.codewords = msgs @ G % 2
         self.messages = msgs
         if len({row.tobytes() for row in self.codewords.astype(np.uint8)}) != 2 ** self.k:
@@ -78,7 +79,7 @@ class BinaryLinearCode:
                 f"decode table of 2^{self.n} words of {self.n} bits, each scanned "
                 f"against 2^{self.k} codewords, exceeds {ONE_HOT_GUARD} entries")
         bits = 1 << np.arange(self.n)
-        words = _enumerate_messages(2, self.n)
+        words = np.arange(1 << self.n)[:, None] >> np.arange(self.n) & 1
         return self.codewords @ bits, self.ml_decode(words) @ bits[:self.k]
 
 

@@ -227,7 +227,7 @@ def cmd_concentration(args: argparse.Namespace) -> int:
     rows = []
     for n in dims:
         spec = harness.ExperimentSpec(
-            "concentration", {"n": n, "power": args.power, "delta": delta, "batch": batch}, ())
+            "concentration", {"n": n, "power": args.power, "delta": delta}, ())
         report = harness.run_trials(spec, trials=args.samples // batch,
                                     master_seed=args.seed, workers=args.workers)
         off, samples = int(report.counts["off_shell"]), int(report.counts["samples"])

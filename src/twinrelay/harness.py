@@ -1,17 +1,17 @@
-"""The amplify-and-forward relay map and a deterministic Monte Carlo trial runner.
+"""A deterministic Monte Carlo trial runner; it holds no scheme of its own.
 
 An experiment is a block kernel `(params, rng, count) -> totals` that
 runs `count` trials on one generator.  `EXPERIMENTS` names each
 experiment's kernel module and function, and `get_experiment` imports a
 module the first time one of its kernels is asked for, so a run loads only
-its own kernel and no kernel module imports this one; `register_experiment`
-puts a kernel in place of an entry.  Trials are grouped in fixed blocks of
-BLOCK: block b holds trials [BLOCK*b, BLOCK*(b+1)) and draws from the
-stream (master seed, TAG_TRIAL, b).  Workers receive whole blocks, so
-aggregate counts are identical for any worker count or scheduling order.
-A report carries the Wilson 95% interval of its primary error key and
-serializes to a canonical JSON form that is byte-stable across reruns
-(wall time is reported separately).
+its own kernel.  This module imports no kernel module and no kernel module
+imports it; `register_experiment` puts a kernel in place of an entry.
+Trials are grouped in fixed blocks of BLOCK: block b holds trials
+[BLOCK*b, BLOCK*(b+1)) and draws from the stream (master seed, TAG_TRIAL,
+b).  Workers receive whole blocks, so aggregate counts are identical for
+any worker count or scheduling order.  A report carries the Wilson 95%
+interval of its primary error key and serializes to a canonical JSON form
+that is byte-stable across reruns (wall time is reported separately).
 """
 
 from __future__ import annotations
@@ -28,26 +28,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .canonical import BLOCK, canonical_dumps
-from .errors import GuardExceededError, TwinrelayError, ValidationError
-from .lattice import ONE_HOT_GUARD
+from .errors import TwinrelayError, ValidationError
 from .rng import TAG_TRIAL, generator
 
 Z95 = 1.959963984540054
 MAX_WORKERS = 64
-
-
-# ---------------------------------------------------------------------------
-# Amplify-and-forward relay map
-# ---------------------------------------------------------------------------
-
-def anc_relay(y_relay: np.ndarray, power: float, sigma2: float) -> np.ndarray:
-    """Amplify-and-forward gain sqrt(P/(2P+sigma2)) applied to the relay input.
-
-    The gain renormalizes the superposition of two power-P signals plus
-    noise back to transmit power P.
-    """
-    gain = math.sqrt(power / (2.0 * power + sigma2))
-    return gain * np.asarray(y_relay, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +65,7 @@ EXPERIMENTS = {
     "bsc": ("bsc", "bsc_kernel"),
     "minangle": ("minangle", "minangle_kernel"),
     "concentration": ("minangle", "concentration_kernel"),
-    "anc-power": ("harness", "anc_power_kernel"),
+    "anc-power": ("twoway", "anc_power_kernel"),
 }
 
 # The kernels loaded so far, and any registered in place of a table entry.
@@ -170,7 +155,8 @@ class TrialReport:
             self.ci_high = float("nan")
 
     def rate(self, key: str) -> float:
-        return self.counts.get(key, 0.0) / self.trials
+        """The share of trials counted under `key`; KeyError if the report lacks it."""
+        return self.counts[key] / self.trials
 
     def to_dict(self) -> dict:
         """The report without its wall time."""
@@ -288,30 +274,3 @@ def _run_chunk(pool, spread: int, spec: ExperimentSpec, master: int,
         _merge(totals, fut.result())
     return totals
 
-
-# ---------------------------------------------------------------------------
-# Amplify-and-forward power contract experiment
-# ---------------------------------------------------------------------------
-
-def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Mapping[str, float]:
-    """`count` amplify-and-forward sessions with Gaussian signaling.
-
-    Totals the relay output energy per dimension, so the batch mean checks
-    the power renormalization contract E||x_R||^2/n = P.
-    """
-    n = int(params["n"])
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
-    if count * n > ONE_HOT_GUARD:
-        raise GuardExceededError(
-            f"{count} x {n} anc-power block exceeds {ONE_HOT_GUARD} entries per array")
-    power = float(params["power"])
-    sigma2 = float(params["sigma2"])
-    sigma = math.sqrt(power)
-    x1 = rng.normal(0.0, sigma, size=(count, n))
-    x2 = rng.normal(0.0, sigma, size=(count, n))
-    y = x1 + x2
-    if sigma2 > 0:
-        y = y + rng.normal(0.0, math.sqrt(sigma2), size=(count, n))
-    x_relay = anc_relay(y, power, sigma2)
-    return {"relay_energy_per_dim": float(np.einsum("ij,ij->", x_relay, x_relay)) / n}

@@ -135,17 +135,6 @@ def dither(rng: np.random.Generator, coarse: CoarseLattice,
 # Nested pair and codebook
 # ---------------------------------------------------------------------------
 
-def _enumerate_messages(q: int, k: int) -> np.ndarray:
-    """All q^k messages, ordered by base-q index (least significant digit first)."""
-    m = q ** k
-    idx = np.arange(m)
-    digits = np.empty((m, k), dtype=np.int64)
-    for j in range(k):
-        digits[:, j] = idx % q
-        idx = idx // q
-    return digits
-
-
 def _check_codebook(n: int, q: int, k: int) -> None:
     """Check both codebook guards in Python ints, before any array is built."""
     size = q ** min(k, ENUMERATION_GUARD.bit_length())  # q >= 2: over past 20 digits

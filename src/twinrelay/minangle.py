@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DirectionCollisionError, GuardExceededError, ValidationError
 from .lattice import scan_rows
+from .rates import check_channel
 
 BALL_GUARD = 100_000        # max points per ball codebook
 PAIR_GUARD = 10_000_000     # max enumerated codeword pairs
@@ -249,14 +250,14 @@ def check_distinct_directions(units: np.ndarray) -> None:
 
 def concentration_kernel(params: Mapping, rng: np.random.Generator,
                          count: int) -> Mapping[str, int]:
-    """`count` batches of uniform ball pairs; counts sums falling off the shell.
+    """`count` batches of CONC_BATCH ball pairs; counts sums falling off the shell.
 
     By rotation invariance only three scalars per pair matter: the squared
     radii s = U^(2/n) of the two ball points in units of nP, and the cosine
     c between their directions, g / sqrt(g^2 + 2 * Gamma((n-1)/2)) for a
     standard normal g (the first coordinate of a uniform direction; c = +-1
     at n = 1).  Then |x1 + x2|^2 / nP = s1 + s2 + 2 sqrt(s1 s2) c, in four
-    draws of `batch` scalars whatever n is, and the shell is
+    draws of CONC_BATCH scalars whatever n is, and the shell is
     [2 - delta/P, 2 + delta/P] in the same units, so no power under- or
     overflows.  Batches are drawn one after another, so memory stays at one
     batch.
@@ -264,17 +265,16 @@ def concentration_kernel(params: Mapping, rng: np.random.Generator,
     n = int(params["n"])
     power = float(params["power"])
     delta = float(params["delta"])
-    batch = int(params["batch"])
     ShellSpec(n=n, power=power, delta=delta)  # validates the arguments
     lo, hi = 2.0 - delta / power, 2.0 + delta / power
     off = 0
     for _ in range(count):
-        s1, s2 = rng.random((2, batch)) ** (2.0 / n)
-        g = rng.standard_normal(batch)
-        cos = g / np.sqrt(g * g + 2.0 * rng.standard_gamma((n - 1) / 2.0, batch))
+        s1, s2 = rng.random((2, CONC_BATCH)) ** (2.0 / n)
+        g = rng.standard_normal(CONC_BATCH)
+        cos = g / np.sqrt(g * g + 2.0 * rng.standard_gamma((n - 1) / 2.0, CONC_BATCH))
         norm_sq = s1 + s2 + 2.0 * np.sqrt(s1 * s2) * cos
         off += int(np.count_nonzero((norm_sq < lo) | (norm_sq > hi)))
-    return {"off_shell": off, "samples": count * batch}
+    return {"off_shell": off, "samples": count * CONC_BATCH}
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +312,12 @@ class MinAngleDraws:
 
 def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
     """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
+    sigma2 = float(params["sigma2"])
+    check_channel(float(params["power"]), sigma2)
     cb = decoder_instance(params).codebook
     i = rng.integers(cb.size, size=count)
     j = rng.integers(cb.size, size=count)
     y = cb.points[i] + cb.points[j]
-    sigma2 = float(params["sigma2"])
     if sigma2 > 0:
         y = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
     return MinAngleDraws(i, j, y)

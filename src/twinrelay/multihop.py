@@ -13,7 +13,8 @@ The symbolic executor tracks each node's state as an integer coefficient
 ledger over packet symbols.  The numeric executor replays the same
 schedule with codebook indices on the chain's slot x position grid, with
 fresh dithers per (slot, node) and the MMSE-scaled modulo decoder at
-every listener, decoding many slots per call (see `run_multihop`).
+every listener, decoding many slots per call (see `run_multihop`).  The
+amplify-and-forward cascade it is compared with is `rates.anc_multihop_baseline`.
 """
 
 from __future__ import annotations
@@ -397,33 +398,3 @@ def run_multihop(
     result.hop_errors = int((np.array(sent) != ideal).sum())
     return result
 
-
-# ---------------------------------------------------------------------------
-# Amplify-and-forward cascade baseline
-# ---------------------------------------------------------------------------
-
-def anc_multihop_snr(relays: int, snr: float) -> float:
-    """End-to-end SNR of a forward amplify-and-forward cascade.
-
-    Each stage hears two unit-power neighbors plus noise, applies the gain
-    g^2 = snr/(2*snr + 1), and renormalizes to power P.  The destination
-    cancels everything that originated from itself; reflections traveling
-    backward are neglected.  The desired component attenuates as g^(2L)
-    while each stage's noise is amplified by every later stage:
-
-        snr_eff(L) = g^(2L) * snr / (1 + sum_{j=1..L} g^(2j))
-
-    which reduces to snr^2/(3*snr + 1) for a single relay.
-    """
-    if relays < 1:
-        raise ValidationError(f"need at least one relay, got {relays}")
-    if snr < 0:
-        raise ValidationError(f"snr must be >= 0, got {snr}")
-    g2 = snr / (2.0 * snr + 1.0)
-    geo = sum(g2 ** j for j in range(1, relays + 1))
-    return g2 ** relays * snr / (1.0 + geo)
-
-
-def anc_multihop_baseline(relays: int, snr: float) -> float:
-    """Exchange rate (1/2) log2(1 + snr_eff) of the cascade; L=1 matches rate_anc."""
-    return 0.5 * math.log2(1.0 + anc_multihop_snr(relays, snr))

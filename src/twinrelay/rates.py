@@ -6,7 +6,8 @@ functions of the linear uplink/downlink SNR.  The envelope concavifies
 max(R_jd, R_lattice) over linear SNR: operating the joint-decoding
 scheme a fraction beta of the time at SNR s_lo and the lattice scheme
 the rest at s_hi, with beta*s_lo + (1-beta)*s_hi equal to the average
-SNR, traces the common tangent between the two curves.
+SNR, traces the common tangent between the two curves.  Amplify-and-forward
+has `rate_anc` for one relay and `anc_multihop_baseline` for a cascade.
 """
 
 from __future__ import annotations
@@ -70,6 +71,32 @@ def rate_anc(snr: float) -> float:
     """Amplify-and-forward baseline (1/2) log2(1 + snr^2/(3 snr + 1))."""
     s = _check_snr(snr)
     return 0.5 * math.log2(1.0 + s * s / (3.0 * s + 1.0))
+
+
+def anc_multihop_snr(relays: int, snr: float) -> float:
+    """End-to-end SNR of a forward amplify-and-forward cascade of L relays.
+
+    Each stage hears two unit-power neighbors plus noise, applies the gain
+    g^2 = snr/(2*snr + 1), and renormalizes to power P.  The destination
+    cancels everything that originated from itself; reflections traveling
+    backward are neglected.  The desired component attenuates as g^(2L)
+    while each stage's noise is amplified by every later stage:
+
+        snr_eff(L) = g^(2L) * snr / (1 + sum_{j=1..L} g^(2j))
+
+    which reduces to snr^2/(3*snr + 1) for a single relay.
+    """
+    if relays < 1:
+        raise ValidationError(f"need at least one relay, got {relays}")
+    s = _check_snr(snr)
+    g2 = s / (2.0 * s + 1.0)
+    geo = sum(g2 ** j for j in range(1, relays + 1))
+    return g2 ** relays * s / (1.0 + geo)
+
+
+def anc_multihop_baseline(relays: int, snr: float) -> float:
+    """Exchange rate (1/2) log2(1 + snr_eff) of the cascade; L=1 matches rate_anc."""
+    return 0.5 * math.log2(1.0 + anc_multihop_snr(relays, snr))
 
 
 def rate_pure_nc(snr: float) -> float:

@@ -15,7 +15,9 @@ formed.  The harness kernel runs a block of rounds at once on index
 arrays (`session_rows`), scoring each decode against its round's one true
 sum and decoding both nodes' direct downlinks in one quantizer call.  It
 is the one exchange path; the scalar reference it is tested against, in
-which each node cancels its own point, lives in `tests/oracles.py`.
+which each node cancels its own point, lives in `tests/oracles.py`.  The
+baseline, analog network coding's amplify-and-forward relay `anc_relay`,
+and its `anc-power` kernel of the power contract are here too.
 """
 
 from __future__ import annotations
@@ -201,6 +203,13 @@ def pair_from_params(params: Mapping) -> NestedLatticePair:
                         float(params["power"]), gen_rows)
 
 
+def _check_block(count: int, n: int, experiment: str) -> None:
+    """Refuse a block of `count` rows of n entries past ONE_HOT_GUARD."""
+    if count * n > ONE_HOT_GUARD:
+        raise GuardExceededError(
+            f"{count} x {n} {experiment} block exceeds {ONE_HOT_GUARD} entries per array")
+
+
 def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
     """Error totals of `count` exchange rounds; messages, dithers and noise from `rng`.
 
@@ -208,9 +217,7 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
     mode ("index"|"direct"); only the generator rows are optional.
     """
     n = int(params["n"])
-    if count * n > ONE_HOT_GUARD:  # checked before the pair is built
-        raise GuardExceededError(
-            f"{count} x {n} lattice block exceeds {ONE_HOT_GUARD} entries per array")
+    _check_block(count, n, "lattice")  # checked before the pair is built
     mode = params["mode"]
     if mode not in ("index", "direct"):
         raise ValidationError(f"broadcast mode must be 'index' or 'direct', got {mode!r}")
@@ -221,3 +228,38 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
 
 
 LATTICE_ERROR_KEYS = ("relay_error", "end_error", "union_error")
+
+
+# ---------------------------------------------------------------------------
+# Amplify-and-forward relay
+# ---------------------------------------------------------------------------
+
+def anc_relay(y_relay: np.ndarray, power: float, sigma2: float) -> np.ndarray:
+    """Amplify-and-forward gain sqrt(P/(2P+sigma2)) applied to the relay input.
+
+    The gain renormalizes the superposition of two power-P signals plus
+    noise back to transmit power P.
+    """
+    gain = math.sqrt(power / (2.0 * power + sigma2))
+    return gain * np.asarray(y_relay, dtype=float)
+
+
+def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> Mapping[str, float]:
+    """`count` amplify-and-forward sessions with Gaussian signaling.
+
+    Totals the relay output energy per dimension, so the batch mean checks
+    the power renormalization contract E||x_R||^2/n = P.
+    """
+    n = int(params["n"])
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got {n}")
+    _check_block(count, n, "anc-power")
+    ch = ChannelParams(float(params["power"]), float(params["sigma2"]))
+    sigma = math.sqrt(ch.power)
+    x1 = rng.normal(0.0, sigma, size=(count, n))
+    x2 = rng.normal(0.0, sigma, size=(count, n))
+    y = x1 + x2
+    if ch.sigma2 > 0:
+        y = y + rng.normal(0.0, math.sqrt(ch.sigma2), size=(count, n))
+    x_relay = anc_relay(y, ch.power, ch.sigma2)
+    return {"relay_energy_per_dim": float(np.einsum("ij,ij->", x_relay, x_relay)) / n}

@@ -94,6 +94,18 @@ def mod_coarse_where(x, coarse) -> np.ndarray:
     return np.where(y < -cell / 2, y + cell, y)
 
 
+def enumerate_messages(q: int, k: int) -> np.ndarray:
+    """All q^k messages, ordered by base-q index (least significant digit
+    first), one digit at a time."""
+    m = q ** k
+    idx = np.arange(m)
+    digits = np.empty((m, k), dtype=np.int64)
+    for j in range(k):
+        digits[:, j] = idx % q
+        idx = idx // q
+    return digits
+
+
 @lru_cache(maxsize=64)
 def _index_of(pair) -> dict[tuple[int, ...], int]:
     return {tuple(int(c) for c in row): i for i, row in enumerate(pair.codebook_units)}

@@ -243,7 +243,7 @@ def test_concentration_json_rows(tmp_path, capsys):
     for row in doc["rows"]:
         assert row["samples"] == 5000
         spec = harness.ExperimentSpec(
-            "concentration", {"n": row["n"], "power": 1.0, "delta": 0.1, "batch": 1000}, ())
+            "concentration", {"n": row["n"], "power": 1.0, "delta": 0.1}, ())
         off = int(harness.run_trials(spec, trials=5, master_seed=4).counts["off_shell"])
         assert row["fraction"] == pytest.approx(off / 5000, rel=1e-11)
         lo, hi = harness.wilson_interval(off, 5000)
@@ -328,7 +328,7 @@ def test_provenance_numpy_and_stream_addressing(tmp_path, capsys):
     (["sim", "minangle", "--dim", "2", "--snr-db", "15", "--trials", "100", "--out", "m.json"],
      ["twinrelay.twoway", "twinrelay.bsc"]),
     (["sim", "anc-power", "--snr-db", "10", "--trials", "100", "--out", "a.json"],
-     ["twinrelay.twoway", "twinrelay.minangle"]),
+     ["twinrelay.bsc", "twinrelay.minangle"]),
     (["multihop", "--relays", "3", "--packets", "6", "--mode", "symbolic", "--out", "s.json"],
      ["twinrelay.harness", "concurrent.futures.process"]),
     (["multihop", "--relays", "2", "--packets", "10", "--mode", "numeric-noiseless",
@@ -786,7 +786,7 @@ def test_kernel_refuses_params_missing_a_cli_key(argv):
     # the CLI writes every key a kernel reads, so the flags' defaults are the
     # only defaults; None stands for the params `cmd_concentration` builds
     if argv is None:
-        name, params = "concentration", {"n": 8, "power": 1.0, "delta": 0.1, "batch": 1000}
+        name, params = "concentration", {"n": 8, "power": 1.0, "delta": 0.1}
     else:
         args = build_parser(argv).parse_args(argv)
         name, (params, _) = args.scheme, args.spec(args)

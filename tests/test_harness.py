@@ -14,13 +14,12 @@ from twinrelay.errors import TwinrelayError, ValidationError
 from twinrelay.harness import (
     MAX_WORKERS,
     ExperimentSpec,
-    anc_power_kernel,
-    anc_relay,
     register_experiment,
     run_trials,
     wilson_interval,
 )
 from twinrelay.rng import TAG_TRIAL, derive_seed, generator, philox_key
+from twinrelay.twoway import anc_power_kernel, anc_relay
 
 VECTORS = os.path.join(os.path.dirname(__file__), "data", "rng_vectors.json")
 
@@ -92,6 +91,12 @@ def test_anc_power_contract():
     for n in (0, -1):
         with pytest.raises(ValidationError, match="dimension"):
             anc_power_kernel({"n": n, "power": 1.0, "sigma2": 0.5}, generator(0), 8)
+
+
+@pytest.mark.parametrize("power,sigma2", [(1.0, -0.5), (1.0, math.nan), (-1.0, 0.5)])
+def test_anc_power_kernel_refuses_a_bad_channel(power, sigma2):
+    with pytest.raises(ValidationError, match="power must|noise variance"):
+        anc_power_kernel({"n": 4, "power": power, "sigma2": sigma2}, generator(0), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,16 @@ def test_run_trials_refuses_an_error_key_the_kernel_does_not_report():
         run_trials(ExperimentSpec("counted", {}, ("hit", "miss", "mis")), trials=None,
                    master_seed=0, target_ci=1e-6, max_trials=3 * BLOCK)
     assert calls == [BLOCK]
+
+
+def test_report_rate_refuses_a_key_it_lacks():
+    # a misspelled key would read a zero error rate
+    params = {"n": 1, "q": 4, "k": 1, "snr_db": 12.0, "power": 1.0, "mode": "index"}
+    report = run_trials(ExperimentSpec("lattice", params, ("relay_error",)),
+                        trials=BLOCK, master_seed=0)
+    assert report.rate("relay_error") == report.counts["relay_error"] / BLOCK > 0.05
+    with pytest.raises(KeyError):
+        report.rate("relay_eror")
 
 
 def _round_floats_sorted_walk(obj):

@@ -12,13 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import index_of_units, mod_units_exact
+from oracles import enumerate_messages, index_of_units, mod_units_exact
 from twinrelay import lattice
 from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.lattice import (
     CoarseLattice,
     NestedLatticePair,
-    _enumerate_messages,
     centered_units,
     dither,
     encode_message,
@@ -305,7 +304,7 @@ def test_codebook_build_matches_one_shot_build(n, q, k):
     # the chunked build against all messages times G at once; the last
     # four cases span several chunks
     pair = make_pair(n=n, q=q, k=k, power=1.0)
-    words = _enumerate_messages(q, k) @ pair.generator_matrix % q
+    words = enumerate_messages(q, k) @ pair.generator_matrix % q
     want = centered_units(words, q).astype(np.int32)
     assert pair.codebook_units.dtype == np.int32
     assert pair.codebook_units.tobytes() == want.tobytes()

@@ -106,6 +106,18 @@ def test_only_cli_imports_the_harness():
     assert not registrations, "register_experiment called at " + ", ".join(registrations)
 
 
+def test_harness_imports_no_kernel_module():
+    # the runner holds no scheme: it reaches each kernel only through its
+    # EXPERIMENTS table, and no entry points back at the runner itself
+    from twinrelay.harness import EXPERIMENTS
+
+    kernels = {f"twinrelay.{name}" for name in ("lattice", "twoway", "bsc", "minangle",
+                                                 "multihop")}
+    imported = set(_imported_names(ast.parse((PACKAGE / "harness.py").read_text())))
+    assert not imported & kernels, "harness imports " + ", ".join(sorted(imported & kernels))
+    assert not [name for name, (module, _) in EXPERIMENTS.items() if module == "harness"]
+
+
 def test_oracles_import_without_the_package():
     # the benchmark reads the quadrature oracle with tests/ on its path but
     # not the package, so oracles imports twinrelay only inside functions

@@ -284,8 +284,8 @@ def test_sum_build_memory_does_not_grow_with_pairs():
 def _concentration(n, power, delta, samples, seed):
     """Off-shell count, sample count and Wilson interval of `samples` ball pairs."""
     spec = ExperimentSpec("concentration",
-                          {"n": n, "power": power, "delta": delta, "batch": 1000}, ())
-    report = run_trials(spec, trials=samples // 1000, master_seed=seed)
+                          {"n": n, "power": power, "delta": delta}, ())
+    report = run_trials(spec, trials=samples // minangle.CONC_BATCH, master_seed=seed)
     off, total = int(report.counts["off_shell"]), int(report.counts["samples"])
     return off / total, total, wilson_interval(off, total)
 
@@ -326,6 +326,20 @@ def test_concentration_nested_shells():
     wide, _, _ = _concentration(n=6, power=1.0, delta=1.9, samples=50_000, seed=8)
     thin, _, _ = _concentration(n=6, power=1.0, delta=0.1, samples=50_000, seed=8)
     assert wide < thin
+
+
+def test_concentration_trial_draws_conc_batch_pairs():
+    # the batch size is the module's constant, not a params key
+    out = minangle.concentration_kernel({"n": 8, "power": 1.0, "delta": 0.1}, generator(0), 3)
+    assert out["samples"] == 3 * minangle.CONC_BATCH
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, math.nan, math.inf])
+def test_minangle_draws_refuse_a_bad_noise_variance(sigma2):
+    # each once ran as the noiseless channel, or warned on an infinite scale
+    params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": sigma2, "delta": 1.5}
+    with pytest.raises(ValidationError, match="noise variance"):
+        draw_minangle(generator(0), 200, params)
 
 
 def _minangle_report(n, sigma2, trials, seed):

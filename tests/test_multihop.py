@@ -11,15 +11,18 @@ from twinrelay import multihop
 from twinrelay.errors import GuardExceededError, ScheduleError, ValidationError
 from twinrelay.lattice import make_pair
 from twinrelay.multihop import (
-    anc_multihop_baseline,
-    anc_multihop_snr,
     build_schedule,
     render_table,
     run_multihop,
     schedule_json,
     table_json,
 )
-from twinrelay.rates import rate_anc, rate_lattice
+from twinrelay.rates import (
+    anc_multihop_baseline,
+    anc_multihop_snr,
+    rate_anc,
+    rate_lattice,
+)
 from twinrelay.twoway import relay_decode_sum
 
 FIXTURE = os.path.join(
