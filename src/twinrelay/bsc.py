@@ -98,17 +98,6 @@ class BscParams:
             raise ValidationError(f"crossover must be in [0, 0.5), got {self.p_cross}")
 
 
-def binary_entropy(p: float) -> float:
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def bsc_exchange_rate_bound(params: BscParams) -> float:
-    """1 - H2(p): the exchange rate the identical-linear-code scheme achieves."""
-    return 1.0 - binary_entropy(params.p_cross)
-
-
 # ---------------------------------------------------------------------------
 # Harness experiment
 # ---------------------------------------------------------------------------

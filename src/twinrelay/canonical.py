@@ -20,17 +20,19 @@ import sys
 BLOCK = 4096
 STREAM_VERSION = 2
 
+_PLAIN = frozenset((str, int, bool, type(None)))  # written as they are
+
 
 def _round_floats(obj):
     """obj with floats at 12 significant digits and numpy scalars as Python
     ones; `canonical_dumps` sorts the keys."""
     kind = type(obj)
-    if kind is str or kind is int or kind is bool or obj is None:
+    if kind in _PLAIN:
         return obj
     if kind is dict:
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {k: v if type(v) in _PLAIN else _round_floats(v) for k, v in obj.items()}
     if kind is list or kind is tuple:
-        return [_round_floats(v) for v in obj]
+        return [v if type(v) in _PLAIN else _round_floats(v) for v in obj]
     if kind is float:
         if math.isnan(obj):
             return None

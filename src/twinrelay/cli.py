@@ -16,12 +16,19 @@ imports none that loads numpy: `--version`, help, every argparse error and
 `rates` start without numpy, the process pool or a kernel module.  A `sim`
 scheme's parser holds a spec function that imports the scheme's kernel
 module for its params and error keys only when `cmd_sim` calls it.
+
+A complete command (`rates`, `concentration`, `sim SCHEME`, `multihop
+--mode MODE`) parses with its own leaf parser alone.  Anything else (no
+name, an unknown name, `--version`, top-level help) and a flag the leaf
+does not know parse with the whole tree (`build_parser`), so help and
+errors read as the tree's.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -268,28 +275,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def _level(parser: argparse.ArgumentParser, dest: str, builders: dict,
-           argv: Sequence[str], **kwargs) -> None:
-    """Subparsers `dest` over `builders`, name -> build(sub, name, argv).
-
-    argparse hands the rest of argv to the subparser that argv[0] names and
-    enters no other, so when argv[0] is one of the names only that one is
-    built, given the rest of argv.  Otherwise (help, a typo, no name) every
-    name is built, with every level below it, so help and choice errors read
-    as they do for the whole tree.  The metavar keeps the unbuilt names in
-    the usage line of an "unrecognized arguments" error.
-    """
-    named = argv[0] if argv and argv[0] in builders else None
-    sub = parser.add_subparsers(
-        dest=dest, required=True, **kwargs,
-        metavar=None if named is None else "{" + ",".join(builders) + "}")
-    for name, build in builders.items():
-        if named in (None, name):
-            build(sub, name, argv[1:] if named else ())
-
-
-def _rates_parser(sub, name: str, argv: Sequence[str]) -> None:
-    p = sub.add_parser(name, help="emit the closed-form rate curves")
+def _rates_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--snr-min", type=_finite_float, default=-10.0)
     p.add_argument("--snr-max", type=_finite_float, default=30.0)
     p.add_argument("--step", type=_finite_float, default=1.0)
@@ -298,17 +284,10 @@ def _rates_parser(sub, name: str, argv: Sequence[str]) -> None:
     p.set_defaults(func=cmd_rates)
 
 
-def _sim_parser(sub, name: str, argv: Sequence[str]) -> None:
-    p = sub.add_parser(name, help="run a Monte Carlo experiment")
-    p.set_defaults(func=cmd_sim)
-    _level(p, "scheme", SIM_SCHEMES, argv)
-
-
-def _scheme_parser(schemes, name: str, spec) -> argparse.ArgumentParser:
-    """A `sim` scheme's parser with the run flags every scheme shares; the
-    caller adds the scheme's own flags, which `spec(args)` reads into the
-    experiment's (params, error keys)."""
-    p = schemes.add_parser(name, allow_abbrev=False)
+def _scheme_parser(p: argparse.ArgumentParser, spec) -> None:
+    """The run flags every `sim` scheme shares; the scheme's builder adds its
+    own flags, which `spec(args)` reads into the experiment's (params, error
+    keys)."""
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--target-ci", type=_finite_float, default=None,
                    help="stop when the primary 95%% half-width drops below this")
@@ -316,8 +295,7 @@ def _scheme_parser(schemes, name: str, spec) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(spec=spec, codebook=None)
-    return p
+    p.set_defaults(func=cmd_sim, spec=spec, codebook=None)
 
 
 def _lattice_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
@@ -327,8 +305,8 @@ def _lattice_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
             "mode": a.broadcast}, LATTICE_ERROR_KEYS
 
 
-def _lattice_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, _lattice_spec)
+def _lattice_parser(p: argparse.ArgumentParser) -> None:
+    _scheme_parser(p, _lattice_spec)
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--q", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
@@ -342,8 +320,8 @@ def _bsc_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
     return {"p": a.p, "code": a.code}, BSC_ERROR_KEYS
 
 
-def _bsc_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, _bsc_spec)
+def _bsc_parser(p: argparse.ArgumentParser) -> None:
+    _scheme_parser(p, _bsc_spec)
     p.add_argument("--p", type=_finite_float, required=True,
                    help="BSC crossover probability")
     p.add_argument("--code", choices=("hamming74",), default="hamming74")
@@ -357,8 +335,8 @@ def _minangle_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
             "delta": a.delta if a.delta is not None else 0.1 * a.power}, MINANGLE_ERROR_KEYS
 
 
-def _minangle_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, _minangle_spec)
+def _minangle_parser(p: argparse.ArgumentParser) -> None:
+    _scheme_parser(p, _minangle_spec)
     p.set_defaults(codebook=_minangle_codebook)
     p.add_argument("--dim", type=int, default=3, help="dimension")
     p.add_argument("--power", type=_finite_float, default=2.0, help="ball power")
@@ -373,37 +351,33 @@ def _anc_power_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
             "sigma2": rates.sigma2_from_snr_db(a.snr_db, DEFAULT_POWER)}, ()
 
 
-def _anc_power_parser(schemes, name: str, argv: Sequence[str]) -> None:
-    p = _scheme_parser(schemes, name, _anc_power_spec)
+def _anc_power_parser(p: argparse.ArgumentParser) -> None:
+    _scheme_parser(p, _anc_power_spec)
     p.add_argument("--n", type=int, default=1, help="block dimension")
     p.add_argument("--snr-db", type=_finite_float, required=True)
 
 
-def _multihop_parser(sub, name: str, argv: Sequence[str]) -> None:
-    p = sub.add_parser(name, help="schedule and run the relay chain",
-                       usage=f"%(prog)s --mode {{{','.join(MULTIHOP_MODES)}}} ...")
-    p.set_defaults(func=cmd_multihop)
-    _level(p, "mode", dict.fromkeys(MULTIHOP_MODES, _mode_parser), argv,
-           title="modes (--mode)")
-
-
-def _mode_parser(modes, mode: str, argv: Sequence[str]) -> None:
-    p = modes.add_parser(mode, prog=f"twinrelay multihop --mode {mode}", allow_abbrev=False)
+def _symbolic_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--relays", type=int, required=True)
     p.add_argument("--packets", type=int, required=True)
     p.add_argument("--out", required=True)
-    if mode == "symbolic":
-        return
+    p.set_defaults(func=cmd_multihop)
+
+
+def _noiseless_parser(p: argparse.ArgumentParser) -> None:
+    _symbolic_parser(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=_seed, default=0)
-    if mode == "numeric-awgn":
-        p.add_argument("--snr-db", type=_finite_float, required=True)
 
 
-def _concentration_parser(sub, name: str, argv: Sequence[str]) -> None:
-    p = sub.add_parser(name, help="off-shell fraction of ball-pair sums")
+def _awgn_parser(p: argparse.ArgumentParser) -> None:
+    _noiseless_parser(p)
+    p.add_argument("--snr-db", type=_finite_float, required=True)
+
+
+def _concentration_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-list", default="8,16,32,64")
     p.add_argument("--power", type=_finite_float, default=1.0)
     p.add_argument("--delta", type=_finite_float, default=None, help="default 0.1 * power")
@@ -415,22 +389,78 @@ def _concentration_parser(sub, name: str, argv: Sequence[str]) -> None:
     p.set_defaults(func=cmd_concentration)
 
 
-COMMANDS = {"rates": _rates_parser, "sim": _sim_parser, "multihop": _multihop_parser,
-            "concentration": _concentration_parser}
-SIM_SCHEMES = {"lattice": _lattice_parser, "bsc": _bsc_parser,
-               "minangle": _minangle_parser, "anc-power": _anc_power_parser}
+# The leaves: a command that is complete by itself, and the namespace key and
+# leaves of a command with a second level, each name -> its flag builder.
+COMMANDS = {"rates": _rates_parser, "concentration": _concentration_parser}
+LEVELS = {
+    "sim": ("scheme", {"lattice": _lattice_parser, "bsc": _bsc_parser,
+                       "minangle": _minangle_parser, "anc-power": _anc_power_parser}),
+    "multihop": ("mode", dict(zip(MULTIHOP_MODES,
+                                  (_symbolic_parser, _noiseless_parser, _awgn_parser)))),
+}
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for `argv` (after `_mode_first`): the command, scheme and
-    mode that argv names are built with their flags, and no other."""
+def _leaf(make, command: str, name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of a complete command, `command` or `command name` (a `sim`
+    scheme or a `multihop` mode), as `make(prog=..., allow_abbrev=...)`
+    returns it with the leaf's flags: a subparser in the tree, a standalone
+    parser in `_parse`, with the same prog, abbreviation rule and flags."""
+    if name is None:
+        parser = make(prog=f"twinrelay {command}")
+        COMMANDS[command](parser)
+        return parser
+    label = f"--mode {name}" if command == "multihop" else name
+    parser = make(prog=f"twinrelay {command} {label}", allow_abbrev=False)
+    LEVELS[command][1][name](parser)
+    return parser
+
+
+def _level(parser: argparse.ArgumentParser, command: str, **kwargs) -> None:
+    """Subparsers over the leaves of `command`'s second level."""
+    dest, leaves = LEVELS[command]
+    sub = parser.add_subparsers(dest=dest, required=True, **kwargs)
+    for name in leaves:
+        _leaf(functools.partial(sub.add_parser, name), command, name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree.  `main` parses a complete command with its
+    leaf alone, and builds this only for help and errors."""
     parser = argparse.ArgumentParser(
         prog="twinrelay",
         description="Two-way relay exchange: rate curves and Monte Carlo experiments",
     )
     parser.add_argument("--version", action="version", version=f"twinrelay {__version__}")
-    _level(parser, "command", COMMANDS, argv)
+    sub = parser.add_subparsers(dest="command", required=True)
+    _leaf(functools.partial(sub.add_parser, "rates", help="emit the closed-form rate curves"),
+          "rates")
+    _level(sub.add_parser("sim", help="run a Monte Carlo experiment"), "sim")
+    _level(sub.add_parser("multihop", help="schedule and run the relay chain",
+                          usage=f"%(prog)s --mode {{{','.join(MULTIHOP_MODES)}}} ..."),
+           "multihop", title="modes (--mode)")
+    _leaf(functools.partial(sub.add_parser, "concentration",
+                            help="off-shell fraction of ball-pair sums"), "concentration")
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace (after `_mode_first`).  A complete command parses the
+    rest of argv with its leaf alone, from a namespace that holds the keys
+    the tree's levels set (`command`, and `scheme` or `mode`); argparse
+    hands a subparser the rest of argv and enters no other, so this is the
+    tree's parse.  Anything else, and a leaf's unknown argument, which the
+    tree reports in its top-level usage, parses with the whole tree."""
+    command, name = (argv + [None, None])[:2]
+    if command in COMMANDS:
+        leaf, rest = _leaf(argparse.ArgumentParser, command), argv[1:]
+        keys = {"command": command}
+    elif command in LEVELS and name in LEVELS[command][1]:
+        leaf, rest = _leaf(argparse.ArgumentParser, command, name), argv[2:]
+        keys = {"command": command, LEVELS[command][0]: name}
+    else:
+        return build_parser().parse_args(argv)
+    args, unknown = leaf.parse_known_args(rest, argparse.Namespace(**keys))
+    return build_parser().parse_args(argv) if unknown else args
 
 
 def _mode_first(argv: list[str]) -> list[str]:
@@ -456,7 +486,7 @@ def _mode_first(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = _mode_first(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse validation failure -> exit code 2
         return int(exc.code) if exc.code is not None else 2
     try:

@@ -22,8 +22,9 @@ product of a separable cost table with a one-hot codebook matrix.  Both
 hold only the q-1 non-zero residues, each costed relative to residue 0
 (level 0), so the product is (rows, n*(q-1)) by (n*(q-1), size); rows
 whose runner-up lies within an absolute rounding slack of the best are
-re-decided in float64, so the result is the `wrapped_sq_distances` argmin
-(see `_nearest`).
+re-decided in float64, so the result is the argmin of the wrapped squared
+distances to every codeword (see `_nearest`); that exhaustive scan, the
+quantizer's reference, is `wrapped_sq_distances` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -231,11 +232,6 @@ class NestedLatticePair:
         return one_hot
 
     @property
-    def codebook_coords(self) -> np.ndarray:
-        """Read-only (size, n) coordinates gamma * units of every codebook point."""
-        return _coords(self, slice(None))
-
-    @property
     def n(self) -> int:
         return self.coarse.n
 
@@ -344,24 +340,18 @@ def _fold(diffs: np.ndarray, cell: float) -> np.ndarray:
 
 
 def _sq_distances(x: np.ndarray, coords: np.ndarray, cell: float) -> np.ndarray:
-    """Wrapped squared distances from rows x (..., n) to points coords (m, n): (..., m)."""
+    """Wrapped squared distances from rows x (..., n) to points coords (m, n): (..., m).
+
+    Because the coarse lattice is a coordinate product, the minimum over all
+    coarse translates separates per component into a centered fold.  Over
+    the whole codebook this is the quantizer's reference.
+    """
     diffs = _fold(x[..., None, :] - coords, cell)
     return np.einsum("...ij,...ij->...i", diffs, diffs)
 
 
-def wrapped_sq_distances(x: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
-    """Squared torus distance from each row of x (..., n) to every codebook point.
-
-    Because the coarse lattice is a coordinate product, the minimum over
-    all coarse translates separates per component into a centered fold.
-    The result has shape (..., size).  This is the quantizer's reference.
-    """
-    x = pair.coarse.check_dim(x)
-    return _sq_distances(x, pair.codebook_coords, pair.coarse.cell)
-
-
 def _nearest(rows: np.ndarray, pair: NestedLatticePair) -> np.ndarray:
-    """Exact `wrapped_sq_distances` argmin of each row (m, n), ties to the lowest index.
+    """Exact reference argmin of each row (m, n), ties to the lowest index.
 
     Residue 0 is level 0, so the cost table holds, for each coordinate i
     and non-zero residue r only, D_i(r) = [fold(x_i - gamma*v_r)^2 -
@@ -411,7 +401,7 @@ def quantize_fine(x: np.ndarray, pair: NestedLatticePair):
     coarse translates); exact ties resolve to the lowest codebook index.
     A single row (shape (n,)) returns an int.  A full code (k = n) rounds
     each coordinate; any other code scores row chunks as one float32 product
-    each (see `_nearest`), with the argmin of `wrapped_sq_distances`.  A
+    each (see `_nearest`), with the argmin of the reference distances.  A
     chunk's cost table with its residue-0 column (n*q values a row) and its
     (rows, size) scores both stay within SCAN_WORKSET elements.
     """

@@ -225,7 +225,17 @@ def table_json(schedule: HopSchedule, max_slot: int = 6) -> str:
 
 
 def schedule_json(schedule: HopSchedule) -> dict:
-    """Transmit sets, ledgers, and decode events for export."""
+    """Transmit sets, ledgers, and decode events for export.  Each packet label
+    and each relay ledger is formatted once: slots share ledger objects."""
+    labels = {(d, i): packet_label((d, i))
+              for d in (1, 2) for i in range(1, schedule.num_packets + 1)}
+    ledgers: dict[int, dict[str, int]] = {}
+
+    def ledger(combo: Combo) -> dict[str, int]:
+        if id(combo) not in ledgers:
+            ledgers[id(combo)] = {labels[p]: c for p, c in sorted(combo.items())}
+        return ledgers[id(combo)]
+
     return {
         "relays": schedule.relays,
         "num_packets": schedule.num_packets,
@@ -233,18 +243,16 @@ def schedule_json(schedule: HopSchedule) -> dict:
             {
                 "slot": rec.slot,
                 "transmitters": list(rec.transmitters),
-                "injections": {nd: packet_label(p) for nd, p in rec.injections.items()},
-                "relay_states": {nd: _labels(combo) for nd, combo in rec.relay_states.items()},
-                "decodes": [
-                    {"node": ev.node, "packet": packet_label(ev.packet)}
-                    for ev in rec.decode_events
-                ],
+                "injections": {nd: labels[p] for nd, p in rec.injections.items()},
+                "relay_states": {nd: ledger(combo) for nd, combo in rec.relay_states.items()},
+                "decodes": [{"node": ev.node, "packet": labels[ev.packet]}
+                            for ev in rec.decode_events],
             }
             for rec in schedule.slots
         ],
         "decode_events": [
-            {"slot": ev.slot, "node": ev.node, "packet": packet_label(ev.packet),
-             "subtracted": _labels(ev.subtracted)}
+            {"slot": ev.slot, "node": ev.node, "packet": labels[ev.packet],
+             "subtracted": ledger(ev.subtracted)}
             for ev in schedule.decode_events
         ],
     }

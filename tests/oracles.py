@@ -69,6 +69,18 @@ def binary_entropy_hp(p) -> float:
     return float(-(p * p.ln() + q * q.ln()) / Decimal(2).ln())
 
 
+def binary_entropy(p: float) -> float:
+    if p in (0.0, 1.0):
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def bsc_exchange_rate_bound(params) -> float:
+    """1 - H2(p): the exchange rate the identical-linear-code scheme achieves,
+    for a `bsc.BscParams`."""
+    return 1.0 - binary_entropy(params.p_cross)
+
+
 # ---------------------------------------------------------------------------
 # Exact lattice arithmetic
 # ---------------------------------------------------------------------------
@@ -114,6 +126,26 @@ def _index_of(pair) -> dict[tuple[int, ...], int]:
 def index_of_units(pair, units) -> int:
     """Codebook index of a row of units, by exhaustive lookup over the codebook."""
     return _index_of(pair)[tuple(int(u) for u in units)]
+
+
+def codebook_coords(pair) -> np.ndarray:
+    """Read-only (size, n) coordinates gamma * units of every codebook point."""
+    from twinrelay.lattice import _coords
+
+    return _coords(pair, slice(None))
+
+
+def wrapped_sq_distances(x, pair) -> np.ndarray:
+    """Squared torus distance from each row of x (..., n) to every codebook point.
+
+    Because the coarse lattice is a coordinate product, the minimum over
+    all coarse translates separates per component into a centered fold.
+    The result has shape (..., size).  This is the quantizer's reference.
+    """
+    from twinrelay.lattice import _sq_distances
+
+    x = pair.coarse.check_dim(x)
+    return _sq_distances(x, codebook_coords(pair), pair.coarse.cell)
 
 
 def float_direction_collision(points) -> bool:

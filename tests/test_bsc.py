@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import bsc_encode, bsc_row
+from oracles import bsc_encode, bsc_exchange_rate_bound, bsc_row
 from twinrelay.bsc import (
     BSC_ERROR_KEYS,
     BinaryLinearCode,
     BscParams,
-    bsc_exchange_rate_bound,
     bsc_kernel,
     bsc_rows,
     draw_bsc,

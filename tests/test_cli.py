@@ -14,7 +14,7 @@ import pytest
 
 from twinrelay import harness
 from twinrelay.canonical import canonical_dumps
-from twinrelay.cli import MULTIHOP_MODES, _mode_first, build_parser, main
+from twinrelay.cli import MULTIHOP_MODES, _mode_first, _parse, build_parser, main
 from twinrelay.rates import rate_curve, rate_point, rate_upper
 from twinrelay.rng import generator
 
@@ -408,7 +408,7 @@ def _exit_in_worker(params, rng, count):
 def test_workers_default_is_one_whatever_the_environment(monkeypatch, argv):
     # the flag is the worker count's one source: no environment variable feeds it
     monkeypatch.setenv("TWINRELAY_WORKERS", "4")
-    assert build_parser(argv).parse_args(argv).workers == 1
+    assert _parse(argv).workers == 1
 
 
 def test_sim_broken_pool_exit_1_no_file(tmp_path, capsys, monkeypatch):
@@ -766,18 +766,82 @@ def test_invalid_name_exit_2_lists_choices(capsys, argv, names):
     assert "(choose from " + ", ".join(f"'{name}'" for name in names) + ")" in stderr
 
 
-def _names(parser: argparse.ArgumentParser) -> dict:
-    return next(action.choices for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
+@pytest.mark.parametrize("argv", README_LINES, ids=lambda argv: argv[-1])
+def test_readme_line_builds_one_parser(argv, monkeypatch, tmp_path, capsys):
+    # a complete command parses with its own leaf parser, not the whole tree
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("argv", README_LINES, ids=lambda argv: argv[-1])
-def test_parser_builds_only_the_named_path(argv):
+def test_leaf_namespace_is_the_trees(argv):
     argv = _mode_first(argv)
-    commands = _names(build_parser(argv))
-    assert list(commands) == [argv[0]]
-    if argv[0] in ("sim", "multihop"):
-        assert list(_names(commands[argv[0]])) == [argv[1]]
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+_LEAF_ARGS = {  # each leaf's path and flags, with every required flag but --out
+    "rates": ["rates"],
+    "concentration": ["concentration"],
+    "lattice": ["sim", "lattice"],
+    "bsc": ["sim", "bsc", "--p", "0.1"],
+    "minangle": ["sim", "minangle", "--snr-db", "10"],
+    "anc-power": ["sim", "anc-power", "--snr-db", "10"],
+    "symbolic": ["multihop", "--mode", "symbolic", "--relays", "3", "--packets", "6"],
+    "numeric-noiseless": ["multihop", "--mode", "numeric-noiseless", "--relays", "3",
+                          "--packets", "6"],
+    "numeric-awgn": ["multihop", "--mode", "numeric-awgn", "--relays", "3", "--packets", "6",
+                     "--snr-db", "10"],
+}
+_BAD_TYPE = {"rates": "--step", "concentration": "--samples", "lattice": "--n", "bsc": "--p",
+             "minangle": "--dim", "anc-power": "--n", "symbolic": "--relays",
+             "numeric-noiseless": "--q", "numeric-awgn": "--snr-db"}
+ROUTE_CASES = {
+    "help": ["-h"], "sim-help": ["sim", "-h"], "multihop-help": ["multihop", "-h"],
+    **{f"{leaf}-help": [*args, "-h"] for leaf, args in _LEAF_ARGS.items()},
+    "version": ["--version"], "version-before-leaf": ["--version", "sim", "lattice"],
+    "version-after-leaf": ["sim", "lattice", "--version", "--out", "x.json"],
+    "version-after-rates": ["rates", "--version", "--out", "x.csv"],
+    **{f"{leaf}-bad-type": [*args, _BAD_TYPE[leaf], "abc", "--out", "x.json"]
+       for leaf, args in _LEAF_ARGS.items()},
+    **{f"{leaf}-missing-required": args for leaf, args in _LEAF_ARGS.items()},
+    "unknown-flag": ["rates", "--bogus", "1", "--out", "x.csv"],
+    "unknown-scheme-flag": ["sim", "lattice", "--bogus", "--out", "x.json"],
+    "other-mode-flag": ["multihop", "--mode", "symbolic", "--relays", "3", "--packets", "6",
+                        "--q", "5", "--out", "x.json"],
+    "invalid-command": ["bogus"],
+    "invalid-scheme": ["sim", "bogus", "--out", "x.json"],
+    "invalid-mode": ["multihop", "--mode", "bogus", "--out", "x.json"],
+    "no-command": [],
+    "rates-abbreviated": ["rates", "--ste", "abc", "--out", "x.csv"],
+    "rates-ambiguous": ["rates", "--snr-m", "1", "--out", "x.csv"],
+    "concentration-abbreviated": ["concentration", "--sam", "abc", "--out", "x.csv"],
+    "scheme-abbreviated": ["sim", "lattice", "--sn", "3", "--out", "x.json"],
+    "trailing-mode": ["multihop", "--relays", "3", "--packets", "6", "--out", "x.json",
+                      "--mode"],
+}
+
+
+@pytest.mark.parametrize("argv", ROUTE_CASES.values(), ids=ROUTE_CASES)
+def test_help_and_errors_read_as_the_trees(argv, monkeypatch, tmp_path, capsys):
+    # main parses a complete command with its leaf alone; each help text and
+    # error must still be the whole tree's, byte for byte
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    ours = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(_mode_first(list(argv)))
+    tree = capsys.readouterr()
+    assert (code, ours.out, ours.err) == (exc.value.code or 0, tree.out, tree.err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [argv for argv in README_LINES if argv[0] == "sim"] + [None],
@@ -788,7 +852,7 @@ def test_kernel_refuses_params_missing_a_cli_key(argv):
     if argv is None:
         name, params = "concentration", {"n": 8, "power": 1.0, "delta": 0.1}
     else:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
         name, (params, _) = args.scheme, args.spec(args)
     kernel = harness.get_experiment(name)
     kernel(params, generator(0), 4)

@@ -22,12 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twinrelay"
 
 ALLOWED = {
-    "bsc_exchange_rate_bound": "pinned against oracles.binary_entropy_hp "
-                               "(test_bsc::test_exchange_rate_bound)",
     "anc_multihop_baseline": "the ANC comparison of ROADMAP item 2, step 3",
     "canonical_json": "criterion 13's canonical form of a TrialReport",
-    "wrapped_sq_distances": "the exhaustive-scan oracle for lattice.quantize_fine "
-                            "(test_lattice)",
     "generate_state": "numpy's Philox reads rng.generator's key through it "
                       "(the ISeedSequence interface)",
 }
