@@ -126,10 +126,10 @@ def centered_units(u: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dither(rng: np.random.Generator, coarse: CoarseLattice,
-           count: int | None = None) -> np.ndarray:
-    """A dither vector, or `count` rows of them, uniform over [-cell/2, cell/2)^n."""
+           shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Dither rows (*shape, n), one vector for (), uniform over [-cell/2, cell/2)^n."""
     half = coarse.cell / 2.0
-    return rng.uniform(-half, half, size=coarse.n if count is None else (count, coarse.n))
+    return rng.uniform(-half, half, size=(*shape, coarse.n))
 
 
 # ---------------------------------------------------------------------------

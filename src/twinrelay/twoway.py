@@ -12,12 +12,14 @@ lattice-decoded (mode "direct"), and each node cancels its own point mod
 the coarse lattice to recover the other message.  Codewords are handled
 as message indices throughout; coordinates appear only where a signal is
 formed.  The harness kernel runs a block of rounds at once on index
-arrays (`session_rows`), scoring each decode against its round's one true
-sum and decoding both nodes' direct downlinks in one quantizer call.  It
-is the one exchange path; the scalar reference it is tested against, in
-which each node cancels its own point, lives in `tests/oracles.py`.  The
-baseline, analog network coding's amplify-and-forward relay `anc_relay`,
-and its `anc-power` kernel of the power contract are here too.
+arrays (`session_rows`): each kind of draw is one array over both nodes,
+both uplinks are encoded in one call, each decode is scored against its
+round's one true sum, and both nodes' direct downlinks are decoded in one
+quantizer call.  It is the one exchange path; the scalar reference it is
+tested against, in which each node cancels its own point, lives in
+`tests/oracles.py`.  The baseline, analog network coding's
+amplify-and-forward relay `anc_relay`, and its `anc-power` kernel of the
+power contract are here too.
 """
 
 from __future__ import annotations
@@ -115,40 +117,38 @@ def index_broadcast_ok(params: ChannelParams, pair: NestedLatticePair) -> bool:
 class SessionDraws:
     """The random inputs of a block of exchange rounds, one row per round.
 
+    Messages `u` (2, count), dithers `d` and downlink noise `z_down`
+    (2, count, n) hold node a's rows, then node b's; `z_relay` is (count, n).
     Noise rows are already scaled by sigma; they are None when noiseless,
-    and the downlink rows are None unless the downlink is direct.
+    and `z_down` is None unless the downlink is direct.
     """
 
-    u_a: np.ndarray
-    u_b: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
     z_relay: np.ndarray | None
-    z_a: np.ndarray | None
-    z_b: np.ndarray | None
+    z_down: np.ndarray | None
 
 
 def draw_sessions(
     rng: np.random.Generator, count: int, params: ChannelParams,
     pair: NestedLatticePair, mode: str,
 ) -> SessionDraws:
-    """Messages, dithers and noise for `count` rounds, each kind drawn as one array.
+    """Messages, dithers and noise for `count` rounds, each kind one draw.
 
     Every node reads the same rows, which models dithers known at every node
-    through seed sharing.
+    through seed sharing.  Each draw takes the stream value by value (bounded
+    integers in 32-bit halves buffered in the generator's state), so one
+    (2, count) draw yields what node a's and then node b's (count,) draws do.
     """
-    u_a = rng.integers(pair.size, size=count)
-    u_b = rng.integers(pair.size, size=count)
-    d1 = dither(rng, pair.coarse, count)
-    d2 = dither(rng, pair.coarse, count)
-    z_relay = z_a = z_b = None
+    u = rng.integers(pair.size, size=(2, count))
+    d = dither(rng, pair.coarse, (2, count))
+    z_relay = z_down = None
     if params.sigma2 > 0:
         sigma = math.sqrt(params.sigma2)
         z_relay = rng.normal(0.0, sigma, size=(count, pair.n))
         if mode == "direct":
-            z_a = rng.normal(0.0, sigma, size=(count, pair.n))
-            z_b = rng.normal(0.0, sigma, size=(count, pair.n))
-    return SessionDraws(u_a, u_b, d1, d2, z_relay, z_a, z_b)
+            z_down = rng.normal(0.0, sigma, size=(2, count, pair.n))
+    return SessionDraws(u, d, z_relay, z_down)
 
 
 def _direct_downlink(t_hat, z: np.ndarray | None, pair: NestedLatticePair):
@@ -164,21 +164,22 @@ def session_rows(
 ) -> dict[str, np.ndarray]:
     """Per-round relay, end and union errors of a block, each decode scored
     against the round's true sum."""
-    y_relay = encode_node(draws.u_a, draws.d1, pair) + encode_node(draws.u_b, draws.d2, pair)
+    x = encode_node(draws.u, draws.d, pair)  # both uplinks, (2, count, n)
+    y_relay = x[0] + x[1]
     if draws.z_relay is not None:
-        y_relay = y_relay + draws.z_relay
-    t_hat = relay_decode_sum(y_relay, (draws.d1, draws.d2), params, pair)
+        y_relay += draws.z_relay
+    t_hat = relay_decode_sum(y_relay, draws.d, params, pair)
     # t - u_a = u_b <=> t = u_a + u_b: a node decodes right iff it has the true sum
-    true_sum = modulo_sum(draws.u_a, draws.u_b, pair)
+    true_sum = modulo_sum(draws.u[0], draws.u[1], pair)
     relay_error = t_hat != true_sum
 
     if mode == "index":
         end_error = (relay_error if index_broadcast_ok(params, pair)
                      else np.ones_like(relay_error))
-    elif draws.z_a is None:  # noiseless: both nodes hear the same point
+    elif draws.z_down is None:  # noiseless: both nodes hear the same point
         end_error = _direct_downlink(t_hat, None, pair) != true_sum
     else:  # both nodes' downlinks as one (2, count, n) decode
-        t_at = _direct_downlink(t_hat, np.stack((draws.z_a, draws.z_b)), pair)
+        t_at = _direct_downlink(t_hat, draws.z_down, pair)
         end_error = (t_at != true_sum).any(axis=0)
     return {"relay_error": relay_error, "end_error": end_error,
             "union_error": relay_error | end_error}
@@ -204,10 +205,10 @@ def pair_from_params(params: Mapping) -> NestedLatticePair:
 
 
 def _check_block(count: int, n: int, experiment: str) -> None:
-    """Refuse a block of `count` rows of n entries past ONE_HOT_GUARD."""
-    if count * n > ONE_HOT_GUARD:
+    """Refuse a block whose (2, count, n) draws, both nodes' rows, pass ONE_HOT_GUARD."""
+    if 2 * count * n > ONE_HOT_GUARD:
         raise GuardExceededError(
-            f"{count} x {n} {experiment} block exceeds {ONE_HOT_GUARD} entries per array")
+            f"2 x {count} x {n} {experiment} block exceeds {ONE_HOT_GUARD} entries per array")
 
 
 def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dict[str, int]:
@@ -255,10 +256,8 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
         raise ValidationError(f"dimension must be >= 1, got {n}")
     _check_block(count, n, "anc-power")
     ch = ChannelParams(float(params["power"]), float(params["sigma2"]))
-    sigma = math.sqrt(ch.power)
-    x1 = rng.normal(0.0, sigma, size=(count, n))
-    x2 = rng.normal(0.0, sigma, size=(count, n))
-    y = x1 + x2
+    x = rng.normal(0.0, math.sqrt(ch.power), size=(2, count, n))  # both transmitters
+    y = x[0] + x[1]
     if ch.sigma2 > 0:
         y = y + rng.normal(0.0, math.sqrt(ch.sigma2), size=(count, n))
     x_relay = anc_relay(y, ch.power, ch.sigma2)

@@ -223,10 +223,10 @@ def session_row(draws, i: int, params, pair, mode: str) -> ExchangeTranscript:
         relay_decode_sum,
     )
 
-    u_a, u_b = int(draws.u_a[i]), int(draws.u_b[i])
-    d1, d2 = draws.d1[i], draws.d2[i]
-    z_relay, z_a, z_b = (None if z is None else z[i]
-                         for z in (draws.z_relay, draws.z_a, draws.z_b))
+    u_a, u_b = map(int, draws.u[:, i])
+    d1, d2 = draws.d[:, i]
+    z_relay = None if draws.z_relay is None else draws.z_relay[i]
+    z_a, z_b = (None, None) if draws.z_down is None else draws.z_down[:, i]
     x1 = encode_node(u_a, d1, pair)
     x2 = encode_node(u_b, d2, pair)
 

@@ -167,7 +167,7 @@ def test_criterion_05_noiseless_end_to_end(shared_reports):
     noiseless = ChannelParams(power=1.0, sigma2=0.0)
     mode = "index"
     draws = draw_sessions(generator(1605), 625, noiseless, pair, mode)
-    draws.u_a[:], draws.u_b[:] = np.divmod(np.arange(625), pair.size)
+    draws.u[:] = np.divmod(np.arange(625), pair.size)
     for i in range(625):
         tr = oracles.session_row(draws, i, noiseless, pair, mode)
         assert not tr.error and not tr.relay_error

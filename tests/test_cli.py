@@ -572,7 +572,7 @@ def test_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, argv, seed):
     # past int64 or a dimension past numpy's shapes never reaches an array
     (["sim", "lattice", "--q", str(1 << 70)], "enumeration guard"),
     (["sim", "lattice", "--q", str((1 << 63) - 1)], "enumeration guard"),
-    (["sim", "lattice", "--n", "5000000", "--q", "16"], "codebook of 16^1 x 5000000"),
+    (["sim", "lattice", "--n", "2000000", "--q", "64"], "codebook of 64^1 x 2000000"),
     # the (trials, n) draws are bounded before the pair is built
     (["sim", "lattice", "--n", str(10 ** 20)], "lattice block exceeds"),
     (["sim", "lattice", "--n", "100000000", "--k", "1"], "lattice block exceeds"),

@@ -8,10 +8,11 @@ import pytest
 import oracles
 from oracles import session_row
 from twinrelay import twoway
-from twinrelay.errors import ValidationError
+from twinrelay.errors import GuardExceededError, ValidationError
 from twinrelay.canonical import BLOCK
 from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import (
+    ONE_HOT_GUARD,
     CoarseLattice,
     dither,
     encode_message,
@@ -36,7 +37,7 @@ NOISELESS = ChannelParams(power=1.0, sigma2=0.0)
 def _session_draws(u_a, u_b, params, pair, mode, seed):
     """One block drawn from generator(seed), its message rows set to u_a, u_b."""
     draws = draw_sessions(generator(seed), len(u_a), params, pair, mode)
-    draws.u_a[:], draws.u_b[:] = u_a, u_b
+    draws.u[:] = u_a, u_b
     return draws
 
 
@@ -44,6 +45,34 @@ def _one_session(u_a, u_b, params, pair, mode="index", seed=0):
     """`session_row` on a one-row block whose messages are u_a, u_b."""
     return session_row(_session_draws([u_a], [u_b], params, pair, mode, seed), 0,
                        params, pair, mode)
+
+
+@pytest.mark.parametrize("count", [37, 40], ids=["odd", "even"])
+@pytest.mark.parametrize("mode", ["index", "direct"])
+@pytest.mark.parametrize("snr_db", [6.0, None], ids=["noisy", "noiseless"])
+def test_draw_sessions_matches_per_node_draws(count, mode, snr_db):
+    # each (2, ...) draw over both nodes takes from the stream exactly what
+    # one draw per node, node a first, takes in the order u_a, u_b, d1, d2,
+    # z_relay, z_a, z_b; an odd count leaves node a's last 32-bit half of
+    # the integer draw for node b's first message
+    pair = make_pair(n=2, q=5, k=1, power=1.0)
+    ch = ChannelParams.from_snr_db(snr_db)
+    draws = draw_sessions(generator(29, count), count, ch, pair, mode)
+    rng, n, half = generator(29, count), pair.n, pair.coarse.cell / 2
+    u_a, u_b = (rng.integers(pair.size, size=count) for _ in range(2))
+    d1, d2 = (rng.uniform(-half, half, size=(count, n)) for _ in range(2))
+    assert np.array_equal(draws.u, [u_a, u_b]) and np.array_equal(draws.d, [d1, d2])
+    assert draws.u.shape == (2, count) and draws.d.shape == (2, count, n)
+    if snr_db is None:
+        assert draws.z_relay is None and draws.z_down is None
+        return
+    sigma = np.sqrt(ch.sigma2)
+    assert np.array_equal(draws.z_relay, rng.normal(0.0, sigma, size=(count, n)))
+    if mode == "index":
+        assert draws.z_down is None
+    else:
+        z_a, z_b = (rng.normal(0.0, sigma, size=(count, n)) for _ in range(2))
+        assert np.array_equal(draws.z_down, [z_a, z_b])
 
 
 def test_channel_params_closed_forms():
@@ -86,6 +115,21 @@ def test_lattice_run_refuses_non_finite_channel_before_any_draw(monkeypatch, snr
     with pytest.raises(ValidationError, match="finite"):
         run_trials(ExperimentSpec("lattice", params, LATTICE_ERROR_KEYS),
                    trials=100, master_seed=0)
+
+
+@pytest.mark.parametrize("experiment", ["lattice", "anc-power"])
+def test_block_guard_counts_both_nodes_before_any_draw(experiment):
+    # count*n = 40,960,000 <= 2**26 < 2*count*n: the (2, count, n) draws of
+    # both nodes would pass ONE_HOT_GUARD, so the block is refused untouched
+    count, n = 4096, 10_000
+    assert count * n <= ONE_HOT_GUARD < 2 * count * n
+    params = {"n": n, "q": 2, "k": 1, "snr_db": 3.0, "power": 1.0, "sigma2": 0.5,
+              "mode": "direct"}
+    kernel = twoway.lattice_kernel if experiment == "lattice" else twoway.anc_power_kernel
+    rng = generator(0)
+    with pytest.raises(GuardExceededError, match=f"{experiment} block exceeds"):
+        kernel(params, rng, count)
+    assert np.array_equal(rng.random(4), generator(0).random(4))  # nothing drawn
 
 
 @pytest.mark.parametrize("mode", ["Index", "ideal", None])
