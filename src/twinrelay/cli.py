@@ -185,7 +185,7 @@ def cmd_multihop(args: argparse.Namespace) -> int:
             ok = multihop.table_json(schedule) == fixture
             print(f"table1: {'PASS' if ok else 'FAIL'}")
             payload["table1"] = "PASS" if ok else "FAIL"
-        result = multihop.run_multihop(schedule)
+        result = multihop.MultihopResult(schedule, "symbolic")
     else:
         pair = pair_from_params({"n": args.n, "q": args.q, "k": args.k,
                                  "power": DEFAULT_POWER})

@@ -10,8 +10,9 @@ Trials are grouped in fixed blocks of BLOCK: block b holds trials
 [BLOCK*b, BLOCK*(b+1)) and draws from the stream (master seed, TAG_TRIAL,
 b).  Workers receive whole blocks, so aggregate counts are identical for
 any worker count or scheduling order.  A report carries the Wilson 95%
-interval of its primary error key and serializes to a canonical JSON form
-that is byte-stable across reruns (wall time is reported separately).
+interval of its primary error key; its `to_dict`, which leaves the wall
+time out, written with `canonical.canonical_dumps` is byte-stable across
+reruns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .canonical import BLOCK, canonical_dumps
+from .canonical import BLOCK
 from .errors import TwinrelayError, ValidationError
 from .rng import TAG_TRIAL, generator
 
@@ -171,10 +172,6 @@ class TrialReport:
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
         }
-
-    def canonical_json(self) -> str:
-        """Deterministic serialization: sorted keys, 12 significant digits."""
-        return canonical_dumps(self.to_dict())
 
 
 def run_trials(

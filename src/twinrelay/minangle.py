@@ -311,15 +311,17 @@ class MinAngleDraws:
 
 
 def draw_minangle(rng: np.random.Generator, count: int, params: Mapping) -> MinAngleDraws:
-    """Codeword pairs and noise for `count` decodes, each kind drawn as one array."""
+    """Codeword pairs and noise for `count` decodes, each kind drawn as one array.
+
+    The noise is drawn last and at every sigma2 >= 0, so it is sigma times
+    the same standard normals at every SNR, and exact zeros when noiseless.
+    """
     sigma2 = float(params["sigma2"])
     check_channel(float(params["power"]), sigma2)
     cb = decoder_instance(params).codebook
     i = rng.integers(cb.size, size=count)
     j = rng.integers(cb.size, size=count)
-    y = cb.points[i] + cb.points[j]
-    if sigma2 > 0:
-        y = y + rng.normal(0.0, math.sqrt(sigma2), size=y.shape)
+    y = cb.points[i] + cb.points[j] + rng.normal(0.0, math.sqrt(sigma2), size=(count, cb.n))
     return MinAngleDraws(i, j, y)
 
 

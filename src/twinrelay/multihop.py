@@ -115,18 +115,18 @@ class HopSchedule:
         return [b - a for a, b in zip(slots, slots[1:])]
 
 
-def build_schedule(relays: int, num_packets: int, max_slots: int | None = None) -> HopSchedule:
+def build_schedule(relays: int, num_packets: int) -> HopSchedule:
     """Symbolically run the chain until both ends decoded every packet.
 
     Raises GuardExceededError if the ledgers could outgrow LEDGER_GUARD, and
     ScheduleError if a decode ever faces more than one unknown, a unit
-    coefficient is violated, or the horizon cap is hit.
+    coefficient is violated, or the horizon cap of 2P + 2L + 8 slots is hit.
     """
     if relays < 1:
         raise ValidationError(f"need at least one relay, got {relays}")
     if num_packets < 1:
         raise ValidationError(f"need at least one packet, got {num_packets}")
-    cap = max_slots if max_slots is not None else 2 * num_packets + 2 * relays + 8
+    cap = 2 * num_packets + 2 * relays + 8
     if cap * relays * (2 * num_packets + 1) > LEDGER_GUARD:
         raise GuardExceededError(
             f"{relays} relays and {num_packets} packets over {cap} slots exceed "
@@ -296,16 +296,15 @@ class MultihopResult:
 
 def run_multihop(
     schedule: HopSchedule,
-    pair: NestedLatticePair | None = None,
+    pair: NestedLatticePair,
     sigma2: float = 0.0,
     seed: int = 0,
 ) -> MultihopResult:
-    """Execute a schedule symbolically or numerically.
+    """Execute a schedule numerically on a nested pair.
 
-    The arguments choose the mode: with no nested pair the run is
-    "symbolic"; with one it is "numeric-awgn" when sigma2 > 0 and
-    "numeric-noiseless" when sigma2 = 0.  Packets map to uniformly drawn
-    codebook indices.
+    The mode is "numeric-awgn" when sigma2 > 0 and "numeric-noiseless"
+    when sigma2 = 0 (a "symbolic" result is the schedule alone, which the
+    CLI writes itself).  Packets map to uniformly drawn codebook indices.
     Every scheduled transmitter sends its (possibly zero) state through a
     fresh dither; each listener decodes the modulo sum of the m signals it
     hears with `relay_decode_sum`, the receiver of the two-way relay.
@@ -341,9 +340,6 @@ def run_multihop(
     the loop every signal is what its slot sent, and the end decodes,
     which feed nothing back, take one call.
     """
-    if pair is None:
-        return MultihopResult(schedule=schedule, mode="symbolic")
-
     channel = ChannelParams(power=pair.coarse.second_moment, sigma2=sigma2)
     slots, relays, sigma = len(schedule.slots), schedule.relays, math.sqrt(sigma2)
     if (slots + 2) * (relays + 2) * pair.n > ONE_HOT_GUARD:
@@ -372,6 +368,10 @@ def run_multihop(
             sent[t][end[nd][0]] = truth[pkt]
         listen[t, 2 - t % 2:relays + 1:2] = True
         ends = [end[ev.node][0] for ev in rec.decode_events]
+        # Noiseless, the noise grid stays zero and no noise stream is set up:
+        # a sigma = 0 draw would still build one Philox generator per (slot,
+        # listener), 42 on the README's numeric-noiseless line, a fifth to a
+        # third of its time on a 2-core host, for rows the grid already holds.
         for p in [*range(2 - t % 2, relays + 1, 2), *ends] if sigma2 > 0 else ():
             noise[t, p] = generator(seed, TAG_NOISE, t, p).normal(0.0, sigma, size=pair.n)
 

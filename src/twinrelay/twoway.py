@@ -15,9 +15,11 @@ formed.  The harness kernel runs a block of rounds at once on index
 arrays (`session_rows`): each kind of draw is one array over both nodes,
 both uplinks are encoded in one call, each decode is scored against its
 round's one true sum, and both nodes' direct downlinks are decoded in one
-quantizer call.  It is the one exchange path; the scalar reference it is
-tested against, in which each node cancels its own point, lives in
-`tests/oracles.py`.  The baseline, analog network coding's
+quantizer call.  Noiseless is sigma = 0, not a case of its own: every
+noise row is drawn as sigma times standard normals, exact zeros then, so a
+block takes one draw path and one decode path at every SNR.  It is the one
+exchange path; the scalar reference it is tested against, in which each
+node cancels its own point, lives in `tests/oracles.py`.  The baseline, analog network coding's
 amplify-and-forward relay `anc_relay`, and its `anc-power` kernel of the
 power contract are here too.
 """
@@ -119,13 +121,13 @@ class SessionDraws:
 
     Messages `u` (2, count), dithers `d` and downlink noise `z_down`
     (2, count, n) hold node a's rows, then node b's; `z_relay` is (count, n).
-    Noise rows are already scaled by sigma; they are None when noiseless,
-    and `z_down` is None unless the downlink is direct.
+    Noise rows are sigma times standard normals, so exact zeros when
+    noiseless; `z_down` is None exactly when the downlink is an index.
     """
 
     u: np.ndarray
     d: np.ndarray
-    z_relay: np.ndarray | None
+    z_relay: np.ndarray
     z_down: np.ndarray | None
 
 
@@ -139,45 +141,38 @@ def draw_sessions(
     through seed sharing.  Each draw takes the stream value by value (bounded
     integers in 32-bit halves buffered in the generator's state), so one
     (2, count) draw yields what node a's and then node b's (count,) draws do.
+    Noise is drawn last and at every sigma >= 0, sigma = 0 included, so a
+    noise row is sigma times the same standard normals at every SNR.
     """
     u = rng.integers(pair.size, size=(2, count))
     d = dither(rng, pair.coarse, (2, count))
-    z_relay = z_down = None
-    if params.sigma2 > 0:
-        sigma = math.sqrt(params.sigma2)
-        z_relay = rng.normal(0.0, sigma, size=(count, pair.n))
-        if mode == "direct":
-            z_down = rng.normal(0.0, sigma, size=(2, count, pair.n))
+    sigma = math.sqrt(params.sigma2)
+    z_relay = rng.normal(0.0, sigma, size=(count, pair.n))
+    z_down = rng.normal(0.0, sigma, size=(2, count, pair.n)) if mode == "direct" else None
     return SessionDraws(u, d, z_relay, z_down)
 
 
-def _direct_downlink(t_hat, z: np.ndarray | None, pair: NestedLatticePair):
-    y = encode_message(t_hat, pair)
-    if z is not None:
-        y = y + z
-    return quantize_fine(mod_coarse(y, pair.coarse), pair)
+def _direct_downlink(t_hat, z: np.ndarray, pair: NestedLatticePair):
+    return quantize_fine(mod_coarse(encode_message(t_hat, pair) + z, pair.coarse), pair)
 
 
 def session_rows(
     draws: SessionDraws, params: ChannelParams, pair: NestedLatticePair,
-    mode: str,
 ) -> dict[str, np.ndarray]:
     """Per-round relay, end and union errors of a block, each decode scored
-    against the round's true sum."""
+    against the round's true sum; the downlink is direct iff `draws.z_down`
+    is drawn."""
     x = encode_node(draws.u, draws.d, pair)  # both uplinks, (2, count, n)
     y_relay = x[0] + x[1]
-    if draws.z_relay is not None:
-        y_relay += draws.z_relay
+    y_relay += draws.z_relay
     t_hat = relay_decode_sum(y_relay, draws.d, params, pair)
     # t - u_a = u_b <=> t = u_a + u_b: a node decodes right iff it has the true sum
     true_sum = modulo_sum(draws.u[0], draws.u[1], pair)
     relay_error = t_hat != true_sum
 
-    if mode == "index":
+    if draws.z_down is None:  # index downlink
         end_error = (relay_error if index_broadcast_ok(params, pair)
                      else np.ones_like(relay_error))
-    elif draws.z_down is None:  # noiseless: both nodes hear the same point
-        end_error = _direct_downlink(t_hat, None, pair) != true_sum
     else:  # both nodes' downlinks as one (2, count, n) decode
         t_at = _direct_downlink(t_hat, draws.z_down, pair)
         end_error = (t_at != true_sum).any(axis=0)
@@ -224,7 +219,7 @@ def lattice_kernel(params: Mapping, rng: np.random.Generator, count: int) -> dic
         raise ValidationError(f"broadcast mode must be 'index' or 'direct', got {mode!r}")
     pair = pair_from_params(params)
     ch = ChannelParams.from_snr_db(params["snr_db"], float(params["power"]))
-    rows = session_rows(draw_sessions(rng, count, ch, pair, mode), ch, pair, mode)
+    rows = session_rows(draw_sessions(rng, count, ch, pair, mode), ch, pair)
     return {key: int(np.count_nonzero(v)) for key, v in rows.items()}
 
 
@@ -257,8 +252,6 @@ def anc_power_kernel(params: Mapping, rng: np.random.Generator, count: int) -> M
     _check_block(count, n, "anc-power")
     ch = ChannelParams(float(params["power"]), float(params["sigma2"]))
     x = rng.normal(0.0, math.sqrt(ch.power), size=(2, count, n))  # both transmitters
-    y = x[0] + x[1]
-    if ch.sigma2 > 0:
-        y = y + rng.normal(0.0, math.sqrt(ch.sigma2), size=(count, n))
+    y = x[0] + x[1] + rng.normal(0.0, math.sqrt(ch.sigma2), size=(count, n))
     x_relay = anc_relay(y, ch.power, ch.sigma2)
     return {"relay_energy_per_dim": float(np.einsum("ij,ij->", x_relay, x_relay)) / n}

@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from twinrelay.bsc import BSC_ERROR_KEYS
+from twinrelay.canonical import canonical_dumps
 from twinrelay.harness import ExperimentSpec, run_trials
 from twinrelay.lattice import centered_units, make_pair
 from twinrelay.minangle import MINANGLE_ERROR_KEYS
@@ -319,7 +320,8 @@ def test_criterion_12_min_angle_vs_ml(shared_reports):
 def test_criterion_13_parallel_determinism(shared_reports):
     for name, (spec, trials, seed) in SHARED_RUNS.items():
         rerun = run_trials(spec, trials=trials, master_seed=seed, workers=8)
-        assert rerun.canonical_json() == shared_reports[name].canonical_json(), (
+        want = canonical_dumps(shared_reports[name].to_dict())
+        assert canonical_dumps(rerun.to_dict()) == want, (
             f"{name}: eight-worker rerun diverged from the single-worker report"
         )
     print(f"criterion 13 determinism: PASS ({len(SHARED_RUNS)} reports byte-identical "

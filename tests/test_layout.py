@@ -23,7 +23,6 @@ PACKAGE = ROOT / "src" / "twinrelay"
 
 ALLOWED = {
     "anc_multihop_baseline": "the ANC comparison of ROADMAP item 2, step 3",
-    "canonical_json": "criterion 13's canonical form of a TrialReport",
     "generate_state": "numpy's Philox reads rng.generator's key through it "
                       "(the ISeedSequence interface)",
 }

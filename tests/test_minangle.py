@@ -342,6 +342,20 @@ def test_minangle_draws_refuse_a_bad_noise_variance(sigma2):
         draw_minangle(generator(0), 200, params)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.09, 2.89])
+def test_minangle_noise_is_sigma_times_one_set_of_standard_normals(sigma2):
+    # the received sum is the pair's sum plus sigma times the standard
+    # normals drawn after the pair, bitwise, sigma = 0 included
+    params = {"n": 3, "gamma": 1.0, "power": 2.0, "sigma2": sigma2, "delta": 1.5}
+    points = minangle.decoder_instance(params).codebook.points
+    draws = draw_minangle(generator(33), 200, params)
+    rng = generator(33)
+    i, j = (rng.integers(len(points), size=200) for _ in range(2))
+    assert np.array_equal(draws.i, i) and np.array_equal(draws.j, j)
+    z = 0.0 + math.sqrt(sigma2) * rng.standard_normal((200, 3))
+    assert draws.y.tobytes() == (points[i] + points[j] + z).tobytes()
+
+
 def _minangle_report(n, sigma2, trials, seed):
     params = {"n": n, "gamma": 1.0, "power": 2.0, "sigma2": sigma2, "delta": 1.5}
     return run_trials(ExperimentSpec("minangle", params, MINANGLE_ERROR_KEYS),

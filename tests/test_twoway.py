@@ -63,9 +63,7 @@ def test_draw_sessions_matches_per_node_draws(count, mode, snr_db):
     d1, d2 = (rng.uniform(-half, half, size=(count, n)) for _ in range(2))
     assert np.array_equal(draws.u, [u_a, u_b]) and np.array_equal(draws.d, [d1, d2])
     assert draws.u.shape == (2, count) and draws.d.shape == (2, count, n)
-    if snr_db is None:
-        assert draws.z_relay is None and draws.z_down is None
-        return
+    # noise is drawn last at every sigma, so zero rows when noiseless
     sigma = np.sqrt(ch.sigma2)
     assert np.array_equal(draws.z_relay, rng.normal(0.0, sigma, size=(count, n)))
     if mode == "index":
@@ -73,6 +71,45 @@ def test_draw_sessions_matches_per_node_draws(count, mode, snr_db):
     else:
         z_a, z_b = (rng.normal(0.0, sigma, size=(count, n)) for _ in range(2))
         assert np.array_equal(draws.z_down, [z_a, z_b])
+    if snr_db is None:
+        assert not draws.z_relay.any() and (draws.z_down is None or not draws.z_down.any())
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.09, 2.89])
+def test_noise_draws_are_sigma_times_one_set_of_standard_normals(monkeypatch, sigma2):
+    # every noise array, sigma = 0 included, is sigma times the standard
+    # normals the stream gives after the block's other draws, bitwise, so
+    # one seed reads the same messages, dithers and normals at every SNR
+    # (0.0 + sigma * z is numpy's loc + scale * z, so zeros keep its sign)
+    pair, count, sigma = make_pair(n=2, q=5, k=1, power=1.0), 37, np.sqrt(sigma2)
+    ch = ChannelParams(power=1.0, sigma2=sigma2)
+    for mode in ("index", "direct"):
+        draws = draw_sessions(generator(31), count, ch, pair, mode)
+        rng = generator(31)
+        assert np.array_equal(draws.u, rng.integers(pair.size, size=(2, count)))
+        assert np.array_equal(draws.d, dither(rng, pair.coarse, (2, count)))
+        z_relay = rng.standard_normal((count, pair.n))
+        assert draws.z_relay.tobytes() == (0.0 + sigma * z_relay).tobytes()
+        if mode == "index":
+            assert draws.z_down is None
+        else:
+            z_down = rng.standard_normal((2, count, pair.n))
+            assert draws.z_down.tobytes() == (0.0 + sigma * z_down).tobytes()
+
+    # anc-power: the relay input is both signals plus sigma times the
+    # normals drawn after them
+    seen, anc_relay = [], twoway.anc_relay
+
+    def spy(y, power, sigma2):
+        seen.append(y)
+        return anc_relay(y, power, sigma2)
+
+    monkeypatch.setattr(twoway, "anc_relay", spy)
+    twoway.anc_power_kernel({"n": 3, "power": 1.0, "sigma2": sigma2}, generator(32), count)
+    rng = generator(32)
+    x = rng.normal(0.0, 1.0, size=(2, count, 3))
+    want = x[0] + x[1] + (0.0 + sigma * rng.standard_normal((count, 3)))
+    assert seen[0].tobytes() == want.tobytes()
 
 
 def test_channel_params_closed_forms():
@@ -363,7 +400,7 @@ def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, no
     pair = make_pair(power=1.0, **pair_args)
     ch = ChannelParams.from_snr_db(snr_db)
     draws = draw_sessions(generator(41, count), count, ch, pair, mode)
-    rows = session_rows(draws, ch, pair, mode)
+    rows = session_rows(draws, ch, pair)
     for i in range(count):
         tr = session_row(draws, i, ch, pair, mode)
         assert rows["relay_error"][i] == tr.relay_error, f"row {i}"
@@ -379,7 +416,7 @@ def test_session_rows_replay_scalar_reference(pair_args, snr_db, mode, count, no
 @pytest.mark.parametrize("snr_db", [3.0, None], ids=["noisy", "noiseless"])
 def test_direct_block_makes_two_quantizer_calls(monkeypatch, snr_db):
     # the relay's decode, then both nodes' downlinks as one stacked
-    # (2, count, n) decode, or, when noiseless, one decode that serves both
+    # (2, count, n) decode, noiseless (zero noise rows) as well as noisy
     pair = make_pair(n=8, q=2, k=4, power=1.0, generator_matrix=EXT_HAMMING_8_4)
     ch = ChannelParams.from_snr_db(snr_db)
     mode = "direct"
@@ -391,8 +428,8 @@ def test_direct_block_makes_two_quantizer_calls(monkeypatch, snr_db):
         return quantize(x, pair)
 
     monkeypatch.setattr(twoway, "quantize_fine", spy)
-    session_rows(draws, ch, pair, mode)
-    assert shapes == [(100, 8), (100, 8) if snr_db is None else (2, 100, 8)]
+    session_rows(draws, ch, pair)
+    assert shapes == [(100, 8), (2, 100, 8)]
 
 
 def test_report_trials_replay_through_session_row_across_blocks():
