@@ -227,7 +227,7 @@ def cmd_concentration(args: argparse.Namespace) -> int:
     if args.samples < 1 or args.samples % batch:
         raise ValidationError(
             f"samples must be a positive multiple of {batch}, got {args.samples}")
-    delta = args.delta if args.delta is not None else 0.1 * args.power
+    delta = _shell_delta(args)
     config = {"subcommand": "concentration", "n_list": dims, "power": args.power,
               "delta": delta, "samples": args.samples, "format": args.format,
               "out": args.out}
@@ -273,6 +273,11 @@ def _seed(text: str) -> int:
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"not a seed in [0, 2**64): {text!r}")
     return value
+
+
+def _shell_delta(a: argparse.Namespace) -> float:
+    """The shell half-width: `--delta`, else 0.1 * `--power`."""
+    return a.delta if a.delta is not None else 0.1 * a.power
 
 
 def _rates_parser(p: argparse.ArgumentParser) -> None:
@@ -332,7 +337,7 @@ def _minangle_spec(a: argparse.Namespace) -> tuple[dict, tuple[str, ...]]:
 
     return {"n": a.dim, "gamma": a.gamma, "power": a.power,
             "sigma2": rates.sigma2_from_snr_db(a.snr_db, a.power),
-            "delta": a.delta if a.delta is not None else 0.1 * a.power}, MINANGLE_ERROR_KEYS
+            "delta": _shell_delta(a)}, MINANGLE_ERROR_KEYS
 
 
 def _minangle_parser(p: argparse.ArgumentParser) -> None:

@@ -8,11 +8,11 @@ its own kernel.  This module imports no kernel module and no kernel module
 imports it; `register_experiment` puts a kernel in place of an entry.
 Trials are grouped in fixed blocks of BLOCK: block b holds trials
 [BLOCK*b, BLOCK*(b+1)) and draws from the stream (master seed, TAG_TRIAL,
-b).  Workers receive whole blocks, so aggregate counts are identical for
-any worker count or scheduling order.  A report carries the Wilson 95%
-interval of its primary error key; its `to_dict`, which leaves the wall
-time out, written with `canonical.canonical_dumps` is byte-stable across
-reruns.
+b).  Each chunk maps one block function over its blocks (`map` in process,
+`pool.map` in contiguous whole-block runs) and sums integer totals, so
+counts are identical for any worker count or order.  A report carries the
+Wilson 95% interval of its primary error key; its `to_dict` (no wall time)
+through `canonical.canonical_dumps` is byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import import_module
 from typing import Callable, Mapping
 
@@ -34,6 +35,8 @@ from .rng import TAG_TRIAL, generator
 
 Z95 = 1.959963984540054
 MAX_WORKERS = 64
+# The trials a target_ci run stops at when no max_trials caps it, target met or not.
+TARGET_CI_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +110,14 @@ class ExperimentSpec:
 _GRID = 1 << 32
 
 
-def _run_range(name: str, params: Mapping, master: int, start: int, stop: int) -> dict:
-    """Totals of trials [start, stop), start on a block boundary; one stream per block."""
-    kernel = get_experiment(name)
-    totals: dict[str, int] = {}
-    for first in range(start, stop, BLOCK):
-        out = kernel(params, generator(master, TAG_TRIAL, first // BLOCK),
-                     min(BLOCK, stop - first))
-        for key, val in out.items():
-            totals[key] = totals.get(key, 0) + round(float(val) * _GRID)
-    return totals
+def _run_block(name: str, params: Mapping, master: int, block: int, count: int) -> dict:
+    """Totals of `count` trials of block `block`, run on its stream, on the grid."""
+    out = get_experiment(name)(params, generator(master, TAG_TRIAL, block), count)
+    return {key: round(float(val) * _GRID) for key, val in out.items()}
 
 
 def _blocks(trials: int) -> int:
     return -(-trials // BLOCK)
-
-
-def _merge(into: dict, other: Mapping) -> dict:
-    for key, val in other.items():
-        into[key] = into.get(key, 0) + val
-    return into
 
 
 @dataclass
@@ -188,10 +179,12 @@ def run_trials(
     Either a fixed `trials` count, or sequential stopping once the primary
     Wilson half-width drops below `target_ci`, checked every `block` trials
     (a multiple of BLOCK, so the stopping point is identical for any worker
-    count), capped by `max_trials`.  At most one process pool serves the
-    whole call, and only when a chunk between checks has two or more blocks
-    to spread over `workers`.  An error key the kernel's totals lack is
-    refused after the first chunk, so a misspelled key never reads zero.
+    count), capped by `max_trials`, else by TARGET_CI_CAP (4,194,304) trials,
+    target met or not.  Each chunk between checks maps `_run_block` over its
+    blocks, in process or over the call's one pool in contiguous whole-block
+    runs; the pool starts only if a chunk has two or more blocks to spread.
+    An error key the kernel's totals lack is refused after the first chunk,
+    so a misspelled key never reads zero.
     """
     if trials is None and target_ci is None:
         raise ValidationError("need trials or target_ci")
@@ -218,16 +211,23 @@ def run_trials(
     if trials is not None:
         stop = period = trials
     else:
-        stop = max_trials if max_trials is not None else 1 << 22
+        stop = max_trials if max_trials is not None else TARGET_CI_CAP
         period = block
     spread = min(workers, _blocks(min(period, stop)))
+    run_block = partial(_run_block, spec.name, spec.params, master_seed)
     totals: dict[str, int] = {}
     done = 0
     try:
         with ProcessPoolExecutor(max_workers=spread) if spread > 1 else nullcontext() as pool:
             while done < stop:
                 end = min(done + period, stop)
-                _merge(totals, _run_chunk(pool, spread, spec, master_seed, done, end))
+                blocks = range(done // BLOCK, _blocks(end))
+                counts = [min(BLOCK, end - b * BLOCK) for b in blocks]
+                outs = (map(run_block, blocks, counts) if pool is None else
+                        pool.map(run_block, blocks, counts, chunksize=-(-len(blocks) // spread)))
+                for out in outs:
+                    for key, val in out.items():
+                        totals[key] = totals.get(key, 0) + val
                 missing = [key for key in spec.error_keys if key not in totals]
                 if missing:
                     raise ValidationError(
@@ -251,23 +251,3 @@ def run_trials(
         master_seed=master_seed,
         wall_time_s=time.perf_counter() - start_time,
     )
-
-
-def _run_chunk(pool, spread: int, spec: ExperimentSpec, master: int,
-               start: int, stop: int) -> dict:
-    """Totals of trials [start, stop): in process for one block, else whole
-    blocks spread over the pool in contiguous ranges."""
-    first, last = start // BLOCK, _blocks(stop)
-    if pool is None or last - first < 2:
-        return _run_range(spec.name, spec.params, master, start, stop)
-    bounds = np.linspace(first, last, min(spread, last - first) + 1).astype(int)
-    futures = [
-        pool.submit(_run_range, spec.name, spec.params, master,
-                    int(a) * BLOCK, min(int(b) * BLOCK, stop))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    totals: dict[str, int] = {}
-    for fut in futures:
-        _merge(totals, fut.result())
-    return totals
-

@@ -189,6 +189,32 @@ def test_run_trials_target_ci_stopping():
     assert again.trials == report.trials
 
 
+def test_run_trials_target_ci_stops_at_the_cap_without_max_trials(monkeypatch):
+    # an unreachable target runs to TARGET_CI_CAP trials and stops there
+    assert harness.TARGET_CI_CAP == 1 << 22
+    monkeypatch.setattr(harness, "TARGET_CI_CAP", 3 * BLOCK)
+    report = run_trials(SYNTH, trials=None, master_seed=5, target_ci=1e-6)
+    assert report.trials == 3 * BLOCK
+    assert (report.ci_high - report.ci_low) / 2 > 1e-6
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_run_trials_hands_each_worker_one_run_of_blocks(monkeypatch, workers):
+    # 11 blocks reach the pool as at most one task per worker, not one a block
+    submits = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(args)
+            return super().submit(*args, **kwargs)
+
+    serial = run_trials(SYNTH, trials=10 * BLOCK + 5, master_seed=8, workers=1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    report = run_trials(SYNTH, trials=10 * BLOCK + 5, master_seed=8, workers=workers)
+    assert 2 <= len(submits) <= workers
+    assert report.counts == serial.counts
+
+
 def test_run_trials_zero_error_report():
     spec = ExperimentSpec("synthetic", {"p": 0.0}, ("hit",))
     report = run_trials(spec, trials=1000, master_seed=6)
